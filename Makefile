@@ -10,7 +10,7 @@ GO ?= go
 # below the measured 70.3% so regressions fail again.
 COVER_MIN ?= 70.0
 
-.PHONY: build test test-short test-race bench lint vet fuzz-smoke fmt cover cover-check trace-smoke overhead-guard chaos-smoke hybrid-smoke power-smoke serve-smoke serve-stress
+.PHONY: build test test-short test-race bench lint vet fuzz-smoke fmt cover cover-check trace-smoke overhead-guard chaos-smoke hybrid-smoke power-smoke serve-smoke serve-stress perfbench-check
 
 build:
 	$(GO) build ./...
@@ -89,6 +89,13 @@ serve-smoke:
 # units/sec. See EXPERIMENTS.md, "Serving-layer stress methodology".
 serve-stress:
 	$(GO) run ./cmd/acesim serve -stress -stress-units 100000
+
+# Benchmark module check: perfbench is its own Go module (it reaches
+# the simulator through a replace of the parent module), so `go build
+# ./...` here never compiles it. Vetting and testing it catches an
+# internal API change that would break the benchmark.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # Per-package coverage summary plus the total (short mode: the full
 # grids add minutes without covering new statements).

@@ -539,7 +539,7 @@ func (h *hybridState) analyticIssue(hc *hybColl, now des.Time) {
 		wire += ft.Wire
 		inj += ft.Injected
 	}
-	h.rt.net.AddAnalyticTraffic(wire, inj)
+	h.rt.net.AddTraffic(wire, inj)
 	for n := range c.nodeDone {
 		node := noc.NodeID(n)
 		h.rt.eng.At(t, func() { h.completeMain(c, node) })
@@ -561,6 +561,6 @@ func (h *hybridState) analyticP2P(src, dst noc.NodeID, bytes int64, onDelivered 
 			per = leg
 		}
 	}
-	h.rt.net.AddAnalyticTraffic(hops*bytes, bytes)
+	h.rt.net.AddTraffic(hops*bytes, bytes)
 	h.rt.eng.At(h.rt.eng.Now()+des.Time(hops)*per, onDelivered)
 }

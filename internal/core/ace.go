@@ -6,8 +6,6 @@ import (
 	"acesim/internal/des"
 	"acesim/internal/npu"
 	"acesim/internal/resource"
-	"acesim/internal/stats"
-	"acesim/internal/trace"
 )
 
 // ACEConfig describes one Accelerator Collectives Engine (Section IV-I
@@ -116,11 +114,10 @@ type ACE struct {
 
 	active int
 	start  des.Time
-	// BusyTrace records intervals with >= 1 chunk assigned (Fig 9b).
-	BusyTrace *stats.Trace
-	// Span optionally mirrors the same occupancy intervals onto the
-	// engine's trace timeline (wired by system.BuildOn when tracing).
-	Span *trace.Emitter
+	// Observers see every interval with >= 1 chunk assigned (Fig 9b
+	// occupancy; bytes 0). The internal servers (Servers) carry their
+	// own observer lists.
+	resource.Observers
 }
 
 // NewACE builds the engine for one node. The node's CommMem server is the
@@ -169,8 +166,7 @@ func (a *ACE) markActive(d int) {
 	}
 	a.active += d
 	if a.active == 0 && d < 0 {
-		a.BusyTrace.AddBusy(a.start, a.eng.Now(), 1)
-		a.Span.Emit(int64(a.start), int64(a.eng.Now()), 0)
+		a.Report(a.start, a.eng.Now(), 0)
 	}
 }
 
@@ -306,26 +302,21 @@ func (a *ACE) Debug() string {
 	return s
 }
 
-// FlushBusy closes the currently open busy interval (if any) so the
-// BusyTrace is complete up to the present; Fig 9b reads utilization from
-// it at the end of a run.
+// FlushBusy reports the currently open occupancy interval (if any) up
+// to the present, so observers are complete when Fig 9b reads
+// utilization at the end of a run.
 func (a *ACE) FlushBusy() {
 	if a.active > 0 {
 		now := a.eng.Now()
-		a.BusyTrace.AddBusy(a.start, now, 1)
-		a.Span.Emit(int64(a.start), int64(now), 0)
+		a.Report(a.start, now, 0)
 		a.start = now
 	}
 }
 
-// SetPower attaches a windowed energy timeline to the ACE's internal
-// servers: each of the ALU and the two SRAM ports draws busyW watts
-// while serving (the energy model's "ACE busy" coefficient is per
-// engine server, so lifetime totals and timeline agree).
-func (a *ACE) SetPower(tl *stats.PowerTrace, busyW float64) {
-	a.alu.SetPowerBusy(tl, busyW)
-	a.sramR.SetPowerBusy(tl, busyW)
-	a.sramW.SetPowerBusy(tl, busyW)
+// Servers returns the engine's internal rate servers: the ALU and the
+// SRAM read and write ports, in that fixed order.
+func (a *ACE) Servers() [3]*resource.Server {
+	return [3]*resource.Server{a.alu, a.sramR, a.sramW}
 }
 
 // EngineBusy returns the summed lifetime busy time of the ACE's
@@ -333,17 +324,4 @@ func (a *ACE) SetPower(tl *stats.PowerTrace, busyW float64) {
 // model multiplies by the per-server busy draw.
 func (a *ACE) EngineBusy() des.Time {
 	return a.alu.BusyTime() + a.sramR.BusyTime() + a.sramW.BusyTime()
-}
-
-// Absorb folds another ACE's internal server accounting (ALU and SRAM
-// ports) into this one, scaled by times — the hybrid engine's shadow
-// statistics merge. Gate and FSM occupancy state is transient and not
-// folded.
-func (a *ACE) Absorb(o *ACE, times int64) {
-	if o == nil {
-		return
-	}
-	a.alu.AbsorbFrom(o.alu, times)
-	a.sramR.AbsorbFrom(o.sramR, times)
-	a.sramW.AbsorbFrom(o.sramW, times)
 }

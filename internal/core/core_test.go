@@ -300,11 +300,12 @@ func TestACEPipelineProgress(t *testing.T) {
 func TestACEBusyTrace(t *testing.T) {
 	eng := des.NewEngine()
 	a, _ := newTestACE(t, eng, DefaultACEConfig(1))
-	a.BusyTrace = stats.NewTrace(des.Microsecond)
+	tr := stats.NewTrace(des.Microsecond)
+	a.Observe(func(start, end des.Time, _ int64) { tr.AddBusy(start, end, 1) })
 	c := &Chunk{Bytes: 128 << 10, Resident: []int64{128 << 10, 128 << 10}}
 	a.Admit(c, func() { a.Drain(c, func() {}) })
 	eng.Run()
-	if a.BusyTrace.Len() == 0 {
+	if tr.Len() == 0 {
 		t.Fatal("busy trace recorded nothing")
 	}
 }

@@ -88,13 +88,13 @@ func Fig4(kernels []Fig4Kernel, arSizes []int64) ([]Fig4Row, *report.Table, erro
 		"kernel", "AR MB", "alone us", "overlapped us", "slowdown")
 	var rows []Fig4Row
 	for _, ar := range arSizes {
-		alone, err := fig4Run(nil, ar)
+		alone, _, err := Fig4MeasureStats(nil, ar)
 		if err != nil {
 			return nil, nil, err
 		}
 		for _, k := range kernels {
 			k := k
-			over, err := fig4Run(&k, ar)
+			over, _, err := Fig4MeasureStats(&k, ar)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -119,32 +119,37 @@ func Fig4Defaults() ([]Fig4Kernel, []int64) {
 		[]int64{10 << 20, 100 << 20}
 }
 
-// fig4Run measures one all-reduce, optionally overlapped with kernel k
-// running twice back-to-back from t=0.
-func fig4Run(k *Fig4Kernel, arBytes int64) (des.Time, error) {
-	t, _, err := fig4RunStats(k, arBytes)
-	return t, err
+// Fig4MeasureEngine measures one all-reduce on the Section III
+// platform under the given execution engine, optionally overlapped with
+// kernel k running twice back-to-back from t=0, and returns the
+// completion time plus the executed-event count (shadow events
+// included). A contended run (k != nil) rewires comm-memory rates
+// before the issue, so the hybrid fast path refuses itself and the run
+// is plain DES; the alone run engages the mirror and must land on
+// identical picoseconds.
+func Fig4MeasureEngine(k *Fig4Kernel, arBytes int64, engine collectives.Engine) (des.Time, uint64, error) {
+	return fig4RunEngine(k, arBytes, nil, engine)
 }
 
-// fig4RunStats is fig4Run plus the engine's executed-event count.
-func fig4RunStats(k *Fig4Kernel, arBytes int64) (des.Time, uint64, error) {
+// Fig4MeasureStats is Fig4MeasureEngine on the full DES engine — the
+// single-point form of Fig4, used by the scenario engine's microbench
+// units and the bench harness (events/sec accounting).
+func Fig4MeasureStats(k *Fig4Kernel, arBytes int64) (des.Time, uint64, error) {
 	return fig4RunEngine(k, arBytes, nil, collectives.EngineDES)
 }
 
-// fig4RunTrace is fig4RunStats with an optional span collector. The
+// Fig4MeasureTrace is Fig4MeasureStats with the run's spans collected
+// into tr (nil behaves exactly like Fig4MeasureStats). The
 // microbenchmark's kernel is modeled as a contention window (a rate
-// change), not simulated on the compute stream, so the traced run adds
-// one synthetic compute span per node over the kernel window — the
-// overlap accounting then sees the same compute occupancy the rate
-// model charges for.
-func fig4RunTrace(k *Fig4Kernel, arBytes int64, tr *trace.Tracer) (des.Time, uint64, error) {
+// change), not simulated on the compute stream, so the traced run
+// reports one synthetic compute interval per node over the kernel
+// window — the overlap accounting then sees the same compute occupancy
+// the rate model charges for.
+func Fig4MeasureTrace(k *Fig4Kernel, arBytes int64, tr *trace.Tracer) (des.Time, uint64, error) {
 	return fig4RunEngine(k, arBytes, tr, collectives.EngineDES)
 }
 
-// fig4RunEngine is fig4RunTrace with a selectable execution engine. A
-// contended run (k != nil) rewires comm-memory rates before the issue,
-// so the hybrid fast path refuses itself and the run is plain DES; the
-// alone run engages the mirror and must land on identical picoseconds.
+// fig4RunEngine runs one measurement behind the Fig4Measure* forms.
 func fig4RunEngine(k *Fig4Kernel, arBytes int64, tr *trace.Tracer, engine collectives.Engine) (des.Time, uint64, error) {
 	spec := fig4Spec()
 	spec.Tracer = tr
@@ -177,12 +182,8 @@ func fig4RunEngine(k *Fig4Kernel, arBytes int64, tr *trace.Tracer, engine collec
 				n.CommMem.SetRate(full)
 			}
 		})
-		if tr != nil {
-			for _, c := range s.Computes {
-				if t, track := c.TraceTrack(); t != nil {
-					t.Span(track, trace.CatCompute, k.Name, 0, int64(window), k.Bytes)
-				}
-			}
+		for _, c := range s.Computes {
+			c.Occupy(k.Name, 0, window, k.Bytes)
 		}
 	}
 	plan := collectives.RingAllReduce(8, noc.DimLocal)
@@ -205,30 +206,4 @@ func fig4RunEngine(k *Fig4Kernel, arBytes int64, tr *trace.Tracer, engine collec
 		}
 	}
 	return last, s.Eng.Steps() + s.RT.HybridStats().ShadowSteps, nil
-}
-
-// Fig4Measure measures one all-reduce on the Section III platform,
-// optionally overlapped with kernel k running twice back-to-back from
-// t=0. It is the single-point form of Fig4, exported for the scenario
-// engine's microbench units.
-func Fig4Measure(k *Fig4Kernel, arBytes int64) (des.Time, error) {
-	return fig4Run(k, arBytes)
-}
-
-// Fig4MeasureStats is Fig4Measure plus the engine's executed-event count,
-// exported for the bench harness (events/sec accounting).
-func Fig4MeasureStats(k *Fig4Kernel, arBytes int64) (des.Time, uint64, error) {
-	return fig4RunStats(k, arBytes)
-}
-
-// Fig4MeasureTrace is Fig4MeasureStats with the run's spans collected
-// into tr (nil behaves exactly like Fig4MeasureStats).
-func Fig4MeasureTrace(k *Fig4Kernel, arBytes int64, tr *trace.Tracer) (des.Time, uint64, error) {
-	return fig4RunTrace(k, arBytes, tr)
-}
-
-// Fig4MeasureEngine is Fig4MeasureStats under the given execution
-// engine, exported for the hybrid-smoke golden-equality check.
-func Fig4MeasureEngine(k *Fig4Kernel, arBytes int64, engine collectives.Engine) (des.Time, uint64, error) {
-	return fig4RunEngine(k, arBytes, nil, engine)
 }

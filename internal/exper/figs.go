@@ -182,14 +182,13 @@ func Fig9b(t noc.Topology, models []*workload.Model) ([]Fig9bRow, *report.Table,
 		if err != nil {
 			return nil, nil, err
 		}
-		ace := s.ACEs[0]
-		ace.FlushBusy()
+		s.ACEs[0].FlushBusy()
 		util := func(ws []training.Window) float64 {
 			var busy, total float64
 			for _, w := range ws {
 				from := int(w.Start / spec.TraceBucket)
 				to := int(w.End/spec.TraceBucket) + 1
-				busy += ace.BusyTrace.Mean(from, to, 1) * float64(to-from)
+				busy += s.ACEUtil[0].Mean(from, to, 1) * float64(to-from)
 				total += float64(to - from)
 			}
 			if total == 0 {
@@ -249,8 +248,8 @@ func Fig10(t noc.Topology, models []*workload.Model, presets []system.Preset) ([
 			}}
 			links := float64(s.Net.NumLinks())
 			for b := 0; b < buckets; b++ {
-				tr.NetUtil = append(tr.NetUtil, s.Net.Trace.Utilization(b, links))
-				tr.CmpUtil = append(tr.CmpUtil, s.Computes[0].Trace.Utilization(b, 1))
+				tr.NetUtil = append(tr.NetUtil, s.LinkUtil.Utilization(b, links))
+				tr.CmpUtil = append(tr.CmpUtil, s.ComputeUtil[0].Utilization(b, 1))
 			}
 			tr.Row.MeanNetUtil = mean(tr.NetUtil)
 			tr.Row.MeanCmpUtil = mean(tr.CmpUtil)

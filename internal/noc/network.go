@@ -6,7 +6,6 @@ import (
 	"acesim/internal/des"
 	"acesim/internal/resource"
 	"acesim/internal/stats"
-	"acesim/internal/trace"
 )
 
 // LinkClass describes one class of physical link (Table V).
@@ -56,6 +55,10 @@ func (l *Link) BusyTime() des.Time { return l.srv.BusyTime() }
 // Bytes returns the total bytes carried.
 func (l *Link) Bytes() int64 { return l.srv.Meter.Total() }
 
+// Server returns the link's serialization server (its name, observers
+// and lifetime meters).
+func (l *Link) Server() *resource.Server { return l.srv }
+
 // Forwarder is the endpoint hook charged at every intermediate hop of a
 // routed transfer (store-and-forward through the endpoint). It must call
 // next() when the forwarding cost has been paid.
@@ -66,9 +69,6 @@ type Config struct {
 	Topo  Topology
 	Intra LinkClass // dimension-0 links (intra-package)
 	Inter LinkClass // higher-dimension links (inter-package)
-	// TraceBucket, when > 0, enables the link-utilization trace used by
-	// the Fig 10 timelines.
-	TraceBucket des.Time
 }
 
 // classFor resolves the link class of dimension d: the intra class on
@@ -96,12 +96,10 @@ type Network struct {
 	eng   *des.Engine
 	cfg   Config
 	links map[linkKey]*Link
+	all   []*Link // every link, in construction order
 	// Forward is charged at intermediate hops of SendRouted. If nil,
 	// forwarding is free.
-	Forward Forwarder
-	// Trace accumulates link busy intervals (weight 1 per link).
-	Trace    *stats.Trace
-	numLinks int
+	Forward  Forwarder
 	injected stats.Meter // bytes entering the fabric at source endpoints
 
 	// Fault machinery. faultsOn switches SendNeighbor/SendRouted onto the
@@ -110,10 +108,10 @@ type Network struct {
 	// network reports what happened, the owner (the collective runtime's
 	// recovery policy) decides when to retry.
 	faultsOn bool
-	// extraWire/extraInjected fold closed-form traffic from the analytic
-	// engine mode into the fabric totals: analytic collectives never touch
-	// the links, but their exact byte accounting (collectives.AnalyzeOn)
-	// still has to show up in TotalWireBytes/InjectedBytes.
+	// extraWire/extraInjected fold traffic that never crossed these links
+	// into the fabric totals: the analytic engine mode's exact byte
+	// accounting (collectives.AnalyzeOn) and a hybrid shadow's injections
+	// still have to show up in TotalWireBytes/InjectedBytes.
 	extraWire     int64
 	extraInjected int64
 	// OnDrop runs when an in-flight transfer is lost: the destination link
@@ -144,7 +142,6 @@ func New(eng *des.Engine, cfg Config) (*Network, error) {
 		eng:   eng,
 		cfg:   cfg,
 		links: make(map[linkKey]*Link),
-		Trace: stats.NewTrace(cfg.TraceBucket),
 	}
 	t := cfg.Topo
 	for id := NodeID(0); int(id) < t.N(); id++ {
@@ -168,13 +165,8 @@ func New(eng *des.Engine, cfg Config) (*Network, error) {
 					lat: cls.Latency(),
 					up:  true, factor: 1, baseGBps: cls.EffGBps(),
 				}
-				l.srv.Trace = n.Trace
-				if tr := eng.Tracer(); tr != nil {
-					track := tr.RegisterTrack(name, int(id), trace.KindLink)
-					l.srv.Span = tr.NewEmitter(track, trace.CatLink, name)
-				}
 				n.links[linkKey{id, d, dir}] = l
-				n.numLinks++
+				n.all = append(n.all, l)
 			}
 		}
 	}
@@ -185,7 +177,11 @@ func New(eng *des.Engine, cfg Config) (*Network, error) {
 func (n *Network) Topo() Topology { return n.cfg.Topo }
 
 // NumLinks returns the number of unidirectional links in the fabric.
-func (n *Network) NumLinks() int { return n.numLinks }
+func (n *Network) NumLinks() int { return len(n.all) }
+
+// Links returns every link in construction order: by source node, then
+// dimension, then direction +1 before -1 (shared slice; do not mutate).
+func (n *Network) Links() []*Link { return n.all }
 
 // InjectedBytes returns total bytes injected at source endpoints
 // (excluding forwarded re-injections).
@@ -197,44 +193,12 @@ func (n *Network) InjectedBytes() int64 { return n.injected.Total() + n.extraInj
 // transfers from it.
 func (n *Network) DimClass(d Dim) LinkClass { return n.cfg.classFor(d) }
 
-// AddAnalyticTraffic folds closed-form byte accounting into the fabric
-// totals on behalf of the analytic engine mode, which completes
-// collectives without serializing anything on the links.
-func (n *Network) AddAnalyticTraffic(wire, injected int64) {
+// AddTraffic folds byte accounting for traffic that never serialized
+// on these links into the fabric totals: the analytic engine mode's
+// closed-form collectives and a hybrid shadow's injections.
+func (n *Network) AddTraffic(wire, injected int64) {
 	n.extraWire += wire
 	n.extraInjected += injected
-}
-
-// SetLinkPower attaches a windowed energy timeline to every link
-// server, charging pJPerByte per byte serialized onto the wire spread
-// over the serialization interval. The per-byte form survives
-// DegradeLink rate changes (degraded links move the same energy per
-// byte, just slower). Attachment order over the link map does not
-// matter: the timeline is an order-independent integer accumulator.
-func (n *Network) SetLinkPower(tl *stats.PowerTrace, pJPerByte float64) {
-	for _, l := range n.links {
-		l.srv.SetPowerPerByte(tl, pJPerByte)
-	}
-}
-
-// AbsorbFrom folds another (shadow) fabric's link occupancy and injection
-// meters into this one. times > 1 reads the shadow as a mirrored
-// co-simulation that ran only node 0's symmetric share: node 0's link
-// activity is replicated onto every node's corresponding link, and the
-// injection meter scales by times. With times == 1 links fold 1:1.
-func (n *Network) AbsorbFrom(o *Network, times int64) {
-	for k, l := range n.links {
-		sk := k
-		if times > 1 {
-			sk.from = 0
-		}
-		if src := o.links[sk]; src != nil {
-			l.srv.AbsorbFrom(src.srv, 1)
-		}
-	}
-	if t := o.injected.Total(); t != 0 {
-		n.injected.Add(t * times)
-	}
 }
 
 // Link returns the link leaving node from along d in direction dir.
@@ -245,7 +209,7 @@ func (n *Network) Link(from NodeID, d Dim, dir int) *Link {
 // TotalLinkBusy sums busy time over all links.
 func (n *Network) TotalLinkBusy() des.Time {
 	var sum des.Time
-	for _, l := range n.links {
+	for _, l := range n.all {
 		sum += l.BusyTime()
 	}
 	return sum
@@ -255,7 +219,7 @@ func (n *Network) TotalLinkBusy() des.Time {
 // per traversed link).
 func (n *Network) TotalWireBytes() int64 {
 	sum := n.extraWire
-	for _, l := range n.links {
+	for _, l := range n.all {
 		sum += l.Bytes()
 	}
 	return sum

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"acesim/internal/des"
+	"acesim/internal/stats"
 )
 
 func testConfig(t Topology) Config {
@@ -130,16 +131,18 @@ func TestSendRoutedWireBytes(t *testing.T) {
 
 func TestNetworkTrace(t *testing.T) {
 	eng := des.NewEngine()
-	cfg := testConfig(Torus3(4, 1, 1))
-	cfg.TraceBucket = des.Microsecond
-	n, _ := New(eng, cfg)
+	n, _ := New(eng, testConfig(Torus3(4, 1, 1)))
+	tr := stats.NewTrace(des.Microsecond)
+	for _, l := range n.Links() {
+		l.Server().Observe(func(start, end des.Time, _ int64) { tr.AddBusy(start, end, 1) })
+	}
 	n.SendNeighbor(0, DimLocal, +1, 188_000, nil_) // 1us at 188 GB/s
 	eng.Run()
-	if n.Trace.Len() == 0 {
+	if tr.Len() == 0 {
 		t.Fatal("trace recorded nothing")
 	}
 	// One of 8 links busy for one bucket.
-	if got := n.Trace.Utilization(0, float64(n.NumLinks())); got < 0.1 || got > 0.14 {
+	if got := tr.Utilization(0, float64(n.NumLinks())); got < 0.1 || got > 0.14 {
 		t.Fatalf("trace util = %v, want ~1/8", got)
 	}
 }

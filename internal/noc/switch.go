@@ -12,12 +12,11 @@ import (
 // one egress and one ingress port into a non-blocking switch. This is the
 // Section III measurement platform (8 V100s, 150 GB/s per GPU).
 type SwitchConfig struct {
-	N           int     // number of NPUs
-	PortGBps    float64 // per-port bandwidth (per direction)
-	LatCycles   int
-	Efficiency  float64
-	FreqGHz     float64
-	TraceBucket des.Time
+	N          int     // number of NPUs
+	PortGBps   float64 // per-port bandwidth (per direction)
+	LatCycles  int
+	Efficiency float64
+	FreqGHz    float64
 }
 
 // SwitchNet is a single-hop crossbar fabric. Transfers serialize on the
@@ -29,7 +28,6 @@ type SwitchNet struct {
 	egress   []*resource.Server
 	ingress  []*resource.Server
 	lat      des.Time
-	Trace    *stats.Trace
 	injected stats.Meter
 }
 
@@ -43,16 +41,13 @@ func NewSwitch(eng *des.Engine, cfg SwitchConfig) (*SwitchNet, error) {
 		eff = 1
 	}
 	s := &SwitchNet{
-		eng:   eng,
-		cfg:   cfg,
-		lat:   des.Cycles(cfg.LatCycles, cfg.FreqGHz),
-		Trace: stats.NewTrace(cfg.TraceBucket),
+		eng: eng,
+		cfg: cfg,
+		lat: des.Cycles(cfg.LatCycles, cfg.FreqGHz),
 	}
 	for i := 0; i < cfg.N; i++ {
 		eg := resource.NewServer(eng, fmt.Sprintf("sw-egress(%d)", i), cfg.PortGBps*eff)
 		in := resource.NewServer(eng, fmt.Sprintf("sw-ingress(%d)", i), cfg.PortGBps*eff)
-		eg.Trace = s.Trace
-		in.Trace = s.Trace
 		s.egress = append(s.egress, eg)
 		s.ingress = append(s.ingress, in)
 	}

@@ -17,7 +17,6 @@ import (
 	"acesim/internal/des"
 	"acesim/internal/resource"
 	"acesim/internal/stats"
-	"acesim/internal/trace"
 )
 
 // Params are the per-node hardware parameters (Table V defaults via
@@ -113,16 +112,6 @@ func NewNode(eng *des.Engine, id int, p Params, commSMCapped bool) (*Node, error
 		BusRX:   resource.NewServer(eng, fmt.Sprintf("npu%d.busrx", id), p.BusGBps),
 	}
 	n.compute = NewCompute(eng, p)
-	if tr := eng.Tracer(); tr != nil {
-		hbm := tr.RegisterTrack(fmt.Sprintf("npu%d/hbm", id), id, trace.KindHBM)
-		n.CommMem.Span = tr.NewEmitter(hbm, trace.CatHBM, "hbm.read")
-		tx := tr.RegisterTrack(fmt.Sprintf("npu%d/bus.tx", id), id, trace.KindDMA)
-		n.BusTX.Span = tr.NewEmitter(tx, trace.CatDMA, "bus.tx")
-		rx := tr.RegisterTrack(fmt.Sprintf("npu%d/bus.rx", id), id, trace.KindDMA)
-		n.BusRX.Span = tr.NewEmitter(rx, trace.CatDMA, "bus.rx")
-		n.compute.tracer = tr
-		n.compute.track = tr.RegisterTrack(fmt.Sprintf("npu%d/compute", id), id, trace.KindCompute)
-	}
 	return n, nil
 }
 
@@ -149,15 +138,10 @@ type Compute struct {
 	p      Params
 	busy   des.Time
 	freeAt des.Time
-	// Trace records compute busy intervals for the Fig 10 timelines.
-	Trace *stats.Trace
-	// Power, when non-nil, charges PowerW watts of dynamic compute
-	// energy into the windowed timeline per kernel interval.
-	Power  *stats.PowerTrace
-	PowerW float64
-	// tracer/track emit one span per kernel when tracing is on.
-	tracer *trace.Tracer
-	track  trace.TrackID
+	// Observers see every kernel's execution interval and HBM bytes;
+	// KernelName names the kernel being reported.
+	resource.Observers
+	name string
 	// kernels executed
 	count int64
 	// slow is the straggler factor: kernel durations scale by it when > 0
@@ -245,41 +229,29 @@ func (c *Compute) Run(k Kernel, done func()) des.Time {
 	c.freeAt = end
 	c.busy += d
 	c.count++
-	c.Trace.AddBusy(start, end, 1)
-	c.Power.Add(start, end, c.PowerW)
-	if c.tracer != nil {
-		c.tracer.Span(c.track, trace.CatCompute, k.Name, int64(start), int64(end), k.Bytes)
-	}
+	c.Occupy(k.Name, start, end, k.Bytes)
 	if done != nil {
 		c.eng.At(end, done)
 	}
 	return d
 }
 
-// TraceTrack exposes the compute stream's tracer and track (nil/0 when
-// tracing is off) so experiment drivers can add synthetic compute spans
-// — e.g. the Fig 4 microbenchmark, whose kernel is modeled as a rate
-// change rather than simulated on the stream.
-func (c *Compute) TraceTrack() (*trace.Tracer, trace.TrackID) { return c.tracer, c.track }
+// Occupy reports a kernel interval to the observers without queueing
+// it on the stream or charging lifetime busy time. Run reports through
+// it; experiment drivers call it directly for kernels modeled outside
+// the stream — e.g. the Fig 4 microbenchmark, whose kernel is a rate
+// change on the comm-memory server.
+func (c *Compute) Occupy(name string, start, end des.Time, bytes int64) {
+	c.name = name
+	c.Report(start, end, bytes)
+}
+
+// KernelName returns the name of the kernel whose interval the
+// observers are being handed.
+func (c *Compute) KernelName() string { return c.name }
 
 // BusyTime returns cumulative kernel execution time.
 func (c *Compute) BusyTime() des.Time { return c.busy }
 
 // Kernels returns the number of kernels executed.
 func (c *Compute) Kernels() int64 { return c.count }
-
-// Absorb folds another node's communication accounting (server busy
-// times, byte meters and the write meter) into this one, scaled by
-// times. The hybrid engine uses it to merge a shadow co-simulation's
-// endpoint statistics back into the primary system.
-func (n *Node) Absorb(o *Node, times int64) {
-	if o == nil {
-		return
-	}
-	n.CommMem.AbsorbFrom(o.CommMem, times)
-	n.BusTX.AbsorbFrom(o.BusTX, times)
-	n.BusRX.AbsorbFrom(o.BusRX, times)
-	if t := o.WriteMeter.Total(); t != 0 {
-		n.WriteMeter.Add(t * times)
-	}
-}

@@ -140,10 +140,11 @@ func TestComputeTrace(t *testing.T) {
 	p.CommSMs = 0
 	p.CommMemGBps = 0
 	c := NewCompute(eng, p)
-	c.Trace = stats.NewTrace(des.Millisecond)
+	tr := stats.NewTrace(des.Millisecond)
+	c.Observe(func(start, end des.Time, _ int64) { tr.AddBusy(start, end, 1) })
 	c.Run(Kernel{MACs: 120e9}, nil) // 1 ms
 	eng.Run()
-	if got := c.Trace.Utilization(0, 1); got != 1.0 {
+	if got := tr.Utilization(0, 1); got != 1.0 {
 		t.Fatalf("trace = %v", got)
 	}
 }

@@ -5,12 +5,13 @@
 // numbers engine-independent by construction — des, hybrid and
 // analytic runs report identical energy wherever their meters agree.
 //
-// On top of the totals sits a time-windowed Sampler: the hot paths
-// (resource.Server, npu.Compute) charge their busy intervals into
-// integer-femtojoule stats.PowerTrace windows, yielding a
-// watts-over-sim-time timeline per component group (compute / hbm /
-// fabric / static) with deterministic window boundaries — workers=1
-// vs N, and des vs hybrid, produce byte-identical timelines.
+// On top of the totals sits a time-windowed Sampler: busy-interval
+// observers on every rate server and compute stream (attached by
+// system.BuildOn) charge the intervals into integer-femtojoule
+// stats.PowerTrace windows, yielding a watts-over-sim-time timeline per
+// component group (compute / hbm / fabric / static) with deterministic
+// window boundaries — workers=1 vs N, and des vs hybrid, produce
+// byte-identical timelines.
 //
 // Units: coefficients are picojoules per cycle/byte/bit and watts for
 // busy/static draw; energies are reported in joules, power in watts.
@@ -148,8 +149,9 @@ func (c Coefficients) Energy(u Usage) Breakdown {
 }
 
 // Sampler collects the windowed power timeline. The dynamic groups
-// are integer-femtojoule PowerTraces charged from the hot paths; the
-// static draw is a constant added at read time (it needs no events).
+// are integer-femtojoule PowerTraces charged by busy-interval
+// observers; the static draw is a constant added at read time (it
+// needs no events).
 type Sampler struct {
 	Window  des.Time
 	Compute *stats.PowerTrace // kernel execution

@@ -19,8 +19,28 @@ import (
 
 	"acesim/internal/des"
 	"acesim/internal/stats"
-	"acesim/internal/trace"
 )
+
+// Observer receives one busy interval [start, end) of a simulated
+// resource and the bytes it moved (0 for pure occupancy). Fig 10/9b
+// utilization buckets, tracer spans and power windows are all
+// observers; a component reports every interval it serves, zero-length
+// ones included, in the order it books them.
+type Observer func(start, end des.Time, bytes int64)
+
+// Observers is a component's busy-interval observer list. The empty
+// list costs one length test per interval and allocates nothing.
+type Observers []Observer
+
+// Observe appends o to the list.
+func (l *Observers) Observe(o Observer) { *l = append(*l, o) }
+
+// Report hands one interval to every observer in attachment order.
+func (l Observers) Report(start, end des.Time, bytes int64) {
+	for _, o := range l {
+		o(start, end, bytes)
+	}
+}
 
 // Server is a FIFO rate server. Requests are served in order at Rate GB/s;
 // a request of n bytes holds the server for des.ByteDur(n, rate).
@@ -34,18 +54,8 @@ type Server struct {
 	freeAt des.Time
 	busy   des.Time
 	Meter  stats.Meter
-	Trace  *stats.Trace   // optional: busy intervals with weight 1
-	Span   *trace.Emitter // optional: per-request service spans
-
-	// Power, when non-nil, charges PowerW watts into the windowed
-	// energy timeline for every service interval. PowerW is either a
-	// fixed busy draw (SetPowerBusy) or derived from the service rate
-	// and a per-byte energy (SetPowerPerByte); the per-byte form
-	// tracks SetRate so rate-rescaled servers keep charging the same
-	// energy per byte.
-	Power        *stats.PowerTrace
-	PowerW       float64
-	powerPerByte float64 // pJ/byte; > 0 keeps PowerW in sync with rate
+	// Observers see every request's service interval.
+	Observers
 }
 
 // NewServer returns a server with the given rate in GB/s.
@@ -67,42 +77,17 @@ func (s *Server) Rate() float64 { return s.rate }
 // rewired under a running simulation.
 func (s *Server) SetRate(rateGBps float64) {
 	s.rate = rateGBps
-	if s.powerPerByte > 0 {
-		s.PowerW = s.powerPerByte * rateGBps * 1e-3
-	}
 	s.eng.NotePerturb()
 }
 
-// SetPowerBusy attaches a windowed energy timeline charging a fixed
-// watts draw while the server is busy.
-func (s *Server) SetPowerBusy(tl *stats.PowerTrace, watts float64) {
-	s.Power = tl
-	s.PowerW = watts
-	s.powerPerByte = 0
-}
-
-// SetPowerPerByte attaches a windowed energy timeline charging
-// pJPerByte per byte served, spread over the service interval
-// (GB/s x pJ/byte = 1e-3 W). Rate changes rescale the draw so the
-// per-byte energy stays constant.
-func (s *Server) SetPowerPerByte(tl *stats.PowerTrace, pJPerByte float64) {
-	s.Power = tl
-	s.powerPerByte = pJPerByte
-	s.PowerW = pJPerByte * s.rate * 1e-3
-}
-
-// AbsorbFrom folds another server's lifetime accounting (busy time and
-// byte meter) into this one, scaled by times. The hybrid engine uses it
-// to merge a shadow co-simulation's statistics back into the primary
-// system; times > 1 replicates one node's symmetric activity across a
-// mirrored fabric. Service state (freeAt) is not touched.
-func (s *Server) AbsorbFrom(o *Server, times int64) {
-	if o == nil || times <= 0 {
-		return
-	}
-	s.busy += o.busy * des.Time(times)
+// Absorb folds another server's lifetime accounting (busy time and one
+// byte-meter entry for its total) into this one. The hybrid engine uses
+// it to merge a shadow co-simulation's statistics back into the primary
+// system. Service state (freeAt) is not touched.
+func (s *Server) Absorb(o *Server) {
+	s.busy += o.busy
 	if t := o.Meter.Total(); t != 0 {
-		s.Meter.Add(t * times)
+		s.Meter.Add(t)
 	}
 }
 
@@ -121,8 +106,8 @@ func (s *Server) FreeAt() des.Time {
 
 // reserve books n bytes of service time (FIFO, starting no earlier than
 // now) and returns the completion instant. It updates the busy meter and
-// trace; callers schedule their own completion callback at (or after) the
-// returned time.
+// reports the interval to the observers; callers schedule their own
+// completion callback at (or after) the returned time.
 func (s *Server) reserve(n int64) des.Time {
 	now := s.eng.Now()
 	start := s.freeAt
@@ -136,9 +121,7 @@ func (s *Server) reserve(n int64) des.Time {
 	if n > 0 {
 		s.Meter.Add(n)
 	}
-	s.Trace.AddBusy(start, end, 1)
-	s.Power.Add(start, end, s.PowerW)
-	s.Span.Emit(int64(start), int64(end), n)
+	s.Report(start, end, n)
 	return end
 }
 

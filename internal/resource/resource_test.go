@@ -87,11 +87,91 @@ func TestServerSetRate(t *testing.T) {
 func TestServerTrace(t *testing.T) {
 	eng := des.NewEngine()
 	s := NewServer(eng, "mem", 1)
-	s.Trace = stats.NewTrace(100 * des.Nanosecond)
+	tr := stats.NewTrace(100 * des.Nanosecond)
+	s.Observe(func(start, end des.Time, _ int64) { tr.AddBusy(start, end, 1) })
 	s.Request(100, nil) // busy [0,100ns)
 	eng.Run()
-	if got := s.Trace.Utilization(0, 1); got != 1.0 {
+	if got := tr.Utilization(0, 1); got != 1.0 {
 		t.Fatalf("trace util = %v", got)
+	}
+}
+
+// interval is one observed (start, end, bytes) report.
+type interval struct {
+	start, end des.Time
+	bytes      int64
+}
+
+// TestServerObserverContract pins what every observer of a server
+// sees: each request's service interval and bytes exactly once, in
+// FIFO booking order, zero-byte requests and post-SetRate requests
+// included — and the same sequence for every observer on the list.
+func TestServerObserverContract(t *testing.T) {
+	eng := des.NewEngine()
+	s := NewServer(eng, "link", 1) // 1 byte = 1 ns
+	var a, b []interval
+	s.Observe(func(start, end des.Time, n int64) { a = append(a, interval{start, end, n}) })
+	s.Observe(func(start, end des.Time, n int64) { b = append(b, interval{start, end, n}) })
+	ns := des.Nanosecond
+	s.Request(100, nil)        // [0, 100ns)
+	s.Request(0, nil)          // zero-byte: [100ns, 100ns)
+	s.RequestAfter(50, 7, nil) // [100ns, 150ns); the extra delay is not service
+	eng.At(120*ns, func() {
+		s.SetRate(2)                                // 1 byte = 0.5 ns from here on
+		s.Request(100, nil)                         // queued behind the first three: [150ns, 200ns)
+		s.RequestAfterCtx(40, 0, func(any) {}, nil) // [200ns, 220ns)
+	})
+	eng.Run()
+	want := []interval{
+		{0, 100 * ns, 100},
+		{100 * ns, 100 * ns, 0},
+		{100 * ns, 150 * ns, 50},
+		{150 * ns, 200 * ns, 100},
+		{200 * ns, 220 * ns, 40},
+	}
+	for name, got := range map[string][]interval{"first": a, "second": b} {
+		if len(got) != len(want) {
+			t.Fatalf("%s observer saw %d intervals, want %d: %v", name, len(got), len(want), got)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s observer interval %d = %+v, want %+v", name, i, got[i], want[i])
+			}
+		}
+	}
+	var busy des.Time
+	for _, iv := range a {
+		busy += iv.end - iv.start
+	}
+	if busy != s.BusyTime() {
+		t.Fatalf("observed busy %v != lifetime busy %v", busy, s.BusyTime())
+	}
+}
+
+// TestServerObserverPerBytePower checks the per-byte energy observer
+// form (watts derived from the server's current rate at report time):
+// a request served after SetRate moves the same energy per byte as one
+// served before it, only over a shorter interval.
+func TestServerObserverPerBytePower(t *testing.T) {
+	eng := des.NewEngine()
+	s := NewServer(eng, "hbm", 10)
+	const pJPerByte = 30
+	pt := stats.NewPowerTrace(des.Second)
+	var perReq []int64
+	s.Observe(func(start, end des.Time, _ int64) {
+		before := pt.TotalFJ()
+		pt.Add(start, end, pJPerByte*s.Rate()*1e-3)
+		perReq = append(perReq, pt.TotalFJ()-before)
+	})
+	s.Request(1000, nil)
+	eng.At(des.Millisecond, func() {
+		s.SetRate(40)
+		s.Request(1000, nil)
+	})
+	eng.Run()
+	want := int64(1000 * pJPerByte * 1000) // 1000 B x 30 pJ/B in fJ
+	if len(perReq) != 2 || perReq[0] != want || perReq[1] != want {
+		t.Fatalf("per-request energy = %v fJ, want [%d %d]", perReq, want, want)
 	}
 }
 

@@ -297,7 +297,7 @@ func aloneBaselines(units []scenario.Unit) (map[int64]float64, error) {
 		if _, ok := alone[u.Bytes]; ok {
 			continue
 		}
-		t, err := exper.Fig4Measure(nil, u.Bytes)
+		t, _, err := exper.Fig4MeasureStats(nil, u.Bytes)
 		if err != nil {
 			return nil, fmt.Errorf("microbench baseline %gMB: %w", payloadMB(u.Bytes), err)
 		}

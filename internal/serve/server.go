@@ -239,6 +239,9 @@ func (s *Server) runTask(j *job, i int) {
 	})
 	s.mu.Lock()
 	st.metrics, st.err, st.hit = m, err, hit
+	// ready closes before completed can reach len(units) and close
+	// done, so a stream that wakes on done finds every unit ready.
+	close(st.ready)
 	if hit {
 		j.hits++
 	}
@@ -254,7 +257,6 @@ func (s *Server) runTask(j *job, i int) {
 		close(j.done)
 	}
 	s.mu.Unlock()
-	close(st.ready)
 	s.unitsDone.Add(1)
 }
 

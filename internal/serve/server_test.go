@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -278,5 +279,66 @@ func TestStressSmall(t *testing.T) {
 	}
 	if rep.UnitsPerSec <= 0 {
 		t.Errorf("units/sec = %v, want > 0", rep.UnitsPerSec)
+	}
+}
+
+// TestReadyClosedBeforeDone pins the result-stream ordering contract:
+// every unit's ready channel is closed by the time the job's done
+// channel is, so a stream that wakes on done never mistakes a finished
+// job for a canceled one. Many small all-cache-hit jobs race their
+// result streams against the workers finishing them.
+func TestReadyClosedBeforeDone(t *testing.T) {
+	s := startServer(t, Config{Workers: 2, QueueUnits: 1 << 20})
+	defer drainServer(t, s)
+	sc, err := scenario.Parse(strings.NewReader(fastScenario))
+	if err != nil {
+		t.Fatal(err)
+	}
+	units, err := sc.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, len(units))
+	for i, u := range units {
+		if keys[i], err = UnitKey(u, false, s.version); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submit := func() *job {
+		j, err := s.admit(sc, units, keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	<-submit().done // warm the cache: every later unit is a hit
+
+	jobs := 3000
+	if testing.Short() {
+		jobs = 500
+	}
+	for n := 0; n < jobs; n++ {
+		j := submit()
+		early := make(chan int, 1)
+		go func() {
+			<-j.done
+			open := 0
+			for _, st := range j.states {
+				select {
+				case <-st.ready:
+				default:
+					open++
+				}
+			}
+			early <- open
+		}()
+		rec := httptest.NewRecorder()
+		s.streamJSONL(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+j.id+"/results", nil), j)
+		if open := <-early; open != 0 {
+			t.Fatalf("job %d: %d unit(s) not ready when done closed", n, open)
+		}
+		if lines := strings.Count(rec.Body.String(), "\n"); lines != len(units) {
+			t.Fatalf("job %d: stream carried %d lines, want %d", n, lines, len(units))
+		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"acesim/internal/noc"
 	"acesim/internal/npu"
 	"acesim/internal/power"
+	"acesim/internal/resource"
 	"acesim/internal/stats"
 	"acesim/internal/trace"
 	"acesim/internal/training"
@@ -191,8 +192,14 @@ type System struct {
 	Computes []*npu.Compute
 
 	// Sampler is the windowed power timeline (nil unless Spec.Power is
-	// set). Its group traces are charged from the resource hot paths.
+	// set). Its group traces are charged by busy-interval observers.
 	Sampler *power.Sampler
+	// Utilization traces for Fig 10 and Fig 9b (nil unless
+	// Spec.TraceBucket > 0): link busy time summed over every link
+	// (weight 1 each), and per-node compute and ACE occupancy.
+	LinkUtil    *stats.Trace
+	ComputeUtil []*stats.Trace
+	ACEUtil     []*stats.Trace
 
 	// departFns run when a job_depart event fires on this system.
 	departFns []func()
@@ -228,15 +235,14 @@ func Build(spec Spec) (*System, error) {
 // Passing a fresh engine is exactly Build.
 func BuildOn(eng *des.Engine, spec Spec) (*System, error) {
 	if spec.Tracer != nil {
-		// Must precede every component build: tracks and emitters are
-		// wired at construction time off eng.Tracer().
+		// Must precede the runtime build: it registers its tracks off
+		// eng.Tracer().
 		eng.SetTracer(spec.Tracer)
 	}
 	net, err := noc.New(eng, noc.Config{
-		Topo:        spec.Topo,
-		Intra:       spec.Intra,
-		Inter:       spec.Inter,
-		TraceBucket: spec.TraceBucket,
+		Topo:  spec.Topo,
+		Intra: spec.Intra,
+		Inter: spec.Inter,
 	})
 	if err != nil {
 		return nil, err
@@ -260,9 +266,6 @@ func BuildOn(eng *des.Engine, spec Spec) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		if spec.TraceBucket > 0 {
-			node.Compute().Trace = newTrace(spec.TraceBucket)
-		}
 		s.Nodes = append(s.Nodes, node)
 		s.Computes = append(s.Computes, node.Compute())
 
@@ -273,13 +276,6 @@ func BuildOn(eng *des.Engine, spec Spec) (*System, error) {
 			if err != nil {
 				return nil, err
 			}
-			if spec.TraceBucket > 0 {
-				ace.BusyTrace = newTrace(spec.TraceBucket)
-			}
-			if tr := eng.Tracer(); tr != nil {
-				track := tr.RegisterTrack(fmt.Sprintf("npu%d/ace", i), i, trace.KindACE)
-				ace.Span = tr.NewEmitter(track, trace.CatACE, "ace.active")
-			}
 			s.ACEs = append(s.ACEs, ace)
 			ep = ace
 		case Ideal:
@@ -289,9 +285,7 @@ func BuildOn(eng *des.Engine, spec Spec) (*System, error) {
 		}
 		s.Eps = append(s.Eps, ep)
 	}
-	if spec.Power != nil {
-		s.attachPower(*spec.Power)
-	}
+	s.observe()
 	if spec.Faults.NeedsRecovery() && spec.Coll.Recovery == nil {
 		spec.Coll.Recovery = spec.Faults.Recovery.Policy()
 		s.Spec = spec
@@ -318,28 +312,106 @@ func BuildOn(eng *des.Engine, spec Spec) (*System, error) {
 	return s, nil
 }
 
-// attachPower builds the windowed power sampler and points every
-// component's energy hook at its group trace: compute kernels into
-// Compute, comm-mem reads into HBM, and links + DMA buses + ACE
-// servers into Fabric. Static leakage is a read-time constant on the
+// observe attaches the busy-interval observers the spec asks for to
+// every component: Fig 10/9b utilization buckets (TraceBucket), spans
+// on the engine's tracer, and power windows (Power) — compute kernels
+// into the Compute group, comm-mem reads into HBM, and links, DMA buses
+// and ACE servers into Fabric. Tracks register links first, then per
+// node hbm, bus.tx, bus.rx, compute and ace, so track IDs follow
+// construction order. Static leakage is a read-time constant on the
 // sampler — it needs no events.
-func (s *System) attachPower(cfg power.Config) {
-	sm := power.NewSampler(cfg.Window)
-	c := cfg.Coeff
-	for _, node := range s.Nodes {
+func (s *System) observe() {
+	bucket, tr := s.Spec.TraceBucket, s.Eng.Tracer()
+	var sm *power.Sampler
+	var c power.Coefficients
+	if p := s.Spec.Power; p != nil {
+		c, sm = p.Coeff, power.NewSampler(p.Window)
+		sm.StaticW = c.StaticW(len(s.Nodes), len(s.ACEs), s.Net.NumLinks())
+		s.Sampler = sm
+	}
+	if bucket > 0 {
+		s.LinkUtil = stats.NewTrace(bucket)
+	}
+	for _, l := range s.Net.Links() {
+		srv := l.Server()
+		if bucket > 0 {
+			srv.Observe(busy(s.LinkUtil))
+		}
+		if tr != nil {
+			srv.Observe(span(tr, srv.Name(), int(l.From), trace.KindLink, trace.CatLink, srv.Name()))
+		}
+		if sm != nil {
+			srv.Observe(perByte(sm.Fabric, c.LinkPJPerByte(), srv))
+		}
+	}
+	for i, node := range s.Nodes {
 		cp := node.Compute()
-		cp.Power = sm.Compute
-		cp.PowerW = c.ComputeW(s.Spec.NPU.FreqGHz)
-		node.CommMem.SetPowerPerByte(sm.HBM, c.HBMPJPerByte)
-		node.BusTX.SetPowerBusy(sm.Fabric, c.DMABusyW)
-		node.BusRX.SetPowerBusy(sm.Fabric, c.DMABusyW)
+		if bucket > 0 {
+			s.ComputeUtil = append(s.ComputeUtil, stats.NewTrace(bucket))
+			cp.Observe(busy(s.ComputeUtil[i]))
+		}
+		if tr != nil {
+			node.CommMem.Observe(span(tr, fmt.Sprintf("npu%d/hbm", i), i, trace.KindHBM, trace.CatHBM, "hbm.read"))
+			node.BusTX.Observe(span(tr, fmt.Sprintf("npu%d/bus.tx", i), i, trace.KindDMA, trace.CatDMA, "bus.tx"))
+			node.BusRX.Observe(span(tr, fmt.Sprintf("npu%d/bus.rx", i), i, trace.KindDMA, trace.CatDMA, "bus.rx"))
+			track := tr.RegisterTrack(fmt.Sprintf("npu%d/compute", i), i, trace.KindCompute)
+			cp.Observe(func(start, end des.Time, bytes int64) {
+				tr.Span(track, trace.CatCompute, cp.KernelName(), int64(start), int64(end), bytes)
+			})
+		}
+		if sm != nil {
+			cp.Observe(draw(sm.Compute, c.ComputeW(s.Spec.NPU.FreqGHz)))
+			node.CommMem.Observe(perByte(sm.HBM, c.HBMPJPerByte, node.CommMem))
+			node.BusTX.Observe(draw(sm.Fabric, c.DMABusyW))
+			node.BusRX.Observe(draw(sm.Fabric, c.DMABusyW))
+		}
+		if len(s.ACEs) == 0 {
+			continue
+		}
+		ace := s.ACEs[i]
+		if bucket > 0 {
+			s.ACEUtil = append(s.ACEUtil, stats.NewTrace(bucket))
+			ace.Observe(busy(s.ACEUtil[i]))
+		}
+		if tr != nil {
+			ace.Observe(span(tr, fmt.Sprintf("npu%d/ace", i), i, trace.KindACE, trace.CatACE, "ace.active"))
+		}
+		if sm != nil {
+			// The "ACE busy" coefficient is per engine server, so the
+			// lifetime totals (EngineBusy) and the timeline agree.
+			for _, srv := range ace.Servers() {
+				srv.Observe(draw(sm.Fabric, c.ACEBusyW))
+			}
+		}
 	}
-	for _, ace := range s.ACEs {
-		ace.SetPower(sm.Fabric, c.ACEBusyW)
+}
+
+// busy returns an observer adding each interval, weight 1, to a
+// utilization trace.
+func busy(t *stats.Trace) resource.Observer {
+	return func(start, end des.Time, _ int64) { t.AddBusy(start, end, 1) }
+}
+
+// span registers a track and returns an observer recording each
+// interval as a span on it, with the interval's bytes as the argument.
+func span(tr *trace.Tracer, track string, node int, kind trace.Kind, cat, name string) resource.Observer {
+	id := tr.RegisterTrack(track, node, kind)
+	return func(start, end des.Time, bytes int64) {
+		tr.Span(id, cat, name, int64(start), int64(end), bytes)
 	}
-	s.Net.SetLinkPower(sm.Fabric, c.LinkPJPerByte())
-	sm.StaticW = c.StaticW(len(s.Nodes), len(s.ACEs), s.Net.NumLinks())
-	s.Sampler = sm
+}
+
+// draw returns an observer charging a fixed watts draw into tl.
+func draw(tl *stats.PowerTrace, watts float64) resource.Observer {
+	return func(start, end des.Time, _ int64) { tl.Add(start, end, watts) }
+}
+
+// perByte returns an observer charging pJPerByte per byte srv serves,
+// spread over the service interval at srv's current rate (GB/s x
+// pJ/byte = 1e-3 W): after a rate change (contention, a degraded
+// link) each byte still costs pJPerByte.
+func perByte(tl *stats.PowerTrace, pJPerByte float64, srv *resource.Server) resource.Observer {
+	return func(start, end des.Time, _ int64) { tl.Add(start, end, pJPerByte*srv.Rate()*1e-3) }
 }
 
 // PowerUsage snapshots the lifetime meters the energy model prices.
@@ -429,33 +501,45 @@ func (s *System) wireHybrid() {
 			if err != nil {
 				return nil, err
 			}
-			fold := func(mirror bool) {
-				n := len(s.Nodes)
-				times := int64(1)
-				if mirror {
-					times = int64(n)
-				}
-				for i := 0; i < n; i++ {
-					src := i
-					if mirror {
-						src = 0
-					}
-					s.Nodes[i].Absorb(tw.Nodes[src], 1)
-					if len(s.ACEs) == n && len(tw.ACEs) == n {
-						s.ACEs[i].Absorb(tw.ACEs[src], 1)
-					}
-				}
-				s.Net.AbsorbFrom(tw.Net, times)
-				// The shadow's windowed energy timeline folds the same
-				// way as its meters: mirrored runs carry node 0's
-				// symmetric share, and the integer windows scale by N
-				// exactly.
-				s.Sampler.AbsorbFrom(tw.Sampler, times)
-			}
+			fold := func(mirror bool) { s.absorb(tw, mirror) }
 			return &collectives.Shadow{RT: tw.RT, Eng: tw.Eng, Fold: fold}, nil
 		},
 	}
 	s.RT.EnableHybrid(spec.Engine, hooks, reason)
+}
+
+// absorb folds a hybrid shadow twin's lifetime meters and power windows
+// into s in one pass. Every server takes its twin's busy time and one
+// byte-meter entry for its total. A mirrored twin ran only node 0's
+// symmetric share: each node's servers and outgoing links take node
+// 0's, while the fabric-wide totals (injected bytes, power windows)
+// scale by N — the windows as already-rounded integer femtojoules, so
+// joules stay exact.
+func (s *System) absorb(tw *System, mirror bool) {
+	times, src := int64(1), func(i int) int { return i }
+	if mirror {
+		times, src = int64(len(s.Nodes)), func(int) int { return 0 }
+	}
+	for i, node := range s.Nodes {
+		o := tw.Nodes[src(i)]
+		node.CommMem.Absorb(o.CommMem)
+		node.BusTX.Absorb(o.BusTX)
+		node.BusRX.Absorb(o.BusRX)
+		if t := o.WriteMeter.Total(); t != 0 {
+			node.WriteMeter.Add(t)
+		}
+		if len(s.ACEs) > 0 {
+			from := tw.ACEs[src(i)].Servers()
+			for k, srv := range s.ACEs[i].Servers() {
+				srv.Absorb(from[k])
+			}
+		}
+	}
+	for _, l := range s.Net.Links() {
+		l.Server().Absorb(tw.Net.Link(noc.NodeID(src(int(l.From))), l.Dim, l.Dir).Server())
+	}
+	s.Net.AddTraffic(0, tw.Net.InjectedBytes()*times)
+	s.Sampler.AbsorbFrom(tw.Sampler, times)
 }
 
 // FoldHybrid merges an engaged hybrid shadow's statistics into this
@@ -561,6 +645,3 @@ func acePartitions(cfg core.ACEConfig, plan collectives.Plan, spec Spec) ([]int6
 	}
 	return parts, maxChunk
 }
-
-// newTrace builds a utilization trace with the given bucket.
-func newTrace(bucket des.Time) *stats.Trace { return stats.NewTrace(bucket) }

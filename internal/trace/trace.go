@@ -13,9 +13,11 @@
 // tracers, and the exporter's output is a pure function of the tracer's
 // contents (byte-identical across runs, platforms and worker counts).
 //
-// Nil fast path: every recording method is safe on a nil *Tracer /
-// *Emitter and returns immediately — one pointer test, no allocation —
-// so instrumented hot paths cost nothing when tracing is off. The trace
+// Nil fast path: every recording method is safe on a nil *Tracer and
+// returns immediately — one pointer test, no allocation — so
+// instrumented hot paths cost nothing when tracing is off. Rate servers,
+// links and compute streams reach the tracer through busy-interval
+// observers attached only when tracing is on. The trace
 // package deliberately imports nothing from the simulator (timestamps
 // are raw int64 picoseconds), so any layer can depend on it.
 package trace
@@ -209,33 +211,4 @@ func (t *Tracer) track(id TrackID) Track {
 		return Track{Name: fmt.Sprintf("unknown(%d)", id), Node: -1}
 	}
 	return t.tracks[id]
-}
-
-// Emitter binds a tracer to one track with a fixed category and span
-// name — the zero-per-call form for resources whose spans all look alike
-// (a link, an HBM partition, a bus). A nil Emitter emits nothing.
-type Emitter struct {
-	t     *Tracer
-	track TrackID
-	cat   string
-	name  string
-}
-
-// NewEmitter builds an emitter for the given track. On a nil tracer it
-// returns nil, so wiring code can assign unconditionally.
-func (t *Tracer) NewEmitter(track TrackID, cat, name string) *Emitter {
-	if t == nil {
-		return nil
-	}
-	return &Emitter{t: t, track: track, cat: cat, name: name}
-}
-
-// Emit records [start, end) with the emitter's fixed name. Safe on nil:
-// one pointer test, no allocation — the disabled-path cost on every
-// instrumented hot path.
-func (e *Emitter) Emit(start, end, arg int64) {
-	if e == nil {
-		return
-	}
-	e.t.Span(e.track, e.cat, e.name, start, end, arg)
 }

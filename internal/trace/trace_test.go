@@ -7,7 +7,7 @@ import (
 )
 
 // TestNilFastPath pins the disabled-tracing contract: every recording
-// method on a nil Tracer / nil Emitter is a no-op with zero allocations.
+// method on a nil Tracer is a no-op with zero allocations.
 func TestNilFastPath(t *testing.T) {
 	var tr *Tracer
 	if tr.Enabled() {
@@ -16,9 +16,6 @@ func TestNilFastPath(t *testing.T) {
 	if id := tr.RegisterTrack("x", 0, KindLink); id != 0 {
 		t.Fatalf("nil RegisterTrack = %d, want 0", id)
 	}
-	if e := tr.NewEmitter(0, CatLink, "x"); e != nil {
-		t.Fatal("nil tracer built a non-nil emitter")
-	}
 	if got := tr.Breakdown(); got != (Breakdown{}) {
 		t.Fatalf("nil Breakdown = %+v, want zero", got)
 	}
@@ -26,12 +23,10 @@ func TestNilFastPath(t *testing.T) {
 		t.Fatal("nil tracer returned non-empty data")
 	}
 
-	var e *Emitter
 	allocs := testing.AllocsPerRun(1000, func() {
 		tr.Span(0, CatComm, "s", 0, 10, 0)
 		tr.Count(0, "c", 0, 1)
 		tr.SetProc("p")
-		e.Emit(0, 10, 0)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil-path allocations: %v per run, want 0", allocs)
@@ -235,13 +230,12 @@ func TestMicros(t *testing.T) {
 	}
 }
 
-// TestEnabledSpanRecording pins the Emitter round trip.
+// TestEnabledSpanRecording pins the Span round trip.
 func TestEnabledSpanRecording(t *testing.T) {
 	tr := New()
 	id := tr.RegisterTrack("srv", 3, KindLink)
-	e := tr.NewEmitter(id, CatLink, "busy")
-	e.Emit(10, 20, 64)
-	e.Emit(20, 20, 0) // dropped
+	tr.Span(id, CatLink, "busy", 10, 20, 64)
+	tr.Span(id, CatLink, "busy", 20, 20, 0) // dropped
 	spans := tr.Spans()
 	if len(spans) != 1 {
 		t.Fatalf("spans = %d, want 1", len(spans))
