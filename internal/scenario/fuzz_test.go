@@ -64,6 +64,14 @@ func FuzzParseScenario(f *testing.F) {
 	f.Add(`{"name":"x","platform":{"toruses":["4"]},"jobs":[{"kind":"microbench","payloads_mb":[1],"kernels":[{"gemm_n":64}]}],"power":{"enabled":true},"assertions":[{"metric":"perf_per_watt","op":">","value":0}]}`)
 	f.Add(`{"name":"x","platform":{"toruses":["4"],"presets":["Ideal"],"engine":"hybrid"},"jobs":[{"kind":"collective","payloads_mb":[1]}],"power":{"enabled":true,"window_us":-5,"coefficients":{"static_npu_w":0}}}`)
 
+	// Override-point edge cases: the list form with good, out-of-range
+	// and empty points, and the pre-list single-object form (a type
+	// error now, never a panic).
+	f.Add(`{"name":"x","platform":{"toruses":["4x2x2"],"presets":["ACE"],"overrides":[{"comm_mem_gbps":64},{"comm_sms":80,"intra_gbps":100},{}]},"jobs":[{"kind":"collective","payloads_mb":[1]}]}`)
+	f.Add(`{"name":"x","platform":{"toruses":["4"],"overrides":[{"comm_sms":500},{"intra_gbps":-1},{"ace_fsms":0}]},"jobs":[{"kind":"training","workloads":["dlrm"]}]}`)
+	f.Add(`{"name":"x","platform":{"toruses":["4"],"overrides":[]},"jobs":[{"kind":"collective","payloads_mb":[1]}]}`)
+	f.Add(`{"name":"x","platform":{"toruses":["4"],"overrides":{"comm_mem_gbps":32}},"jobs":[{"kind":"collective","payloads_mb":[1]}]}`)
+
 	f.Fuzz(func(t *testing.T, src string) {
 		sc, err := Parse(strings.NewReader(src))
 		if err != nil {

@@ -251,21 +251,30 @@ func (r *Results) Failures() []string {
 	return out
 }
 
-// describe labels a unit for error messages and JSON output.
+// describe labels a unit for error messages, trace and power tables.
 func describe(u scenario.Unit) string {
 	switch u.Kind {
 	case scenario.KindCollective:
-		return fmt.Sprintf("%s %s %s %gMB", u.Topo, u.Preset, u.Collective, payloadMB(u.Bytes))
+		return fmt.Sprintf("%s %s %gMB", point(u), u.Collective, payloadMB(u.Bytes))
 	case scenario.KindTraining:
-		return fmt.Sprintf("%s %s %s", u.Topo, u.Preset, u.Workload)
+		return fmt.Sprintf("%s %s", point(u), u.Workload)
 	case scenario.KindMicrobench:
 		return fmt.Sprintf("%s ar=%gMB", u.Kernel.KernelName(), payloadMB(u.Bytes))
 	case scenario.KindMultiJob:
-		return fmt.Sprintf("%s %s multijob[%d]", u.Topo, u.Preset, len(u.SubJobs))
+		return fmt.Sprintf("%s multijob[%d]", point(u), len(u.SubJobs))
 	case scenario.KindGraph:
-		return fmt.Sprintf("%s %s graph %s", u.Topo, u.Preset, graphLabel(u))
+		return fmt.Sprintf("%s graph %s", point(u), graphLabel(u))
 	}
 	return string(u.Kind)
+}
+
+// point labels a unit's platform point: topology and preset, then the
+// override point when the platform sweeps one.
+func point(u scenario.Unit) string {
+	if u.Overrides == nil {
+		return fmt.Sprintf("%s %s", u.Topo, u.Preset)
+	}
+	return fmt.Sprintf("%s %s [%s]", u.Topo, u.Preset, u.Overrides)
 }
 
 // graphLabel names a graph unit's source for tables and errors. The
@@ -312,26 +321,7 @@ func aloneBaselines(units []scenario.Unit) (map[int64]float64, error) {
 // buildSpec materializes the platform for a collective or training unit.
 func buildSpec(u scenario.Unit) system.Spec {
 	spec := system.NewSpec(u.Topo, u.Preset)
-	if o := u.Overrides; o != nil {
-		if o.CommMemGBps != nil {
-			spec.NPU.CommMemGBps = *o.CommMemGBps
-		}
-		if o.CommSMs != nil {
-			spec.NPU.CommSMs = *o.CommSMs
-		}
-		if o.IntraGBps != nil {
-			spec.Intra.GBps = *o.IntraGBps
-		}
-		if o.InterGBps != nil {
-			spec.Inter.GBps = *o.InterGBps
-		}
-		if o.ACESRAMBytes != nil {
-			spec.ACE.SRAMBytes = *o.ACESRAMBytes
-		}
-		if o.ACEFSMs != nil {
-			spec.ACE.FSMs = *o.ACEFSMs
-		}
-	}
+	u.Overrides.Apply(&spec)
 	if u.FastGranularity {
 		exper.FastGranularity(&spec)
 	}
@@ -663,6 +653,26 @@ func check(a scenario.Assertion, units []UnitResult) AssertionOutcome {
 // assertions.
 func (r *Results) Tables() []*report.Table {
 	var tabs []*report.Table
+	// Platform-point columns lead every platform table: torus and
+	// preset, plus the override point when the run sweeps one.
+	over := false
+	for _, ur := range r.Units {
+		over = over || ur.Unit.Overrides != nil
+	}
+	cols := func(rest ...string) []string {
+		h := []string{"torus", "preset"}
+		if over {
+			h = append(h, "overrides")
+		}
+		return append(h, rest...)
+	}
+	cells := func(u scenario.Unit, rest ...any) []any {
+		c := []any{u.Topo.String(), u.Preset.String()}
+		if over {
+			c = append(c, u.Overrides.String())
+		}
+		return append(c, rest...)
+	}
 	byKind := map[scenario.JobKind]*report.Table{}
 	get := func(k scenario.JobKind) *report.Table {
 		if t, ok := byKind[k]; ok {
@@ -672,19 +682,19 @@ func (r *Results) Tables() []*report.Table {
 		switch k {
 		case scenario.KindCollective:
 			t = report.New(r.Name+": collectives",
-				"torus", "preset", "collective", "MB", "duration us", "GB/s/node", "reads/node", "writes/node")
+				cols("collective", "MB", "duration us", "GB/s/node", "reads/node", "writes/node")...)
 		case scenario.KindTraining:
 			t = report.New(r.Name+": training (per node)",
-				"torus", "preset", "workload", "compute us", "exposed us", "iter us", "exposed frac")
+				cols("workload", "compute us", "exposed us", "iter us", "exposed frac")...)
 		case scenario.KindMicrobench:
 			t = report.New(r.Name+": microbench (8 NPUs, 150 GB/s switch)",
 				"kernel", "AR MB", "alone us", "overlapped us", "slowdown")
 		case scenario.KindMultiJob:
 			t = report.New(r.Name+": multijob (per-job slowdown vs solo)",
-				"torus", "preset", "job", "placement", "kind", "solo us", "co-run us", "slowdown")
+				cols("job", "placement", "kind", "solo us", "co-run us", "slowdown")...)
 		case scenario.KindGraph:
 			t = report.New(r.Name+": graphs (span / busiest-rank compute)",
-				"torus", "preset", "graph", "span us", "compute us", "exposed us", "exposed frac")
+				cols("graph", "span us", "compute us", "exposed us", "exposed frac")...)
 		}
 		byKind[k] = t
 		tabs = append(tabs, t)
@@ -694,11 +704,11 @@ func (r *Results) Tables() []*report.Table {
 		u, m := ur.Unit, ur.Metrics
 		switch u.Kind {
 		case scenario.KindCollective:
-			get(u.Kind).Add(u.Topo.String(), u.Preset.String(), u.Collective.String(), payloadMB(u.Bytes),
-				m["duration_us"], m["eff_gbps_node"], int64(m["reads_node"]), int64(m["writes_node"]))
+			get(u.Kind).Add(cells(u, u.Collective.String(), payloadMB(u.Bytes),
+				m["duration_us"], m["eff_gbps_node"], int64(m["reads_node"]), int64(m["writes_node"]))...)
 		case scenario.KindTraining:
-			get(u.Kind).Add(u.Topo.String(), u.Preset.String(), u.Workload,
-				m["compute_us"], m["exposed_us"], m["iter_time_us"], m["exposed_comm_frac"])
+			get(u.Kind).Add(cells(u, u.Workload,
+				m["compute_us"], m["exposed_us"], m["iter_time_us"], m["exposed_comm_frac"])...)
 		case scenario.KindMicrobench:
 			get(u.Kind).Add(u.Kernel.KernelName(), payloadMB(u.Bytes),
 				m["alone_us"], m["overlap_us"], m["slowdown"])
@@ -712,12 +722,12 @@ func (r *Results) Tables() []*report.Table {
 				if sj.IsTraining() {
 					kind = "training"
 				}
-				get(u.Kind).Add(u.Topo.String(), u.Preset.String(), sj.Name, placement, kind,
-					m[sj.Name+"_solo_us"], m[sj.Name+"_co_us"], m[sj.Name+"_slowdown"])
+				get(u.Kind).Add(cells(u, sj.Name, placement, kind,
+					m[sj.Name+"_solo_us"], m[sj.Name+"_co_us"], m[sj.Name+"_slowdown"])...)
 			}
 		case scenario.KindGraph:
-			get(u.Kind).Add(u.Topo.String(), u.Preset.String(), graphLabel(u),
-				m["graph_span_us"], m["graph_compute_us"], m["graph_exposed_us"], m["graph_exposed_frac"])
+			get(u.Kind).Add(cells(u, graphLabel(u),
+				m["graph_span_us"], m["graph_compute_us"], m["graph_exposed_us"], m["graph_exposed_frac"])...)
 		}
 	}
 	if t := r.TraceTable(); t != nil {
@@ -742,17 +752,18 @@ func (r *Results) Tables() []*report.Table {
 
 // unitJSON is the flattened machine-readable form of a unit result.
 type unitJSON struct {
-	Index        int                `json:"index"`
-	Kind         string             `json:"kind"`
-	Torus        string             `json:"torus,omitempty"`
-	Preset       string             `json:"preset,omitempty"`
-	Collective   string             `json:"collective,omitempty"`
-	PayloadBytes int64              `json:"payload_bytes,omitempty"`
-	Workload     string             `json:"workload,omitempty"`
-	Kernel       string             `json:"kernel,omitempty"`
-	Jobs         []string           `json:"jobs,omitempty"`
-	Graph        string             `json:"graph,omitempty"`
-	Metrics      map[string]float64 `json:"metrics"`
+	Index        int                 `json:"index"`
+	Kind         string              `json:"kind"`
+	Torus        string              `json:"torus,omitempty"`
+	Preset       string              `json:"preset,omitempty"`
+	Overrides    *scenario.Overrides `json:"overrides,omitempty"`
+	Collective   string              `json:"collective,omitempty"`
+	PayloadBytes int64               `json:"payload_bytes,omitempty"`
+	Workload     string              `json:"workload,omitempty"`
+	Kernel       string              `json:"kernel,omitempty"`
+	Jobs         []string            `json:"jobs,omitempty"`
+	Graph        string              `json:"graph,omitempty"`
+	Metrics      map[string]float64  `json:"metrics"`
 }
 
 type resultsJSON struct {
@@ -764,7 +775,7 @@ type resultsJSON struct {
 // unitJSONOf flattens one unit result into its machine-readable form.
 func unitJSONOf(ur UnitResult) unitJSON {
 	u := ur.Unit
-	uj := unitJSON{Index: u.Index, Kind: string(u.Kind), Metrics: ur.Metrics}
+	uj := unitJSON{Index: u.Index, Kind: string(u.Kind), Overrides: u.Overrides, Metrics: ur.Metrics}
 	switch u.Kind {
 	case scenario.KindCollective:
 		uj.Torus, uj.Preset = u.Topo.String(), u.Preset.String()

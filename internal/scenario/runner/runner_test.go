@@ -147,7 +147,7 @@ func TestOverridesApply(t *testing.T) {
 	starved := run(`{
 	  "name": "starved",
 	  "platform": {"toruses": ["4x2x2"], "presets": ["BaselineCommOpt"],
-	               "overrides": {"comm_mem_gbps": 32}},
+	               "overrides": [{"comm_mem_gbps": 32}]},
 	  "jobs": [{"kind": "collective", "payloads_mb": [4]}]
 	}`)
 	if starved >= def {

@@ -86,12 +86,15 @@ type Platform struct {
 	// with exact fabric byte accounting). See DESIGN.md, "Fidelity
 	// knobs".
 	Engine string `json:"engine,omitempty"`
-	// Overrides tweaks individual Spec fields on every grid point.
-	Overrides *Overrides `json:"overrides,omitempty"`
+	// Overrides is a grid axis of override points: every topology runs
+	// every point under every preset. Empty means one point with the
+	// preset defaults.
+	Overrides []Overrides `json:"overrides,omitempty"`
 }
 
-// Overrides adjusts individual platform parameters away from the preset
-// defaults. Nil fields keep the preset value.
+// Overrides is one override point: individual platform parameters
+// adjusted away from the preset defaults. Nil fields keep the preset
+// value.
 type Overrides struct {
 	CommMemGBps  *float64 `json:"comm_mem_gbps,omitempty"`
 	CommSMs      *int     `json:"comm_sms,omitempty"`
@@ -99,6 +102,57 @@ type Overrides struct {
 	InterGBps    *float64 `json:"inter_gbps,omitempty"`
 	ACESRAMBytes *int64   `json:"ace_sram_bytes,omitempty"`
 	ACEFSMs      *int     `json:"ace_fsms,omitempty"`
+}
+
+// Apply overwrites the set fields onto spec. Safe on nil.
+func (o *Overrides) Apply(spec *system.Spec) {
+	if o == nil {
+		return
+	}
+	if o.CommMemGBps != nil {
+		spec.NPU.CommMemGBps = *o.CommMemGBps
+	}
+	if o.CommSMs != nil {
+		spec.NPU.CommSMs = *o.CommSMs
+	}
+	if o.IntraGBps != nil {
+		spec.Intra.GBps = *o.IntraGBps
+	}
+	if o.InterGBps != nil {
+		spec.Inter.GBps = *o.InterGBps
+	}
+	if o.ACESRAMBytes != nil {
+		spec.ACE.SRAMBytes = *o.ACESRAMBytes
+	}
+	if o.ACEFSMs != nil {
+		spec.ACE.FSMs = *o.ACEFSMs
+	}
+}
+
+// String labels the override point by its set fields in schema order,
+// e.g. "comm_mem_gbps=128 comm_sms=80".
+func (o *Overrides) String() string {
+	var parts []string
+	add := func(name string, v any) { parts = append(parts, fmt.Sprintf("%s=%v", name, v)) }
+	if o.CommMemGBps != nil {
+		add("comm_mem_gbps", *o.CommMemGBps)
+	}
+	if o.CommSMs != nil {
+		add("comm_sms", *o.CommSMs)
+	}
+	if o.IntraGBps != nil {
+		add("intra_gbps", *o.IntraGBps)
+	}
+	if o.InterGBps != nil {
+		add("inter_gbps", *o.InterGBps)
+	}
+	if o.ACESRAMBytes != nil {
+		add("ace_sram_bytes", *o.ACESRAMBytes)
+	}
+	if o.ACEFSMs != nil {
+		add("ace_fsms", *o.ACEFSMs)
+	}
+	return strings.Join(parts, " ")
 }
 
 // JobKind discriminates the job types.
@@ -545,7 +599,8 @@ type Unit struct {
 	Job  int
 	Kind JobKind
 
-	// Platform point (collective and training units).
+	// Platform point (every kind but microbench); Overrides is nil when
+	// the platform has no override points.
 	Topo            noc.Topology
 	Preset          system.Preset
 	FastGranularity bool
@@ -644,10 +699,10 @@ func ParseCollective(s string) (collectives.Kind, error) {
 }
 
 // Expand validates the scenario and flattens it into work units in
-// deterministic order: jobs in file order; within a collective or
-// training job, torus (outer) x preset x sweep point; within a
-// microbench job, payload (outer) x kernel — the same order as the
-// paper's Fig 4 rows.
+// deterministic order: jobs in file order; within a collective, training,
+// multijob or graph job, platform point (topology outer, then override
+// point, then preset) x sweep point; within a microbench job, payload
+// (outer) x kernel — the same order as the paper's Fig 4 rows.
 func (s *Scenario) Expand() ([]Unit, error) {
 	if s.Name == "" {
 		return nil, errors.New("scenario: missing name")
@@ -659,11 +714,14 @@ func (s *Scenario) Expand() ([]Unit, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
-	engine := collectives.EngineDES
+	var points []Unit
 	if s.Platform != nil {
-		engine, err = collectives.ParseEngine(s.Platform.Engine)
+		engine, err := collectives.ParseEngine(s.Platform.Engine)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: platform: %w", s.Name, err)
+		}
+		if points, err = s.platformPoints(toruses, presets, engine); err != nil {
+			return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
 	}
 	var units []Unit
@@ -671,6 +729,10 @@ func (s *Scenario) Expand() ([]Unit, error) {
 		fail := func(format string, args ...any) ([]Unit, error) {
 			return nil, fmt.Errorf("scenario %s: job %d (%s): %s",
 				s.Name, ji, j.Kind, fmt.Sprintf(format, args...))
+		}
+		emit := func(u Unit) {
+			u.Index, u.Job, u.Kind = len(units), ji, j.Kind
+			units = append(units, u)
 		}
 		switch j.Kind {
 		case KindCollective:
@@ -689,18 +751,10 @@ func (s *Scenario) Expand() ([]Unit, error) {
 				j.Graph != "" || j.Pipeline != nil {
 				return fail("workloads/kernels/jobs/arbitration/graph/pipeline do not apply to collective jobs")
 			}
-			for _, t := range toruses {
-				for _, p := range presets {
-					for _, b := range payloads {
-						units = append(units, Unit{
-							Index: len(units), Job: ji, Kind: KindCollective,
-							Topo: t, Preset: p,
-							FastGranularity: s.Platform.FastGranularity,
-							Overrides:       s.Platform.Overrides,
-							Engine:          engine,
-							Collective:      ck, Bytes: b,
-						})
-					}
+			for _, u := range points {
+				for _, b := range payloads {
+					u.Collective, u.Bytes = ck, b
+					emit(u)
 				}
 			}
 		case KindTraining:
@@ -727,20 +781,10 @@ func (s *Scenario) Expand() ([]Unit, error) {
 				j.Arbitration != "" || j.Graph != "" || j.Pipeline != nil {
 				return fail("payloads/kernels/jobs/arbitration/graph/pipeline do not apply to training jobs")
 			}
-			for _, t := range toruses {
-				for _, p := range presets {
-					for _, w := range names {
-						units = append(units, Unit{
-							Index: len(units), Job: ji, Kind: KindTraining,
-							Topo: t, Preset: p,
-							FastGranularity: s.Platform.FastGranularity,
-							Overrides:       s.Platform.Overrides,
-							Engine:          engine,
-							Workload:        w,
-							Iterations:      j.Iterations,
-							DLRMOptimized:   j.DLRMOptimized,
-						})
-					}
+			for _, u := range points {
+				for _, w := range names {
+					u.Workload, u.Iterations, u.DLRMOptimized = w, j.Iterations, j.DLRMOptimized
+					emit(u)
 				}
 			}
 		case KindMicrobench:
@@ -761,10 +805,7 @@ func (s *Scenario) Expand() ([]Unit, error) {
 			}
 			for _, b := range payloads {
 				for _, k := range j.Kernels {
-					units = append(units, Unit{
-						Index: len(units), Job: ji, Kind: KindMicrobench,
-						Bytes: b, Kernel: k,
-					})
+					emit(Unit{Bytes: b, Kernel: k})
 				}
 			}
 		case KindMultiJob:
@@ -826,18 +867,9 @@ func (s *Scenario) Expand() ([]Unit, error) {
 					}
 				}
 			}
-			for _, t := range toruses {
-				for _, p := range presets {
-					units = append(units, Unit{
-						Index: len(units), Job: ji, Kind: KindMultiJob,
-						Topo: t, Preset: p,
-						FastGranularity: s.Platform.FastGranularity,
-						Overrides:       s.Platform.Overrides,
-						Engine:          engine,
-						SubJobs:         subs,
-						Arbitration:     j.Arbitration,
-					})
-				}
+			for _, u := range points {
+				u.SubJobs, u.Arbitration = subs, j.Arbitration
+				emit(u)
 			}
 		case KindGraph:
 			if s.Platform == nil {
@@ -880,18 +912,9 @@ func (s *Scenario) Expand() ([]Unit, error) {
 					}
 				}
 			}
-			for _, t := range toruses {
-				for _, pr := range presets {
-					units = append(units, Unit{
-						Index: len(units), Job: ji, Kind: KindGraph,
-						Topo: t, Preset: pr,
-						FastGranularity: s.Platform.FastGranularity,
-						Overrides:       s.Platform.Overrides,
-						Engine:          engine,
-						GraphFile:       path,
-						Pipeline:        j.Pipeline,
-					})
-				}
+			for _, u := range points {
+				u.GraphFile, u.Pipeline = path, j.Pipeline
+				emit(u)
 			}
 		default:
 			return fail("unknown kind (want collective, training, microbench, multijob or graph)")
@@ -1038,6 +1061,42 @@ func (s *Scenario) platformGrid() ([]noc.Topology, []system.Preset, error) {
 		}
 	}
 	return toruses, presets, nil
+}
+
+// platformPoints checks the override points and enumerates the platform
+// grid in expansion order — topology (outer) x override point x preset —
+// as unit templates carrying each point's platform fields.
+func (s *Scenario) platformPoints(toruses []noc.Topology, presets []system.Preset, engine collectives.Engine) ([]Unit, error) {
+	p := s.Platform
+	overs := []*Overrides{nil}
+	if len(p.Overrides) > 0 {
+		overs = make([]*Overrides, len(p.Overrides))
+		for i := range p.Overrides {
+			o := &p.Overrides[i]
+			// The checked bounds (SM and HBM totals, link and ACE
+			// parameters) are the same on every topology and preset, so
+			// one spec per override point covers the whole grid.
+			spec := system.NewSpec(toruses[0], presets[0])
+			o.Apply(&spec)
+			if err := spec.Validate(); err != nil {
+				return nil, fmt.Errorf("platform.overrides[%d] (%s): %w", i, o, err)
+			}
+			overs[i] = o
+		}
+	}
+	points := make([]Unit, 0, len(toruses)*len(overs)*len(presets))
+	for _, t := range toruses {
+		for _, o := range overs {
+			for _, pr := range presets {
+				points = append(points, Unit{
+					Topo: t, Preset: pr, Overrides: o,
+					FastGranularity: p.FastGranularity,
+					Engine:          engine,
+				})
+			}
+		}
+	}
+	return points, nil
 }
 
 // payloads concatenates the MB and byte payload lists.

@@ -121,6 +121,100 @@ func TestEmptyPresetsMeansAllFive(t *testing.T) {
 	}
 }
 
+// TestExpandOverrideAxis pins where the override points sit in the
+// expansion order: topology (outer), then override point, then preset,
+// then the job's own sweep. Every unit of a point shares one *Overrides.
+func TestExpandOverrideAxis(t *testing.T) {
+	sc := parse(t, `{
+	  "name": "axis",
+	  "platform": {"toruses": ["4x2x2", "4x4x2"], "presets": ["BaselineCommOpt", "ACE"],
+	               "overrides": [{"comm_mem_gbps": 64}, {"comm_mem_gbps": 128, "comm_sms": 80}, {"intra_gbps": 100}]},
+	  "jobs": [{"kind": "collective", "payloads_mb": [1, 2]}]
+	}`)
+	units, err := sc.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	toruses := []noc.Topology{noc.Torus3(4, 2, 2), noc.Torus3(4, 4, 2)}
+	presets := []system.Preset{system.BaselineCommOpt, system.ACE}
+	overs := sc.Platform.Overrides
+	if want := len(toruses) * len(overs) * len(presets) * 2; len(units) != want {
+		t.Fatalf("units = %d, want %d", len(units), want)
+	}
+	i := 0
+	for _, tp := range toruses {
+		for oi := range overs {
+			for _, p := range presets {
+				for _, b := range []int64{1 << 20, 2 << 20} {
+					u := units[i]
+					if u.Index != i || !u.Topo.Equal(tp) || u.Overrides != &overs[oi] || u.Preset != p || u.Bytes != b {
+						t.Fatalf("unit %d = %s %s [%s] %d, want %s %s [%s] %d",
+							i, u.Topo, u.Preset, u.Overrides, u.Bytes, tp, p, &overs[oi], b)
+					}
+					i++
+				}
+			}
+		}
+	}
+	if got := units[2].Overrides.String(); got != "comm_mem_gbps=64" {
+		t.Fatalf("override label = %q", got)
+	}
+	// Without overrides the axis collapses to one nil point.
+	plain := parse(t, `{"name": "plain", "platform": {"toruses": ["4x2x2"]}, "jobs": [{"kind": "collective", "payloads_mb": [1]}]}`)
+	units, err = plain.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range units {
+		if u.Overrides != nil {
+			t.Fatalf("unit %d carries overrides %s without an override list", u.Index, u.Overrides)
+		}
+	}
+}
+
+// TestValidateOverridePoints rejects override points the platform cannot
+// build, at validate time and naming the offending point, instead of
+// failing (or silently mis-simulating) at run time.
+func TestValidateOverridePoints(t *testing.T) {
+	cases := []struct {
+		name, points, want string
+	}{
+		{"comm SMs above the SM count", `{"comm_sms": 500}`, "comm SMs 500 out of range"},
+		{"negative comm SMs", `{"comm_sms": -1}`, "comm SMs -1 out of range"},
+		{"comm mem above HBM", `{"comm_mem_gbps": 901}`, "comm mem BW 901 out of range"},
+		{"negative comm mem", `{"comm_mem_gbps": -5}`, "comm mem BW -5 out of range"},
+		{"negative intra link", `{"intra_gbps": -200}`, "link bandwidth must be positive"},
+		{"tiny negative intra link", `{"intra_gbps": -1}`, "link bandwidth must be positive"},
+		{"zero inter link", `{"inter_gbps": 0}`, "link bandwidth must be positive"},
+		{"zero ACE SRAM", `{"ace_sram_bytes": 0}`, "non-positive ACE parameters"},
+		{"negative ACE FSMs", `{"ace_fsms": -4}`, "non-positive ACE parameters"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// The bad point sits second, after a good one.
+			sc := parse(t, `{"name": "x", "platform": {"toruses": ["4x2x2"],
+			  "overrides": [{"comm_mem_gbps": 128}, `+tc.points+`]},
+			  "jobs": [{"kind": "collective", "payloads_mb": [1]}]}`)
+			err := sc.Validate()
+			if err == nil {
+				t.Fatal("validated a bad override point")
+			}
+			for _, want := range []string{"platform.overrides[1]", tc.want} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("error %q does not mention %q", err, want)
+				}
+			}
+		})
+	}
+	// The boundaries themselves are valid points.
+	sc := parse(t, `{"name": "x", "platform": {"toruses": ["4x2x2"],
+	  "overrides": [{"comm_sms": 80, "comm_mem_gbps": 900}, {"comm_sms": 0, "comm_mem_gbps": 0}, {"intra_gbps": 0.5}]},
+	  "jobs": [{"kind": "collective", "payloads_mb": [1]}]}`)
+	if err := sc.Validate(); err != nil {
+		t.Fatalf("boundary points rejected: %v", err)
+	}
+}
+
 func TestParseRejectsUnknownFields(t *testing.T) {
 	if _, err := Parse(strings.NewReader(`{"name": "x", "jbos": []}`)); err == nil {
 		t.Fatal("unknown field accepted")

@@ -225,6 +225,23 @@ func (s *System) depart() {
 	s.departFns = nil
 }
 
+// Validate rejects a platform the components cannot simulate
+// faithfully: out-of-range NPU parameters, a malformed ACE
+// configuration, or a non-positive link bandwidth (which would run and
+// report meaningless timings).
+func (s Spec) Validate() error {
+	if err := s.NPU.Validate(); err != nil {
+		return err
+	}
+	if err := s.ACE.Validate(); err != nil {
+		return err
+	}
+	if !(s.Intra.GBps > 0) || !(s.Inter.GBps > 0) {
+		return fmt.Errorf("system: link bandwidth must be positive (intra %g GB/s, inter %g GB/s)", s.Intra.GBps, s.Inter.GBps)
+	}
+	return nil
+}
+
 // Build constructs the platform on a fresh engine.
 func Build(spec Spec) (*System, error) {
 	return BuildOn(des.NewEngine(), spec)
@@ -234,6 +251,9 @@ func Build(spec Spec) (*System, error) {
 // sub-fabrics (one per partitioned job) can co-simulate in one timeline.
 // Passing a fresh engine is exactly Build.
 func BuildOn(eng *des.Engine, spec Spec) (*System, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
 	if spec.Tracer != nil {
 		// Must precede the runtime build: it registers its tracks off
 		// eng.Tracer().
