@@ -10,7 +10,7 @@ GO ?= go
 # below the measured 70.3% so regressions fail again.
 COVER_MIN ?= 70.0
 
-.PHONY: build test test-short test-race bench lint vet fuzz-smoke fmt cover cover-check trace-smoke overhead-guard chaos-smoke hybrid-smoke power-smoke serve-smoke serve-stress perfbench-check
+.PHONY: build test test-short test-race bench lint vet fuzz-smoke fmt cover cover-check trace-smoke overhead-guard chaos-smoke hybrid-smoke power-smoke serve-smoke serve-stress perfbench-check figures-smoke
 
 build:
 	$(GO) build ./...
@@ -59,6 +59,15 @@ fuzz-smoke:
 chaos-smoke:
 	$(GO) test -race -run 'TestChaos' ./internal/collectives
 	$(GO) run ./cmd/acesim scenario run examples/scenarios/link_failure.json
+
+# Figures smoke: the paper figures the CLI runs from its embedded
+# bundled scenario files (examples/scenarios). Each run evaluates its
+# file's assertions, so a file that no longer loads or a figure that
+# moved out of its asserted range fails the target.
+figures-smoke:
+	$(GO) run ./cmd/acesim fig4
+	$(GO) run ./cmd/acesim fig5
+	$(GO) run ./cmd/acesim fig6
 
 # Hybrid-engine smoke: the fast path's golden-equality gates (hybrid ==
 # DES to the picosecond on collectives, Fig 4, training and the p2p

@@ -8,10 +8,13 @@ package acesim_test
 import (
 	"testing"
 
+	"acesim/examples/scenarios"
 	"acesim/internal/collectives"
 	"acesim/internal/exper"
 	"acesim/internal/hwmodel"
 	"acesim/internal/noc"
+	"acesim/internal/scenario"
+	"acesim/internal/scenario/runner"
 	"acesim/internal/system"
 	"acesim/internal/training"
 	"acesim/internal/workload"
@@ -19,45 +22,69 @@ import (
 
 var benchTorus = noc.Torus3(4, 2, 2)
 
+// benchBundled runs the embedded bundled scenario, after trim shrinks it
+// to benchmark size, b.N times on one worker (the cost of the sequential
+// sweep) and returns the last run's results. The trimmed sweep is not
+// the figure the file's assertions describe, so they are dropped.
+func benchBundled(b *testing.B, name string, trim func(*scenario.Scenario)) *runner.Results {
+	sc, err := scenarios.Load(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if trim != nil {
+		trim(sc)
+	}
+	sc.Assertions = nil
+	var res *runner.Results
+	for i := 0; i < b.N; i++ {
+		if res, err = runner.Run(sc, runner.Options{Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return res
+}
+
+// keepPoints trims the platform's override points to those keep accepts.
+func keepPoints(sc *scenario.Scenario, keep func(scenario.Overrides) bool) {
+	var kept []scenario.Overrides
+	for _, o := range sc.Platform.Overrides {
+		if keep(o) {
+			kept = append(kept, o)
+		}
+	}
+	sc.Platform.Overrides = kept
+}
+
 // BenchmarkFig4 regenerates the compute-communication interference
 // microbenchmark (slowdown of an all-reduce under a concurrent kernel).
 func BenchmarkFig4(b *testing.B) {
-	kernels := []exper.Fig4Kernel{exper.GEMMKernel(1000), exper.EmbLookupKernel(10000)}
-	var last float64
-	for i := 0; i < b.N; i++ {
-		rows, _, err := exper.Fig4(kernels, []int64{10 << 20})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = rows[len(rows)-1].Slowdown
-	}
-	b.ReportMetric(last, "slowdown")
+	res := benchBundled(b, "fig4.json", func(sc *scenario.Scenario) {
+		sc.Jobs[0].PayloadsMB = []float64{10}
+		sc.Jobs[0].Kernels = []scenario.Kernel{{GEMMN: 1000}, {EmbBatch: 10000}}
+		sc.Trace = nil // the figure's numbers, without the span export
+	})
+	b.ReportMetric(res.Units[len(res.Units)-1].Metrics["slowdown"], "slowdown")
 }
 
 // BenchmarkFig5 regenerates the comm-memory-bandwidth sensitivity sweep.
 func BenchmarkFig5(b *testing.B) {
-	var ace float64
-	for i := 0; i < b.N; i++ {
-		pts, _, err := exper.Fig5([]noc.Topology{benchTorus}, []float64{128, 450}, 16<<20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ace = pts[0].ACE
-	}
-	b.ReportMetric(ace, "ACE-GB/s@128")
+	res := benchBundled(b, "fig5.json", func(sc *scenario.Scenario) {
+		sc.Platform.Toruses = []string{benchTorus.String()}
+		keepPoints(sc, func(o scenario.Overrides) bool { return *o.CommMemGBps == 128 || *o.CommMemGBps == 450 })
+		sc.Jobs[0].PayloadsMB = []float64{16}
+	})
+	// Units run BaselineCommOpt, ACE, Ideal per point: unit 1 is ACE @128.
+	b.ReportMetric(res.Units[1].Metrics["eff_gbps_node"], "ACE-GB/s@128")
 }
 
 // BenchmarkFig6 regenerates the SM-count sensitivity sweep.
 func BenchmarkFig6(b *testing.B) {
-	var bw float64
-	for i := 0; i < b.N; i++ {
-		pts, _, err := exper.Fig6([]noc.Topology{benchTorus}, []int{2, 6}, 16<<20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bw = pts[1].BWperNPU
-	}
-	b.ReportMetric(bw, "GB/s@6SM")
+	res := benchBundled(b, "fig6.json", func(sc *scenario.Scenario) {
+		sc.Platform.Toruses = []string{benchTorus.String()}
+		keepPoints(sc, func(o scenario.Overrides) bool { return *o.CommSMs == 2 || *o.CommSMs == 6 })
+		sc.Jobs[0].PayloadsMB = []float64{16}
+	})
+	b.ReportMetric(res.Units[1].Metrics["eff_gbps_node"], "GB/s@6SM")
 }
 
 // BenchmarkFig9a regenerates two points of the ACE design-space sweep.
@@ -175,24 +202,12 @@ func BenchmarkAnalytic(b *testing.B) {
 // BenchmarkAblationForwarding regenerates the all-to-all forwarding
 // ablation.
 func BenchmarkAblationForwarding(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		rows, _, err := exper.AblationForwarding(benchTorus, 2<<20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var base, ace float64
-		for _, r := range rows {
-			switch r.Preset {
-			case system.BaselineCompOpt:
-				base = r.DurationUS
-			case system.ACE:
-				ace = r.DurationUS
-			}
-		}
-		ratio = base / ace
+	res := benchBundled(b, "ablation_forwarding.json", nil)
+	dur := map[system.Preset]float64{}
+	for _, ur := range res.Units {
+		dur[ur.Unit.Preset] = ur.Metrics["duration_us"]
 	}
-	b.ReportMetric(ratio, "ACE-a2a-speedup")
+	b.ReportMetric(dur[system.BaselineCompOpt]/dur[system.ACE], "ACE-a2a-speedup")
 }
 
 // BenchmarkAblationSwitch regenerates the switch-fabric placement

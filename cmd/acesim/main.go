@@ -16,6 +16,12 @@
 // Experiments: fig4 fig5 fig6 fig9a fig9b fig10 fig11 fig12 table4 table5
 // table6 analytic ablation interference all
 //
+// fig4, fig5 and fig6 run the bundled scenario file of the same name
+// (embedded in the binary) and print it the way `scenario run` does;
+// ablation runs ablation_forwarding.json before its switch and
+// scheduling parts. The bundled figures take no flags: to change one,
+// edit a copy of its file and run that with `acesim scenario run`.
+//
 // Experiment flags:
 //
 //	-size SHAPE   fabric topology for single-size experiments (default
@@ -28,8 +34,7 @@
 //	-workers N    parallel work units (default GOMAXPROCS)
 //	-format f     run output format: text, json or csv (default text)
 //
-// Bundled scenarios live under examples/scenarios/; `acesim scenario run
-// examples/scenarios/fig4.json` reproduces the hard-coded fig4 rows.
+// Bundled scenarios live under examples/scenarios/.
 package main
 
 import (
@@ -44,6 +49,7 @@ import (
 	"strings"
 	"syscall"
 
+	"acesim/examples/scenarios"
 	"acesim/internal/collectives"
 	"acesim/internal/exper"
 	"acesim/internal/hwmodel"
@@ -141,19 +147,29 @@ func runCtx(ctx context.Context, args []string) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("%s: %w: unexpected argument %q", cmd, errUsage, fs.Arg(0))
 	}
+	if file, ok := bundledFigures[cmd]; ok {
+		var set []string
+		fs.Visit(func(f *flag.Flag) { set = append(set, "-"+f.Name) })
+		if len(set) > 0 {
+			return fmt.Errorf("%s: %w: %s does not apply to a bundled figure; edit a copy of examples/scenarios/%s and run it with `acesim scenario run`",
+				cmd, errUsage, strings.Join(set, " "), file)
+		}
+	}
 	size, err := parseTorus(*sizeStr)
 	if err != nil {
 		return err
 	}
-	r := runner{size: size, quick: *quick, csvDir: *csvDir}
+	r := runner{ctx: ctx, size: size, quick: *quick, csvDir: *csvDir}
 
 	all := map[string]func() error{
-		"fig4": r.fig4, "fig5": r.fig5, "fig6": r.fig6,
 		"fig9a": r.fig9a, "fig9b": r.fig9b, "fig10": r.fig10,
 		"fig11": r.fig11, "fig12": r.fig12,
 		"table4": r.table4, "table5": r.table5, "table6": r.table6,
 		"analytic": r.analytic, "ablation": r.ablation,
 		"interference": r.interference,
+	}
+	for name, file := range bundledFigures {
+		all[name] = func() error { return runBundled(ctx, file) }
 	}
 	if cmd == "all" {
 		for _, name := range []string{
@@ -173,6 +189,25 @@ func runCtx(ctx context.Context, args []string) error {
 		return fmt.Errorf("unknown experiment %q", cmd)
 	}
 	return fn()
+}
+
+// bundledFigures maps the experiments that run a bundled scenario file to
+// that file. They always run at the file's full size: -quick and -size
+// do not apply, even under `all`.
+var bundledFigures = map[string]string{"fig4": "fig4.json", "fig5": "fig5.json", "fig6": "fig6.json"}
+
+// runBundled runs one embedded bundled scenario and prints it the way
+// `acesim scenario run` does.
+func runBundled(ctx context.Context, file string) error {
+	sc, err := scenarios.Load(file)
+	if err != nil {
+		return err
+	}
+	failed, err := runScenarioFile(ctx, sc, 0, "text", "")
+	if err != nil {
+		return err
+	}
+	return assertionFailures(sc.Name, failed)
 }
 
 func usage() {
@@ -284,54 +319,73 @@ func runScenario(ctx context.Context, args []string) error {
 			if err != nil {
 				return err
 			}
-			res, err := scrunner.RunContext(ctx, sc, scrunner.Options{Workers: *workers})
-			if err != nil && (res == nil || !res.Canceled) {
-				return err
-			}
-			switch *format {
-			case "text":
-				err = res.WriteText(os.Stdout)
-			case "json":
-				err = res.WriteJSON(os.Stdout)
-			case "csv":
-				err = res.WriteCSV(os.Stdout)
-			}
+			fails, err := runScenarioFile(ctx, sc, *workers, *format, *powerCSV)
 			if err != nil {
 				return err
 			}
-			if res.Canceled {
-				// Completed units are already flushed above; name what is
-				// missing and exit 130 without touching later files.
-				fmt.Fprintf(os.Stderr, "acesim: scenario %s interrupted: %d of %d units completed\n",
-					sc.Name, len(res.Units), res.Total)
-				return errInterrupted
-			}
-			if *powerCSV != "" {
-				f, err := os.Create(*powerCSV)
-				if err != nil {
-					return err
-				}
-				if err := res.WritePowerCSV(f); err != nil {
-					f.Close()
-					return err
-				}
-				if err := f.Close(); err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", *powerCSV)
-			}
-			for _, f := range res.Failures() {
-				failed = append(failed, fmt.Sprintf("%s: %s", sc.Name, f))
-			}
+			failed = append(failed, fails...)
 		}
-		if len(failed) > 0 {
-			return fmt.Errorf("scenario run: %d assertion failure(s):\n  %s",
-				len(failed), strings.Join(failed, "\n  "))
-		}
-		return nil
+		return assertionFailures("scenario run", failed)
 	}
 	usage()
 	return fmt.Errorf("unknown scenario subcommand %q (want run, validate or list)", sub)
+}
+
+// runScenarioFile runs one scenario, prints its results in format (and
+// writes the power CSV when powerCSV is set), and returns its assertion
+// failures prefixed with the scenario name. A canceled run flushes the
+// completed units and returns errInterrupted.
+func runScenarioFile(ctx context.Context, sc *scenario.Scenario, workers int, format, powerCSV string) ([]string, error) {
+	res, err := scrunner.RunContext(ctx, sc, scrunner.Options{Workers: workers})
+	if err != nil && (res == nil || !res.Canceled) {
+		return nil, err
+	}
+	switch format {
+	case "text":
+		err = res.WriteText(os.Stdout)
+	case "json":
+		err = res.WriteJSON(os.Stdout)
+	case "csv":
+		err = res.WriteCSV(os.Stdout)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if res.Canceled {
+		// Completed units are already flushed above; name what is
+		// missing and exit 130 without touching later files.
+		fmt.Fprintf(os.Stderr, "acesim: scenario %s interrupted: %d of %d units completed\n",
+			sc.Name, len(res.Units), res.Total)
+		return nil, errInterrupted
+	}
+	if powerCSV != "" {
+		f, err := os.Create(powerCSV)
+		if err != nil {
+			return nil, err
+		}
+		if err := res.WritePowerCSV(f); err != nil {
+			f.Close()
+			return nil, err
+		}
+		if err := f.Close(); err != nil {
+			return nil, err
+		}
+		fmt.Printf("wrote %s\n", powerCSV)
+	}
+	var failed []string
+	for _, f := range res.Failures() {
+		failed = append(failed, fmt.Sprintf("%s: %s", sc.Name, f))
+	}
+	return failed, nil
+}
+
+// assertionFailures turns collected assertion failures into one error
+// (nil when there are none).
+func assertionFailures(what string, failed []string) error {
+	if len(failed) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%s: %d assertion failure(s):\n  %s", what, len(failed), strings.Join(failed, "\n  "))
 }
 
 // platformEngine names the scenario's execution engine in its canonical
@@ -346,6 +400,7 @@ func platformEngine(sc *scenario.Scenario) collectives.Engine {
 }
 
 type runner struct {
+	ctx    context.Context
 	size   noc.Topology
 	quick  bool
 	csvDir string
@@ -374,37 +429,6 @@ func show(tab *report.Table, err error) error {
 	}
 	fmt.Println()
 	return nil
-}
-
-func (r runner) fig4() error {
-	kernels, sizes := exper.Fig4Defaults()
-	if r.quick {
-		sizes = sizes[:1]
-	}
-	_, tab, err := exper.Fig4(kernels, sizes)
-	return show(tab, err)
-}
-
-func (r runner) fig5() error {
-	toruses, bws, payload := exper.Fig5Defaults()
-	if r.quick {
-		toruses = toruses[:1]
-		bws = []float64{64, 128, 450, 900}
-		payload = 16 << 20
-	}
-	_, tab, err := exper.Fig5(toruses, bws, payload)
-	return show(tab, err)
-}
-
-func (r runner) fig6() error {
-	toruses, sms, payload := exper.Fig6Defaults()
-	if r.quick {
-		toruses = toruses[:1]
-		sms = []int{1, 2, 6, 16}
-		payload = 16 << 20
-	}
-	_, tab, err := exper.Fig6(toruses, sms, payload)
-	return show(tab, err)
 }
 
 func (r runner) fig9a() error {
@@ -549,8 +573,7 @@ func (r runner) analytic() error {
 }
 
 func (r runner) ablation() error {
-	_, tab, err := exper.AblationForwarding(noc.Torus3(4, 2, 2), 2<<20)
-	if err := show(tab, err); err != nil {
+	if err := runBundled(r.ctx, "ablation_forwarding.json"); err != nil {
 		return err
 	}
 	_, tab2, err := exper.AblationSwitch(16 << 20)

@@ -82,6 +82,11 @@ func TestRunDispatch(t *testing.T) {
 		{"scenario no sub", []string{"scenario"}, "missing scenario subcommand"},
 		{"scenario bad sub", []string{"scenario", "explode", "x.json"}, "unknown scenario subcommand"},
 		{"scenario no file", []string{"scenario", "validate"}, "missing scenario file"},
+		// Bundled figures run their embedded scenario file at full size;
+		// the sizing flags name the file to edit instead.
+		{"bundled figure", []string{"fig4"}, ""},
+		{"bundled figure quick", []string{"fig5", "-quick"}, "-quick does not apply to a bundled figure; edit a copy of examples/scenarios/fig5.json"},
+		{"bundled figure size", []string{"fig6", "-size", "4x2x2"}, "-size does not apply to a bundled figure; edit a copy of examples/scenarios/fig6.json"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -244,6 +249,8 @@ func TestFlagErrorsExitUsage(t *testing.T) {
 		{"bench", "-not-a-flag"},
 		{"table5", "-bogus"},
 		{"table5", "stray-positional"},
+		{"fig4", "-quick"},
+		{"fig5", "-size", "4x4x4", "-quick"},
 	}
 	for _, args := range cases {
 		err := silence(t, func() error { return run(args) })

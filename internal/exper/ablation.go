@@ -9,36 +9,6 @@ import (
 	"acesim/internal/workload"
 )
 
-// AblationA2ARow compares endpoint offload on the all-to-all pattern,
-// which exercises the multi-hop forwarding path where ACE's SRAM absorbs
-// relayed packets instead of staging them through HBM (Section V).
-type AblationA2ARow struct {
-	Preset     system.Preset
-	DurationUS float64
-	ReadsNode  int64
-	EffGBps    float64
-}
-
-// AblationForwarding runs one all-to-all under every preset.
-func AblationForwarding(t noc.Topology, payload int64) ([]AblationA2ARow, *report.Table, error) {
-	tab := report.New("Ablation: all-to-all forwarding (endpoint staging vs ACE SRAM absorption)",
-		"system", "duration us", "HBM reads/node", "eff GB/s per NPU")
-	var rows []AblationA2ARow
-	for _, p := range system.Presets() {
-		res, err := RunCollective(system.NewSpec(t, p), collectives.AllToAll, payload)
-		if err != nil {
-			return nil, nil, err
-		}
-		r := AblationA2ARow{
-			Preset: p, DurationUS: res.Duration.Micros(),
-			ReadsNode: res.ReadsNode, EffGBps: res.EffGBpsNode,
-		}
-		rows = append(rows, r)
-		tab.Add(p.String(), r.DurationUS, r.ReadsNode, r.EffGBps)
-	}
-	return rows, tab, nil
-}
-
 // AblationSwitchRow compares ACE against the baseline on a switch-class
 // (flat, NVSwitch-like) topology: Table II's point that endpoint offload
 // is placement-flexible.

@@ -27,91 +27,6 @@ func TestRunCollectiveBasics(t *testing.T) {
 	}
 }
 
-func TestFig5Shape(t *testing.T) {
-	toruses := []noc.Topology{torus16}
-	memBWs := []float64{64, 128, 450, 900}
-	pts, tab, err := Fig5(toruses, memBWs, 16<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != len(memBWs) {
-		t.Fatalf("points = %d", len(pts))
-	}
-	// Baseline effective BW grows with the memory allocation and
-	// saturates near ideal at 450.
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Baseline < pts[i-1].Baseline-1e-9 {
-			t.Fatalf("baseline not monotone: %+v", pts)
-		}
-	}
-	last := pts[len(pts)-1]
-	if last.Baseline < 0.85*last.IdealGBps {
-		t.Fatalf("baseline @900 = %.1f, ideal %.1f: should be near ideal", last.Baseline, last.IdealGBps)
-	}
-	// ACE approaches ideal with only 128 GB/s (the paper's 3.5x
-	// memory-BW headline). At 16 NPUs the DMA-ingest bound is
-	// 2 x 128 = 256 GB/s (injection ratio 2.0), i.e. ~81% of ideal;
-	// the 4x4x4 ratio of 2.25 gives the paper's ~90% (cmd harness).
-	var ace128, base128 float64
-	for _, p := range pts {
-		if p.CommGBps == 128 {
-			ace128, base128 = p.ACE, p.Baseline
-		}
-	}
-	if ace128 < 0.72*last.IdealGBps {
-		t.Fatalf("ACE @128 = %.1f, ideal %.1f", ace128, last.IdealGBps)
-	}
-	if ace128 <= base128 {
-		t.Fatalf("ACE (%.1f) must beat baseline (%.1f) at 128 GB/s", ace128, base128)
-	}
-	if !strings.Contains(tab.String(), "Fig 5") {
-		t.Fatal("table missing title")
-	}
-}
-
-func TestFig6Shape(t *testing.T) {
-	pts, _, err := Fig6([]noc.Topology{torus16}, []int{1, 2, 6, 16}, 16<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// More SMs for comm -> more network bandwidth, saturating by 6 SMs
-	// (the paper's operating point).
-	for i := 1; i < len(pts); i++ {
-		if pts[i].BWperNPU < pts[i-1].BWperNPU-1e-9 {
-			t.Fatalf("fig6 not monotone: %+v", pts)
-		}
-	}
-	if pts[2].BWperNPU < 0.85*pts[3].BWperNPU {
-		t.Fatalf("6 SMs (%.1f) should nearly saturate vs 16 SMs (%.1f)", pts[2].BWperNPU, pts[3].BWperNPU)
-	}
-}
-
-func TestFig4Shape(t *testing.T) {
-	kernels := []Fig4Kernel{GEMMKernel(512), GEMMKernel(2000), EmbLookupKernel(10000)}
-	rows, _, err := Fig4(kernels, []int64{10 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Slowdown < 1 {
-			t.Fatalf("%s: slowdown %.2f < 1", r.Kernel, r.Slowdown)
-		}
-	}
-	// Bigger kernels interfere more.
-	if rows[1].Slowdown <= rows[0].Slowdown {
-		t.Fatalf("GEMM 2000 (%.2f) should slow the AR more than GEMM 512 (%.2f)",
-			rows[1].Slowdown, rows[0].Slowdown)
-	}
-	// The memory-hungry embedding lookup interferes most (paper: 1.42x
-	// vs 1.16x for GEMM).
-	if rows[2].Slowdown <= rows[0].Slowdown {
-		t.Fatalf("EmbLookup (%.2f) should beat small GEMM (%.2f)", rows[2].Slowdown, rows[0].Slowdown)
-	}
-}
-
 func TestFig9bUtilization(t *testing.T) {
 	rows, _, err := Fig9b(torus16, []*workload.Model{workload.ResNet50(workload.ResNet50Batch)})
 	if err != nil {
@@ -217,30 +132,6 @@ func TestTables5And6(t *testing.T) {
 		if !strings.Contains(s6, p.String()) {
 			t.Fatalf("table 6 missing %s", p)
 		}
-	}
-}
-
-func TestAblationForwarding(t *testing.T) {
-	rows, _, err := AblationForwarding(torus16, 2<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var base, ace AblationA2ARow
-	for _, r := range rows {
-		switch r.Preset {
-		case system.BaselineCompOpt:
-			base = r
-		case system.ACE:
-			ace = r
-		}
-	}
-	// ACE's SRAM absorbs forwarded traffic: far fewer HBM reads and a
-	// faster all-to-all than the equally-provisioned baseline.
-	if ace.ReadsNode >= base.ReadsNode {
-		t.Fatalf("ACE reads (%d) should be below baseline (%d)", ace.ReadsNode, base.ReadsNode)
-	}
-	if ace.DurationUS >= base.DurationUS {
-		t.Fatalf("ACE a2a (%v us) should beat baseline (%v us)", ace.DurationUS, base.DurationUS)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"acesim/internal/des"
 	"acesim/internal/noc"
 	"acesim/internal/npu"
-	"acesim/internal/report"
 	"acesim/internal/system"
 	"acesim/internal/trace"
 )
@@ -57,15 +56,6 @@ func EmbLookupKernel(batch int) Fig4Kernel {
 	}
 }
 
-// Fig4Row is one (kernel, all-reduce size) slowdown measurement.
-type Fig4Row struct {
-	Kernel    string
-	ARBytes   int64
-	AloneUS   float64
-	OverlapUS float64
-	Slowdown  float64
-}
-
 // fig4Spec builds the Section III measurement platform: 8 NPUs behind an
 // NVSwitch-class fabric with 150 GB/s per NPU, modeled as an 8-ring with
 // 75 GB/s per direction, running the software (NCCL-like) endpoint.
@@ -77,63 +67,12 @@ func fig4Spec() system.Spec {
 	return spec
 }
 
-// Fig4 reproduces the microbenchmark: the slowdown of an NCCL-style
-// all-reduce when overlapped with a compute kernel that contends for SMs
-// and HBM bandwidth. The kernel executes twice back-to-back (compute,
-// post comm, compute, wait comm); while it runs, the communication stack's
-// effective memory bandwidth and SM share are reduced by the kernel's
-// demand.
-func Fig4(kernels []Fig4Kernel, arSizes []int64) ([]Fig4Row, *report.Table, error) {
-	tab := report.New("Fig 4: all-reduce slowdown when overlapped with compute (8 NPUs, 150 GB/s switch)",
-		"kernel", "AR MB", "alone us", "overlapped us", "slowdown")
-	var rows []Fig4Row
-	for _, ar := range arSizes {
-		alone, _, err := Fig4MeasureStats(nil, ar)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, k := range kernels {
-			k := k
-			over, _, err := Fig4MeasureStats(&k, ar)
-			if err != nil {
-				return nil, nil, err
-			}
-			r := Fig4Row{
-				Kernel: k.Name, ARBytes: ar,
-				AloneUS: alone.Micros(), OverlapUS: over.Micros(),
-				Slowdown: float64(over) / float64(alone),
-			}
-			rows = append(rows, r)
-			tab.Add(r.Kernel, ar>>20, r.AloneUS, r.OverlapUS, r.Slowdown)
-		}
-	}
-	return rows, tab, nil
-}
-
-// Fig4Defaults returns the paper's kernel scales and all-reduce sizes.
-func Fig4Defaults() ([]Fig4Kernel, []int64) {
-	return []Fig4Kernel{
-			GEMMKernel(512), GEMMKernel(1000), GEMMKernel(2000),
-			EmbLookupKernel(1000), EmbLookupKernel(10000),
-		},
-		[]int64{10 << 20, 100 << 20}
-}
-
-// Fig4MeasureEngine measures one all-reduce on the Section III
-// platform under the given execution engine, optionally overlapped with
-// kernel k running twice back-to-back from t=0, and returns the
-// completion time plus the executed-event count (shadow events
-// included). A contended run (k != nil) rewires comm-memory rates
-// before the issue, so the hybrid fast path refuses itself and the run
-// is plain DES; the alone run engages the mirror and must land on
-// identical picoseconds.
-func Fig4MeasureEngine(k *Fig4Kernel, arBytes int64, engine collectives.Engine) (des.Time, uint64, error) {
-	return fig4RunEngine(k, arBytes, nil, engine)
-}
-
-// Fig4MeasureStats is Fig4MeasureEngine on the full DES engine — the
-// single-point form of Fig4, used by the scenario engine's microbench
-// units and the bench harness (events/sec accounting).
+// Fig4MeasureStats measures one all-reduce on the Section III platform
+// on the full DES engine, optionally overlapped with kernel k running
+// twice back-to-back from t=0, and returns the completion time plus the
+// executed-event count — the single-point form of the paper's Fig 4,
+// used by the scenario engine's microbench units and the bench harness
+// (events/sec accounting).
 func Fig4MeasureStats(k *Fig4Kernel, arBytes int64) (des.Time, uint64, error) {
 	return fig4RunEngine(k, arBytes, nil, collectives.EngineDES)
 }
@@ -149,7 +88,11 @@ func Fig4MeasureTrace(k *Fig4Kernel, arBytes int64, tr *trace.Tracer) (des.Time,
 	return fig4RunEngine(k, arBytes, tr, collectives.EngineDES)
 }
 
-// fig4RunEngine runs one measurement behind the Fig4Measure* forms.
+// fig4RunEngine runs one measurement behind the Fig4Measure* forms under
+// the given execution engine (shadow events included in the count). A
+// contended run (k != nil) rewires comm-memory rates before the issue,
+// so the hybrid fast path refuses itself and the run is plain DES; the
+// alone run engages the mirror and must land on identical picoseconds.
 func fig4RunEngine(k *Fig4Kernel, arBytes int64, tr *trace.Tracer, engine collectives.Engine) (des.Time, uint64, error) {
 	spec := fig4Spec()
 	spec.Tracer = tr

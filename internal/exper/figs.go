@@ -3,7 +3,6 @@ package exper
 import (
 	"fmt"
 
-	"acesim/internal/collectives"
 	"acesim/internal/des"
 	"acesim/internal/noc"
 	"acesim/internal/report"
@@ -11,100 +10,6 @@ import (
 	"acesim/internal/training"
 	"acesim/internal/workload"
 )
-
-// Fig5Point is one point of the memory-bandwidth sensitivity sweep.
-type Fig5Point struct {
-	Nodes     int
-	CommGBps  float64
-	Baseline  float64 // effective network GB/s per NPU
-	ACE       float64
-	IdealGBps float64
-}
-
-// Fig5 reproduces Fig 5: effective network bandwidth of a single 64 MB
-// all-reduce as the memory bandwidth available to communication varies,
-// for the baseline (all 80 SMs available to comm, per the figure caption)
-// and ACE, against the ideal endpoint.
-func Fig5(toruses []noc.Topology, memBWs []float64, payload int64) ([]Fig5Point, *report.Table, error) {
-	tab := report.New("Fig 5: network BW utilization vs comm memory BW (single 64MB all-reduce)",
-		"NPUs", "commGB/s", "Baseline GB/s", "ACE GB/s", "Ideal GB/s")
-	var pts []Fig5Point
-	for _, t := range toruses {
-		ideal, err := RunCollective(system.NewSpec(t, system.Ideal), collectives.AllReduce, payload)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, bw := range memBWs {
-			bspec := system.NewSpec(t, system.BaselineCommOpt)
-			bspec.NPU.CommMemGBps = bw
-			bspec.NPU.CommSMs = bspec.NPU.SMs // Fig 5: all SMs available to comm
-			bres, err := RunCollective(bspec, collectives.AllReduce, payload)
-			if err != nil {
-				return nil, nil, err
-			}
-			aspec := system.NewSpec(t, system.ACE)
-			aspec.NPU.CommMemGBps = bw
-			ares, err := RunCollective(aspec, collectives.AllReduce, payload)
-			if err != nil {
-				return nil, nil, err
-			}
-			p := Fig5Point{
-				Nodes: t.N(), CommGBps: bw,
-				Baseline: bres.EffGBpsNode, ACE: ares.EffGBpsNode,
-				IdealGBps: ideal.EffGBpsNode,
-			}
-			pts = append(pts, p)
-			tab.Add(p.Nodes, p.CommGBps, p.Baseline, p.ACE, p.IdealGBps)
-		}
-	}
-	return pts, tab, nil
-}
-
-// Fig5Defaults returns the paper-like sweep inputs.
-func Fig5Defaults() ([]noc.Topology, []float64, int64) {
-	return []noc.Topology{noc.Torus3(4, 2, 2), noc.Torus3(4, 4, 4)},
-		[]float64{32, 64, 96, 128, 192, 256, 350, 450, 600, 750, 900},
-		64 << 20
-}
-
-// Fig6Point is one point of the SM-count sensitivity sweep.
-type Fig6Point struct {
-	Nodes    int
-	SMs      int
-	BWperNPU float64
-}
-
-// Fig6 reproduces Fig 6: baseline network bandwidth as the number of SMs
-// available for communication varies (all memory bandwidth available; the
-// paper's takeaway is that 6 SMs suffice to drive the fabric, in line
-// with NCCL/oneCCL core usage).
-func Fig6(toruses []noc.Topology, sms []int, payload int64) ([]Fig6Point, *report.Table, error) {
-	tab := report.New("Fig 6: baseline network BW vs SMs for communication (single 64MB all-reduce)",
-		"NPUs", "SMs", "GB/s per NPU")
-	var pts []Fig6Point
-	for _, t := range toruses {
-		for _, n := range sms {
-			spec := system.NewSpec(t, system.BaselineCommOpt)
-			spec.NPU.CommMemGBps = spec.NPU.MemGBps // all memory BW available
-			spec.NPU.CommSMs = n
-			res, err := RunCollective(spec, collectives.AllReduce, payload)
-			if err != nil {
-				return nil, nil, err
-			}
-			p := Fig6Point{Nodes: t.N(), SMs: n, BWperNPU: res.EffGBpsNode}
-			pts = append(pts, p)
-			tab.Add(p.Nodes, p.SMs, p.BWperNPU)
-		}
-	}
-	return pts, tab, nil
-}
-
-// Fig6Defaults returns the paper's x-axis (SM counts).
-func Fig6Defaults() ([]noc.Topology, []int, int64) {
-	return []noc.Topology{noc.Torus3(4, 2, 2), noc.Torus3(4, 4, 4)},
-		[]int{1, 2, 3, 4, 5, 6, 8, 16, 64},
-		64 << 20
-}
 
 // Fig9aPoint is one ACE design point.
 type Fig9aPoint struct {

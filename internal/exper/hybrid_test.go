@@ -189,11 +189,11 @@ func TestHybridFig4MatchesDES(t *testing.T) {
 		if k != nil {
 			name = k.Name
 		}
-		d, _, err := Fig4MeasureEngine(k, 10<<20, collectives.EngineDES)
+		d, _, err := fig4RunEngine(k, 10<<20, nil, collectives.EngineDES)
 		if err != nil {
 			t.Fatalf("%s des: %v", name, err)
 		}
-		h, _, err := Fig4MeasureEngine(k, 10<<20, collectives.EngineHybrid)
+		h, _, err := fig4RunEngine(k, 10<<20, nil, collectives.EngineHybrid)
 		if err != nil {
 			t.Fatalf("%s hybrid: %v", name, err)
 		}

@@ -31,18 +31,13 @@ func parse(t *testing.T, src string) *scenario.Scenario {
 	return sc
 }
 
-// TestFig4Equivalence is the acceptance check: running the bundled
-// examples/scenarios/fig4.json must reproduce exactly the rows of the
-// hard-coded `acesim fig4` path.
+// TestFig4Equivalence checks the scenario path of the Section III
+// microbenchmark against the measurement it wraps: every unit of the
+// bundled examples/scenarios/fig4.json — run traced, on the worker pool,
+// with one alone baseline shared per payload — must equal direct
+// untraced exper.Fig4MeasureStats measurements of its (kernel, payload)
+// point, bit for bit.
 func TestFig4Equivalence(t *testing.T) {
-	kernels, sizes := exper.Fig4Defaults()
-	if testing.Short() {
-		sizes = sizes[:1]
-	}
-	rows, _, err := exper.Fig4(kernels, sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sc, err := scenario.Load(filepath.Join("..", "..", "..", "examples", "scenarios", "fig4.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -54,17 +49,27 @@ func TestFig4Equivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Units) != len(rows) {
-		t.Fatalf("scenario ran %d units, hard-coded path has %d rows", len(res.Units), len(rows))
+	if want := len(sc.Jobs[0].PayloadsMB) * len(sc.Jobs[0].Kernels); len(res.Units) != want {
+		t.Fatalf("scenario ran %d units, want %d", len(res.Units), want)
 	}
-	for i, row := range rows {
-		u, m := res.Units[i].Unit, res.Units[i].Metrics
-		if u.Kernel.KernelName() != row.Kernel || u.Bytes != row.ARBytes {
-			t.Fatalf("unit %d is (%s, %d), hard-coded row is (%s, %d)",
-				i, u.Kernel.KernelName(), u.Bytes, row.Kernel, row.ARBytes)
+	for i, ur := range res.Units {
+		u, m := ur.Unit, ur.Metrics
+		k := exper.EmbLookupKernel(u.Kernel.EmbBatch)
+		if u.Kernel.GEMMN > 0 {
+			k = exper.GEMMKernel(u.Kernel.GEMMN)
 		}
-		if m["alone_us"] != row.AloneUS || m["overlap_us"] != row.OverlapUS || m["slowdown"] != row.Slowdown {
-			t.Fatalf("unit %d metrics %v != hard-coded row %+v", i, m, row)
+		alone, _, err := exper.Fig4MeasureStats(nil, u.Bytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		over, _, err := exper.Fig4MeasureStats(&k, u.Bytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m["alone_us"] != alone.Micros() || m["overlap_us"] != over.Micros() ||
+			m["slowdown"] != float64(over)/float64(alone) {
+			t.Fatalf("unit %d (%s): metrics %v, direct measurement alone %v overlapped %v",
+				i, describe(u), m, alone, over)
 		}
 	}
 	if f := res.Failures(); len(f) != 0 {

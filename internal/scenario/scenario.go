@@ -132,28 +132,11 @@ func (o *Overrides) Apply(spec *system.Spec) {
 // String labels the override point by its set fields in schema order,
 // e.g. "comm_mem_gbps=128 comm_sms=80".
 func (o *Overrides) String() string {
-	var parts []string
-	add := func(name string, v any) { parts = append(parts, fmt.Sprintf("%s=%v", name, v)) }
-	if o.CommMemGBps != nil {
-		add("comm_mem_gbps", *o.CommMemGBps)
-	}
-	if o.CommSMs != nil {
-		add("comm_sms", *o.CommSMs)
-	}
-	if o.IntraGBps != nil {
-		add("intra_gbps", *o.IntraGBps)
-	}
-	if o.InterGBps != nil {
-		add("inter_gbps", *o.InterGBps)
-	}
-	if o.ACESRAMBytes != nil {
-		add("ace_sram_bytes", *o.ACESRAMBytes)
-	}
-	if o.ACEFSMs != nil {
-		add("ace_fsms", *o.ACEFSMs)
-	}
-	return strings.Join(parts, " ")
+	b, _ := json.Marshal(o)
+	return overrideLabel.Replace(strings.Trim(string(b), "{}"))
 }
+
+var overrideLabel = strings.NewReplacer(`"`, "", ":", "=", ",", " ")
 
 // JobKind discriminates the job types.
 type JobKind string
@@ -710,19 +693,9 @@ func (s *Scenario) Expand() ([]Unit, error) {
 	if len(s.Jobs) == 0 {
 		return nil, fmt.Errorf("scenario %s: no jobs", s.Name)
 	}
-	toruses, presets, err := s.platformGrid()
+	toruses, points, err := s.platformGrid()
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
-	}
-	var points []Unit
-	if s.Platform != nil {
-		engine, err := collectives.ParseEngine(s.Platform.Engine)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: platform: %w", s.Name, err)
-		}
-		if points, err = s.platformPoints(toruses, presets, engine); err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
-		}
 	}
 	var units []Unit
 	for ji, j := range s.Jobs {
@@ -1025,49 +998,48 @@ func (s *Scenario) validateEvents(units []Unit) error {
 	return nil
 }
 
-// platformGrid resolves the topology and preset lists: the legacy
-// toruses strings (parsed into all-wraparound topologies) concatenated
-// with the general topologies entries, in file order.
-func (s *Scenario) platformGrid() ([]noc.Topology, []system.Preset, error) {
-	if s.Platform == nil {
+// platformGrid resolves the platform grid: the topology list (the legacy
+// toruses strings, parsed into all-wraparound topologies, then the
+// general topologies entries, in file order) and one unit template per
+// grid point carrying its platform fields, in expansion order —
+// topology (outer) x override point x preset.
+func (s *Scenario) platformGrid() ([]noc.Topology, []Unit, error) {
+	p := s.Platform
+	if p == nil {
 		return nil, nil, nil
 	}
-	if len(s.Platform.Toruses) == 0 && len(s.Platform.Topologies) == 0 {
+	if len(p.Toruses) == 0 && len(p.Topologies) == 0 {
 		return nil, nil, errors.New("platform.toruses and platform.topologies are both empty")
 	}
 	var toruses []noc.Topology
-	for _, ts := range s.Platform.Toruses {
+	for _, ts := range p.Toruses {
 		t, err := ParseTopology(ts)
 		if err != nil {
 			return nil, nil, err
 		}
 		toruses = append(toruses, t)
 	}
-	for _, t := range s.Platform.Topologies {
+	for _, t := range p.Topologies {
 		if err := t.Validate(); err != nil {
 			return nil, nil, err
 		}
 		toruses = append(toruses, t)
 	}
 	presets := system.Presets()
-	if len(s.Platform.Presets) > 0 {
+	if len(p.Presets) > 0 {
 		presets = presets[:0:0]
-		for _, ps := range s.Platform.Presets {
-			p, err := system.ParsePreset(ps)
+		for _, ps := range p.Presets {
+			pr, err := system.ParsePreset(ps)
 			if err != nil {
 				return nil, nil, err
 			}
-			presets = append(presets, p)
+			presets = append(presets, pr)
 		}
 	}
-	return toruses, presets, nil
-}
-
-// platformPoints checks the override points and enumerates the platform
-// grid in expansion order — topology (outer) x override point x preset —
-// as unit templates carrying each point's platform fields.
-func (s *Scenario) platformPoints(toruses []noc.Topology, presets []system.Preset, engine collectives.Engine) ([]Unit, error) {
-	p := s.Platform
+	engine, err := collectives.ParseEngine(p.Engine)
+	if err != nil {
+		return nil, nil, fmt.Errorf("platform: %w", err)
+	}
 	overs := []*Overrides{nil}
 	if len(p.Overrides) > 0 {
 		overs = make([]*Overrides, len(p.Overrides))
@@ -1079,7 +1051,7 @@ func (s *Scenario) platformPoints(toruses []noc.Topology, presets []system.Prese
 			spec := system.NewSpec(toruses[0], presets[0])
 			o.Apply(&spec)
 			if err := spec.Validate(); err != nil {
-				return nil, fmt.Errorf("platform.overrides[%d] (%s): %w", i, o, err)
+				return nil, nil, fmt.Errorf("platform.overrides[%d] (%s): %w", i, o, err)
 			}
 			overs[i] = o
 		}
@@ -1096,7 +1068,7 @@ func (s *Scenario) platformPoints(toruses []noc.Topology, presets []system.Prese
 			}
 		}
 	}
-	return points, nil
+	return toruses, points, nil
 }
 
 // payloads concatenates the MB and byte payload lists.

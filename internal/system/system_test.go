@@ -73,6 +73,20 @@ func TestBuildInvalid(t *testing.T) {
 	if _, err := Build(NewSpec(noc.Torus3(0, 1, 1), ACE)); err == nil {
 		t.Fatal("invalid torus accepted")
 	}
+	// A negative link bandwidth used to build and run with meaningless
+	// timings; Spec.Validate now rejects it before anything is built.
+	for name, mutate := range map[string]func(*Spec){
+		"negative intra link": func(s *Spec) { s.Intra.GBps = -1 },
+		"zero inter link":     func(s *Spec) { s.Inter.GBps = 0 },
+		"comm SMs over total": func(s *Spec) { s.NPU.CommSMs = 500 },
+		"no ACE FSMs":         func(s *Spec) { s.ACE.FSMs = 0 },
+	} {
+		spec := NewSpec(noc.Torus3(4, 2, 2), BaselineCommOpt)
+		mutate(&spec)
+		if _, err := Build(spec); err == nil {
+			t.Errorf("%s: built an invalid spec", name)
+		}
+	}
 }
 
 func TestACEPartitionSizing(t *testing.T) {
