@@ -30,10 +30,12 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
 # Trace smoke: run the span collector end to end on the bundled fig4
-# scenario. The CLI re-reads and schema-validates the Chrome trace-event
+# scenario and on a converted ResNet-50 graph. The CLI re-reads and schema-validates the Chrome trace-event
 # JSON it wrote, so a malformed export fails the target.
 trace-smoke:
 	$(GO) run ./cmd/acesim trace -out /tmp/acesim-fig4-trace.json examples/scenarios/fig4.json
+	$(GO) run ./cmd/acesim graph convert -workload resnet50 -iterations 1 -out /tmp/acesim-rn50-graph.json
+	$(GO) run ./cmd/acesim trace -out /tmp/acesim-rn50-trace.json /tmp/acesim-rn50-graph.json
 
 # Tracing overhead gate: with tracing disabled, the fig4 perf units must
 # match the pre-trace-layer BENCH_2026-07-28.json baseline — same event

@@ -5,41 +5,118 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
+	"path/filepath"
 	"strings"
 
 	"acesim/internal/collectives"
-	"acesim/internal/exper"
 	"acesim/internal/graph"
-	"acesim/internal/power"
-	"acesim/internal/report"
-	"acesim/internal/system"
-	"acesim/internal/trace"
+	"acesim/internal/noc"
+	"acesim/internal/scenario"
 	"acesim/internal/workload"
 )
 
 // runGraphCmd dispatches the graph subcommands:
 //
 //	acesim graph validate <file>...
-//	acesim graph run [-size LxVxH] [-preset P] <file>...
-//	acesim graph convert -workload W [-size LxVxH] [-iterations N]
+//	acesim graph run [-size SHAPE] [-preset P] [-engine E] [-power] <file>...
+//	acesim graph convert -workload W [-size SHAPE] [-iterations N]
 //	    [-no-overlap] [-dlrm-optimized]
 //	    [-stages S -microbatches M -schedule gpipe|1f1b] [-out path]
 //
-// validate parses and checks graph files. run executes them on a freshly
-// built platform and prints the graph metrics. convert lowers a bundled
-// workload into the JSON graph format — the plain Section V training
-// loop by default, or a pipeline-parallel schedule when -stages is set —
-// so the emitted file can be edited by hand or replayed with `graph run`.
+// validate parses and checks graph files. run replays each file as a
+// one-job scenario and prints it the way `scenario run` does. convert
+// lowers a bundled workload into the JSON graph format — the plain
+// Section V training loop by default, or a pipeline-parallel schedule
+// when -stages is set — so the emitted file can be edited by hand or
+// replayed with `graph run`. Each subcommand accepts only the flags it
+// reads.
 func runGraphCmd(ctx context.Context, args []string) error {
 	if len(args) == 0 {
 		usage()
 		return fmt.Errorf("missing graph subcommand (run, convert or validate)")
 	}
-	sub := args[0]
-	fs := flag.NewFlagSet("graph "+sub, flag.ContinueOnError)
-	sizeStr := fs.String("size", "4x2x2", "fabric topology the graph runs on / is lowered for")
-	preset := fs.String("preset", "ACE", "Table VI preset for graph run")
+	fs := flag.NewFlagSet("graph "+args[0], flag.ContinueOnError)
+	switch args[0] {
+	case "validate":
+		return graphValidate(fs, args[1:])
+	case "run":
+		return graphRun(ctx, fs, args[1:])
+	case "convert":
+		return graphConvert(fs, args[1:])
+	}
+	usage()
+	return fmt.Errorf("unknown graph subcommand %q (want run, convert or validate)", args[0])
+}
+
+func graphValidate(fs *flag.FlagSet, args []string) error {
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	if fs.NArg() == 0 {
+		return fmt.Errorf("graph validate: missing graph file")
+	}
+	for _, path := range fs.Args() {
+		g, err := graph.Load(path)
+		if err != nil {
+			return err
+		}
+		st := g.Stats()
+		fmt.Printf("%s: ok (%q, %d ranks, %d ops: %d compute, %d collective, %d send, %d mark)\n",
+			path, g.Name, g.Ranks, st.Ops, st.Computes, st.Collectives, st.Sends, st.Marks)
+	}
+	return nil
+}
+
+// graphRun runs the files one at a time, so only one graph is resident.
+func graphRun(ctx context.Context, fs *flag.FlagSet, args []string) error {
+	sizeStr := fs.String("size", "4x2x2", "fabric topology the graph runs on")
+	preset := fs.String("preset", "ACE", "Table VI preset")
+	engineStr := fs.String("engine", "des", "execution engine: des, hybrid or analytic")
+	powerOn := fs.Bool("power", false, "enable energy accounting (preset default coefficients)")
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	if fs.NArg() == 0 {
+		return fmt.Errorf("graph run: missing graph file")
+	}
+	size, err := parseTorus(*sizeStr)
+	if err != nil {
+		return err
+	}
+	engine, err := collectives.ParseEngine(*engineStr)
+	if err != nil {
+		return err
+	}
+	for _, path := range fs.Args() {
+		sc := graphScenario(path, size, *preset, engine, *powerOn)
+		if _, err := runScenarioFile(ctx, sc, runOpts{format: "text"}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// graphScenario builds the one-job scenario that replays the graph file
+// at path on one platform point; `graph run` and `trace` on a graph run
+// it like any scenario file. Only a DES run traces: tracing forces full
+// DES, so the fast engines report no overlap or link-util metrics.
+func graphScenario(path string, size noc.Topology, preset string, engine collectives.Engine, powerOn bool) *scenario.Scenario {
+	sc := &scenario.Scenario{
+		Name:     strings.TrimSuffix(filepath.Base(path), ".json"),
+		Platform: &scenario.Platform{Topologies: []noc.Topology{size}, Presets: []string{preset}, Engine: engine.String()},
+		Jobs:     []scenario.Job{{Kind: scenario.KindGraph, Graph: path}},
+	}
+	if powerOn {
+		sc.Power = &scenario.PowerSpec{Enabled: true}
+	}
+	if engine == collectives.EngineDES {
+		sc.Trace = &scenario.TraceSpec{Enabled: true}
+	}
+	return sc
+}
+
+func graphConvert(fs *flag.FlagSet, args []string) error {
+	sizeStr := fs.String("size", "4x2x2", "fabric topology the graph is lowered for")
 	wl := fs.String("workload", "", "workload to convert (resnet50, gnmt, dlrm)")
 	iters := fs.Int("iterations", 2, "training iterations to lower")
 	noOverlap := fs.Bool("no-overlap", false, "lower the fused blocking schedule instead of per-layer overlap")
@@ -47,172 +124,55 @@ func runGraphCmd(ctx context.Context, args []string) error {
 	stages := fs.Int("stages", 0, "pipeline stages; > 0 synthesizes a pipeline instead of the training loop")
 	microbatches := fs.Int("microbatches", 4, "microbatches per iteration (pipeline synthesis)")
 	schedule := fs.String("schedule", "gpipe", "pipeline schedule: gpipe or 1f1b")
-	engineStr := fs.String("engine", "des", "execution engine for graph run: des, hybrid or analytic")
-	powerOn := fs.Bool("power", false, "enable energy accounting for graph run (preset default coefficients); adds energy / peak-power columns")
-	out := fs.String("out", "-", `convert output path ("-" for stdout)`)
-	if err := parseFlags(fs, args[1:]); err != nil {
+	out := fs.String("out", "-", `output path ("-" for stdout)`)
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	size, err := parseTorus(*sizeStr)
 	if err != nil {
 		return err
 	}
-	switch sub {
-	case "validate":
-		if fs.NArg() == 0 {
-			return fmt.Errorf("graph validate: missing graph file")
-		}
-		for _, path := range fs.Args() {
-			g, err := graph.Load(path)
-			if err != nil {
-				return err
-			}
-			st := g.Stats()
-			fmt.Printf("%s: ok (%q, %d ranks, %d ops: %d compute, %d collective, %d send, %d mark)\n",
-				path, g.Name, g.Ranks, st.Ops, st.Computes, st.Collectives, st.Sends, st.Marks)
-		}
-		return nil
-	case "run":
-		if fs.NArg() == 0 {
-			return fmt.Errorf("graph run: missing graph file")
-		}
-		p, err := system.ParsePreset(*preset)
-		if err != nil {
-			return err
-		}
-		engine, err := collectives.ParseEngine(*engineStr)
-		if err != nil {
-			return err
-		}
-		// A DES run collects a trace: the overlap fraction column comes
-		// from the span timeline, not the executor's own accounting. The
-		// fast engines skip the collector (tracing forces full DES — the
-		// span timeline needs every event), so those columns read zero.
-		cols := []string{"graph", "ranks", "span us", "compute us", "exposed us", "exposed frac", "overlap frac", "link util"}
-		if *powerOn {
-			cols = append(cols, "energy J", "peak W")
-		}
-		tab := report.New(fmt.Sprintf("graphs on %s %s (%s engine)", size, p, engine), cols...)
-		for n, path := range fs.Args() {
-			// Ctrl-C between graphs keeps every finished row: print the
-			// partial table and exit 130 instead of discarding it. (A
-			// graph execution itself is one indivisible simulation.)
-			if ctx.Err() != nil {
-				if err := show(tab, nil); err != nil {
-					return err
-				}
-				fmt.Fprintf(os.Stderr, "acesim: graph run interrupted: %d of %d graphs completed\n",
-					n, fs.NArg())
-				return errInterrupted
-			}
-			g, err := graph.Load(path)
-			if err != nil {
-				return err
-			}
-			spec := system.NewSpec(size, p)
-			spec.Engine = engine
-			if *powerOn {
-				spec.Power = &power.Config{Coeff: system.PowerDefaults(p)}
-			}
-			var tr *trace.Tracer
-			if engine == collectives.EngineDES {
-				tr = trace.New()
-				spec.Tracer = tr
-			}
-			res, err := exper.RunGraph(spec, g)
-			if err != nil {
-				return err
-			}
-			warnHybridFallback("graph run", g.Name, engine, res.Hybrid)
-			frac := 0.0
-			if res.Span > 0 {
-				frac = float64(res.Exposed) / float64(res.Span)
-			}
-			var bd trace.Breakdown
-			if tr != nil {
-				bd = tr.Breakdown()
-			}
-			vals := []any{g.Name, g.Ranks, res.Span.Micros(), res.Compute.Micros(), res.Exposed.Micros(), frac,
-				bd.OverlapFrac, bd.LinkUtil}
-			if *powerOn {
-				var totalJ, peakW float64
-				if res.Power != nil {
-					totalJ, peakW = res.Power.Breakdown.TotalJ, res.Power.Breakdown.PeakW
-				}
-				vals = append(vals, totalJ, peakW)
-			}
-			tab.Add(vals...)
-		}
-		return show(tab, nil)
-	case "convert":
-		if *wl == "" {
-			return fmt.Errorf("graph convert: missing -workload")
-		}
-		m, err := workload.ByName(*wl)
-		if err != nil {
-			return err
-		}
-		var g *graph.Graph
-		if *stages > 0 {
-			sched, err := graph.ParsePipeSchedule(*schedule)
-			if err != nil {
-				return err
-			}
-			g, err = graph.Pipeline(graph.PipelineConfig{
-				Model:        m,
-				Ranks:        size.N(),
-				Stages:       *stages,
-				Microbatches: *microbatches,
-				Schedule:     sched,
-				Iterations:   *iters,
-			})
-			if err != nil {
-				return err
-			}
-		} else {
-			g, err = graph.FromModel(m, graph.ModelConfig{
-				Iterations:    *iters,
-				Overlap:       !*noOverlap,
-				DLRMOptimized: *dlrmOpt,
-			}, size.N())
-			if err != nil {
-				return err
-			}
-		}
-		g.Topo = &size // record the fabric the graph was lowered for
-		if *out == "-" {
-			return g.WriteJSON(os.Stdout)
-		}
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		if err := g.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d ranks, %d ops)\n", *out, g.Ranks, len(g.Ops))
-		return nil
+	if *wl == "" {
+		return fmt.Errorf("graph convert: missing -workload")
 	}
-	usage()
-	return fmt.Errorf("unknown graph subcommand %q (want run, convert or validate)", sub)
-}
-
-// warnHybridFallback prints a one-line stderr warning when a requested
-// fast engine was refused, naming the refusal reasons — otherwise the
-// fallback to full DES is silent from the CLI.
-func warnHybridFallback(cmd, label string, engine collectives.Engine, st collectives.HybridStats) {
-	if engine == collectives.EngineDES || st.Engaged || len(st.Blocked) == 0 {
-		return
+	m, err := workload.ByName(*wl)
+	if err != nil {
+		return err
 	}
-	reasons := make([]string, 0, len(st.Blocked))
-	for k := range st.Blocked {
-		reasons = append(reasons, k)
+	var g *graph.Graph
+	if *stages > 0 {
+		sched, err := graph.ParsePipeSchedule(*schedule)
+		if err != nil {
+			return err
+		}
+		g, err = graph.Pipeline(graph.PipelineConfig{
+			Model:        m,
+			Ranks:        size.N(),
+			Stages:       *stages,
+			Microbatches: *microbatches,
+			Schedule:     sched,
+			Iterations:   *iters,
+		})
+		if err != nil {
+			return err
+		}
+	} else {
+		g, err = graph.FromModel(m, graph.ModelConfig{
+			Iterations:    *iters,
+			Overlap:       !*noOverlap,
+			DLRMOptimized: *dlrmOpt,
+		}, size.N())
+		if err != nil {
+			return err
+		}
 	}
-	sort.Strings(reasons)
-	fmt.Fprintf(os.Stderr, "acesim %s: warning: %s: %s engine fell back to full DES: %s\n",
-		cmd, label, engine, strings.Join(reasons, ", "))
+	g.Topo = &size // record the fabric the graph was lowered for
+	if *out == "-" {
+		return g.WriteJSON(os.Stdout)
+	}
+	if err := writeFile(*out, g.WriteJSON); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s (%d ranks, %d ops)\n", *out, g.Ranks, len(g.Ops))
+	return nil
 }

@@ -203,7 +203,7 @@ func runBundled(ctx context.Context, file string) error {
 	if err != nil {
 		return err
 	}
-	failed, err := runScenarioFile(ctx, sc, 0, "text", "")
+	failed, err := runScenarioFile(ctx, sc, runOpts{format: "text"})
 	if err != nil {
 		return err
 	}
@@ -213,8 +213,11 @@ func runBundled(ctx context.Context, file string) error {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: acesim <experiment> [-size SHAPE] [-quick] [-csv dir]
        acesim scenario run|validate|list [-workers N] [-format text|json|csv] [-power-csv path] <file>...
-       acesim graph run|convert|validate [-size SHAPE] [-preset P] [-engine des|hybrid|analytic] [-power] [convert flags] <file>...
-       acesim trace [-out trace.json] [-csv path] [-workers N] [-size SHAPE] [-preset P] <scenario.json|graph.json>
+       acesim graph run [-size SHAPE] [-preset P] [-engine des|hybrid|analytic] [-power] <graph.json>...
+       acesim graph convert -workload W [-size SHAPE] [-iterations N] [pipeline/loop flags] [-out path]
+       acesim graph validate <graph.json>...
+       acesim trace [-out trace.json] [-csv path] [-workers N] <scenario.json>
+       acesim trace [-out trace.json] [-csv path] [-size SHAPE] [-preset P] <graph.json>
        acesim bench [-short] [-runs N] [-out path]
        acesim serve [-addr :8080] [-workers N] [-queue UNITS] [-smoke scenario.json] [-stress [stress flags]]
 experiments: fig4 fig5 fig6 fig9a fig9b fig10 fig11 fig12
@@ -319,7 +322,7 @@ func runScenario(ctx context.Context, args []string) error {
 			if err != nil {
 				return err
 			}
-			fails, err := runScenarioFile(ctx, sc, *workers, *format, *powerCSV)
+			fails, err := runScenarioFile(ctx, sc, runOpts{workers: *workers, format: *format, powerCSV: *powerCSV})
 			if err != nil {
 				return err
 			}
@@ -331,16 +334,40 @@ func runScenario(ctx context.Context, args []string) error {
 	return fmt.Errorf("unknown scenario subcommand %q (want run, validate or list)", sub)
 }
 
-// runScenarioFile runs one scenario, prints its results in format (and
-// writes the power CSV when powerCSV is set), and returns its assertion
-// failures prefixed with the scenario name. A canceled run flushes the
+// runOpts selects what one scenario run writes besides its tables.
+type runOpts struct {
+	workers  int
+	format   string // text, json or csv
+	powerCSV string // windowed power timeline CSV path
+	// chrome, when set, traces every unit and writes the validated
+	// Chrome trace-event JSON there; traceCSV writes the per-unit trace
+	// breakdown table as CSV.
+	chrome, traceCSV string
+}
+
+// runScenarioFile is the CLI's one run path: it runs one scenario,
+// prints its results in o.format plus the files o names, and returns
+// its assertion failures prefixed with the scenario name. Fast-engine
+// fallbacks to full DES are named on stderr. A canceled run flushes the
 // completed units and returns errInterrupted.
-func runScenarioFile(ctx context.Context, sc *scenario.Scenario, workers int, format, powerCSV string) ([]string, error) {
-	res, err := scrunner.RunContext(ctx, sc, scrunner.Options{Workers: workers})
+func runScenarioFile(ctx context.Context, sc *scenario.Scenario, o runOpts) ([]string, error) {
+	res, err := scrunner.RunContext(ctx, sc, scrunner.Options{Workers: o.workers, Trace: o.chrome != ""})
 	if err != nil && (res == nil || !res.Canceled) {
 		return nil, err
 	}
-	switch format {
+	for _, w := range res.HybridWarnings() {
+		fmt.Fprintf(os.Stderr, "acesim: warning: %s\n", w)
+	}
+	// Export before printing so a malformed emission fails the command.
+	// A partial timeline is indistinguishable from a short run in
+	// Perfetto, so a canceled run exports nothing.
+	var st trace.ChromeStats
+	if o.chrome != "" && !res.Canceled {
+		if st, err = writeChromeFile(o.chrome, res.WriteChromeTrace); err != nil {
+			return nil, err
+		}
+	}
+	switch o.format {
 	case "text":
 		err = res.WriteText(os.Stdout)
 	case "json":
@@ -354,29 +381,49 @@ func runScenarioFile(ctx context.Context, sc *scenario.Scenario, workers int, fo
 	if res.Canceled {
 		// Completed units are already flushed above; name what is
 		// missing and exit 130 without touching later files.
-		fmt.Fprintf(os.Stderr, "acesim: scenario %s interrupted: %d of %d units completed\n",
-			sc.Name, len(res.Units), res.Total)
+		note := ""
+		if o.chrome != "" {
+			note = ", no trace file written"
+		}
+		fmt.Fprintf(os.Stderr, "acesim: scenario %s interrupted: %d of %d units completed%s\n",
+			sc.Name, len(res.Units), res.Total, note)
 		return nil, errInterrupted
 	}
-	if powerCSV != "" {
-		f, err := os.Create(powerCSV)
-		if err != nil {
+	for _, c := range []struct {
+		path  string
+		write func(io.Writer) error
+	}{{o.powerCSV, res.WritePowerCSV}, {o.traceCSV, res.WriteTraceCSV}} {
+		if c.path == "" {
+			continue
+		}
+		if err := writeFile(c.path, c.write); err != nil {
 			return nil, err
 		}
-		if err := res.WritePowerCSV(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Close(); err != nil {
-			return nil, err
-		}
-		fmt.Printf("wrote %s\n", powerCSV)
+		fmt.Printf("wrote %s\n", c.path)
+	}
+	if o.chrome != "" {
+		fmt.Printf("wrote %s (%d spans, %d counter samples, %d processes) — load in https://ui.perfetto.dev\n",
+			o.chrome, st.Spans, st.Counters, st.Procs)
 	}
 	var failed []string
 	for _, f := range res.Failures() {
 		failed = append(failed, fmt.Sprintf("%s: %s", sc.Name, f))
 	}
 	return failed, nil
+}
+
+// writeFile creates path and fills it via write; a failed write or
+// close fails the command.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // assertionFailures turns collected assertion failures into one error
@@ -463,22 +510,16 @@ func (r runner) fig10() error {
 			name := fmt.Sprintf("fig10_%s_%s.csv",
 				strings.ToLower(strings.ReplaceAll(tr.Row.Workload, "-", "")), tr.Row.Preset)
 			path := filepath.Join(r.csvDir, name)
-			f, err := os.Create(path)
-			if err != nil {
-				return err
-			}
 			// A full disk or yanked volume surfaces here, not as a
 			// silent "wrote N timelines": every write error — including
 			// the buffered ones Close reports — fails the command.
-			_, werr := fmt.Fprintln(f, "time_us,net_util,compute_util")
-			for b := 0; werr == nil && b < len(tr.NetUtil); b++ {
-				_, werr = fmt.Fprintf(f, "%d,%.4f,%.4f\n", b, tr.NetUtil[b], tr.CmpUtil[b])
-			}
-			if werr != nil {
-				f.Close()
-				return fmt.Errorf("writing %s: %w", path, werr)
-			}
-			if err := f.Close(); err != nil {
+			if err := writeFile(path, func(w io.Writer) error {
+				_, err := fmt.Fprintln(w, "time_us,net_util,compute_util")
+				for b := 0; err == nil && b < len(tr.NetUtil); b++ {
+					_, err = fmt.Fprintf(w, "%d,%.4f,%.4f\n", b, tr.NetUtil[b], tr.CmpUtil[b])
+				}
+				return err
+			}); err != nil {
 				return fmt.Errorf("writing %s: %w", path, err)
 			}
 		}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -26,6 +27,26 @@ func silence(t *testing.T, fn func() error) error {
 		devnull.Close()
 	}()
 	return fn()
+}
+
+// capture returns what fn writes to *f (os.Stdout or os.Stderr).
+func capture(t *testing.T, f **os.File, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := *f
+	*f = w
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	defer func() { *f = old }()
+	fn()
+	w.Close()
+	return <-out
 }
 
 func writeScenario(t *testing.T, name, body string) string {
@@ -195,6 +216,31 @@ func TestGraphCommands(t *testing.T) {
 	if err := silence(t, func() error { return run([]string{"graph", "run", "-preset", "Ideal", trace}) }); err != nil {
 		t.Fatalf("run: %v", err)
 	}
+	// graph run replays the file as a one-job scenario: a DES run with
+	// -power prints the graph row plus the trace and energy tables.
+	// The values are the 1-iteration ResNet-50 figures on 4x2x2 ACE.
+	var err error
+	out := capture(t, &os.Stdout, func() { err = run([]string{"graph", "run", "-power", trace}) })
+	if err != nil {
+		t.Fatalf("run -power: %v", err)
+	}
+	for _, want := range []string{
+		"rn50: graphs", "rn50.json  4597", // span us
+		"overlap frac  link util", "0.995         0.0542", // trace breakdown
+		"total J", "peak W", "24.8", "6169", // energy & power
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("graph run -power output lacks %q:\n%s", want, out)
+		}
+	}
+	// The fast engines do not trace (tracing forces full DES).
+	out = capture(t, &os.Stdout, func() { err = run([]string{"graph", "run", "-engine", "hybrid", trace}) })
+	if err != nil {
+		t.Fatalf("run -engine hybrid: %v", err)
+	}
+	if !strings.Contains(out, "rn50.json  4597") || strings.Contains(out, "trace (exposed-communication breakdown)") {
+		t.Errorf("graph run -engine hybrid: want the graph row and no trace table:\n%s", out)
+	}
 
 	pipe := filepath.Join(dir, "pipe.json")
 	if err := silence(t, func() error {
@@ -221,7 +267,7 @@ func TestGraphCommands(t *testing.T) {
 	if err := silence(t, func() error { return run([]string{"graph", "convert"}) }); err == nil {
 		t.Fatal("converted without a workload")
 	}
-	err := silence(t, func() error { return run([]string{"graph", "run", "-size", "4x4x2", trace}) })
+	err = silence(t, func() error { return run([]string{"graph", "run", "-size", "4x4x2", trace}) })
 	if err == nil || !strings.Contains(err.Error(), "ranks") {
 		t.Fatalf("rank mismatch = %v, want ranks error", err)
 	}
@@ -244,6 +290,12 @@ func TestFlagErrorsExitUsage(t *testing.T) {
 		{"scenario", "validate", ok, "-workers", "2"},
 		{"graph", "run", "nope.json", "-preset", "Ideal"},
 		{"graph", "convert", "-no-such-flag"},
+		// Each graph subcommand accepts only the flags it reads.
+		{"graph", "validate", "-preset", "Bogus", "-engine", "bogus", "f.json"},
+		{"graph", "convert", "-workload", "resnet50", "-engine", "analytic", "-power", "-preset", "Ideal"},
+		// -size/-preset shape a graph input only; a scenario names its
+		// own platform.
+		{"trace", "-size", "8x8x8", "-preset", "Bogus", "../../examples/scenarios/fig4.json"},
 		{"trace", "-no-such-flag", ok},
 		{"trace", ok, "-out", "x.json"},
 		{"bench", "-not-a-flag"},
@@ -304,8 +356,9 @@ func TestTraceCommand(t *testing.T) {
 		t.Fatalf("convert: %v", err)
 	}
 	gout := filepath.Join(dir, "g_trace.json")
+	gcsv := filepath.Join(dir, "g_trace.csv")
 	if err := silence(t, func() error {
-		return run([]string{"trace", "-size", "4x2x2", "-preset", "Ideal", "-out", gout, gpath})
+		return run([]string{"trace", "-size", "4x2x2", "-preset", "Ideal", "-out", gout, "-csv", gcsv, gpath})
 	}); err != nil {
 		t.Fatalf("trace graph: %v", err)
 	}
@@ -320,6 +373,11 @@ func TestTraceCommand(t *testing.T) {
 	}
 	if st.Spans == 0 {
 		t.Fatal("graph trace exported no spans")
+	}
+	// A graph runs as a one-job scenario: -csv writes its per-unit
+	// breakdown row, labeled by the file name.
+	if b, err := os.ReadFile(gcsv); err != nil || !strings.Contains(string(b), "u0 4x2x2 Ideal graph rn50.json,graph,") {
+		t.Fatalf("graph trace CSV missing the unit row: %v, %q", err, b)
 	}
 
 	// Error paths: no input, two inputs, unreadable input.

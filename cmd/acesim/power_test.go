@@ -5,8 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"acesim/internal/collectives"
 )
 
 const poweredScenario = `{
@@ -60,45 +58,26 @@ func TestScenarioPowerCLI(t *testing.T) {
 	}
 }
 
-// TestWarnHybridFallback pins the stderr warning contract: silent on
-// DES, on an engaged fast path and on an empty refusal map; one sorted
-// reason line otherwise.
-func TestWarnHybridFallback(t *testing.T) {
-	capture := func(fn func()) string {
-		t.Helper()
-		old := os.Stderr
-		r, w, err := os.Pipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		os.Stderr = w
-		fn()
-		w.Close()
-		os.Stderr = old
-		var buf [4096]byte
-		n, _ := r.Read(buf[:])
-		r.Close()
-		return string(buf[:n])
-	}
-	blocked := collectives.HybridStats{Blocked: map[string]int{"tracer": 1, "contention": 2}}
-	got := capture(func() {
-		warnHybridFallback("graph run", "g", collectives.EngineHybrid, blocked)
+// TestScenarioRunWarnsHybridFallback: a scenario that asks for the
+// hybrid engine but also traces falls back to full DES (the span
+// timeline needs every event); `scenario run` names the fallback on
+// stderr instead of dropping the fast engine silently.
+func TestScenarioRunWarnsHybridFallback(t *testing.T) {
+	path := writeScenario(t, "hybrid_traced.json", `{
+	  "name": "hybrid-traced",
+	  "platform": {"toruses": ["4"], "presets": ["ACE"], "engine": "hybrid"},
+	  "trace": {"enabled": true},
+	  "jobs": [{"kind": "collective", "payloads_mb": [1]}]
+	}`)
+	var err error
+	stderr := capture(t, &os.Stderr, func() {
+		err = silence(t, func() error { return run([]string{"scenario", "run", path}) })
 	})
-	want := "acesim graph run: warning: g: hybrid engine fell back to full DES: contention, tracer\n"
-	if got != want {
-		t.Fatalf("warning = %q, want %q", got, want)
+	if err != nil {
+		t.Fatalf("scenario run: %v", err)
 	}
-	for name, c := range map[string]struct {
-		engine collectives.Engine
-		st     collectives.HybridStats
-	}{
-		"des engine":   {collectives.EngineDES, blocked},
-		"engaged":      {collectives.EngineHybrid, collectives.HybridStats{Engaged: true, Blocked: blocked.Blocked}},
-		"no refusals":  {collectives.EngineHybrid, collectives.HybridStats{}},
-		"analytic des": {collectives.EngineDES, collectives.HybridStats{}},
-	} {
-		if out := capture(func() { warnHybridFallback("x", "y", c.engine, c.st) }); out != "" {
-			t.Fatalf("%s: unexpected warning %q", name, out)
-		}
+	want := "acesim: warning: unit 0 (4 ACE all-reduce 1MB): hybrid engine fell back to full DES: tracing\n"
+	if stderr != want {
+		t.Fatalf("stderr = %q, want %q", stderr, want)
 	}
 }

@@ -9,31 +9,29 @@ import (
 	"path/filepath"
 	"strings"
 
-	"acesim/internal/exper"
+	"acesim/internal/collectives"
 	"acesim/internal/graph"
-	"acesim/internal/report"
 	"acesim/internal/scenario"
-	scrunner "acesim/internal/scenario/runner"
-	"acesim/internal/system"
 	"acesim/internal/trace"
 )
 
 // runTrace implements `acesim trace`: run a scenario file (or a single
-// execution graph) with the span collector on and export the full
-// timeline as Chrome trace-event JSON, loadable in Perfetto
-// (https://ui.perfetto.dev) or chrome://tracing. The summary tables —
-// including the exposed-communication breakdown — go to stdout; -csv
-// additionally writes the breakdown table as CSV.
+// execution graph, as the one-job scenario `graph run` builds) with the
+// span collector on and export the full timeline as Chrome trace-event
+// JSON, loadable in Perfetto (https://ui.perfetto.dev) or
+// chrome://tracing. The scenario tables — including the per-unit
+// exposed-communication breakdown — go to stdout; -csv additionally
+// writes that breakdown table as CSV.
 //
 //	acesim trace [-out trace.json] [-csv path] [-workers N] <scenario.json>
-//	acesim trace [-out trace.json] [-size SHAPE] [-preset P] <graph.json>
+//	acesim trace [-out trace.json] [-csv path] [-size SHAPE] [-preset P] <graph.json>
 //
 // The output path defaults to the scenario's "trace" block "out" field
 // when present, else <input>_trace.json next to the working directory.
 func runTrace(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
 	out := fs.String("out", "", `Chrome trace-event JSON output path (default: scenario "trace" "out", else <input>_trace.json)`)
-	csvPath := fs.String("csv", "", "also write the trace summary table as CSV to this path")
+	csvPath := fs.String("csv", "", "also write the trace breakdown table as CSV to this path")
 	workers := fs.Int("workers", 0, "parallel work units for scenario inputs (default GOMAXPROCS)")
 	sizeStr := fs.String("size", "4x2x2", "fabric topology for graph inputs")
 	preset := fs.String("preset", "ACE", "Table VI preset for graph inputs")
@@ -47,14 +45,34 @@ func runTrace(ctx context.Context, args []string) error {
 
 	// A scenario and a graph are both JSON documents; try the scenario
 	// schema first (it is strict), then fall back to the graph loader.
-	sc, scErr := scenario.Load(path)
-	if scErr == nil {
-		return traceScenario(ctx, sc, path, *out, *csvPath, *workers)
+	sc, err := scenario.Load(path)
+	if err == nil {
+		var set []string
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "size" || f.Name == "preset" {
+				set = append(set, "-"+f.Name)
+			}
+		})
+		if len(set) > 0 {
+			return fmt.Errorf("trace: %w: %s does not apply to a scenario input; edit the platform block of %s",
+				errUsage, strings.Join(set, " "), path)
+		}
+	} else if _, gerr := graph.Load(path); gerr == nil {
+		size, err := parseTorus(*sizeStr)
+		if err != nil {
+			return err
+		}
+		sc = graphScenario(path, size, *preset, collectives.EngineDES, false)
+	} else {
+		return err
 	}
-	if g, err := graph.Load(path); err == nil {
-		return traceGraph(g, path, *out, *csvPath, *sizeStr, *preset)
+	failed, err := runScenarioFile(ctx, sc, runOpts{
+		workers: *workers, format: "text", chrome: defaultTraceOut(*out, path, sc), traceCSV: *csvPath,
+	})
+	if err != nil {
+		return err
 	}
-	return scErr
+	return assertionFailures("trace", failed)
 }
 
 // defaultTraceOut resolves the export path: the explicit -out flag, the
@@ -63,7 +81,7 @@ func defaultTraceOut(out, input string, sc *scenario.Scenario) string {
 	if out != "" {
 		return out
 	}
-	if sc != nil && sc.Trace != nil && sc.Trace.Out != "" {
+	if sc.Trace != nil && sc.Trace.Out != "" {
 		return sc.Trace.Out
 	}
 	base := strings.TrimSuffix(filepath.Base(input), ".json")
@@ -74,18 +92,10 @@ func defaultTraceOut(out, input string, sc *scenario.Scenario) string {
 // re-reads and schema-validates what landed on disk, so a malformed
 // emission fails the command instead of failing later in Perfetto.
 func writeChromeFile(path string, write func(w io.Writer) error) (trace.ChromeStats, error) {
-	f, err := os.Create(path)
-	if err != nil {
+	if err := writeFile(path, write); err != nil {
 		return trace.ChromeStats{}, err
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		return trace.ChromeStats{}, err
-	}
-	if err := f.Close(); err != nil {
-		return trace.ChromeStats{}, err
-	}
-	f, err = os.Open(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return trace.ChromeStats{}, err
 	}
@@ -95,124 +105,4 @@ func writeChromeFile(path string, write func(w io.Writer) error) (trace.ChromeSt
 		return st, fmt.Errorf("trace: emitted %s failed validation: %w", path, err)
 	}
 	return st, nil
-}
-
-// traceScenario runs every unit of the scenario with tracing forced on.
-func traceScenario(ctx context.Context, sc *scenario.Scenario, input, out, csvPath string, workers int) error {
-	res, err := scrunner.RunContext(ctx, sc, scrunner.Options{Workers: workers, Trace: true})
-	if err != nil && (res == nil || !res.Canceled) {
-		return err
-	}
-	if res.Canceled {
-		// Print what completed but skip the Chrome export: a partial
-		// timeline is indistinguishable from a short run in Perfetto.
-		if err := res.WriteText(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "acesim: trace %s interrupted: %d of %d units completed, no trace file written\n",
-			sc.Name, len(res.Units), res.Total)
-		return errInterrupted
-	}
-	// Tracing forces full DES, so a scenario that asked for a fast
-	// engine silently loses it; name each refusal instead.
-	for _, w := range res.HybridWarnings() {
-		fmt.Fprintf(os.Stderr, "acesim trace: warning: %s\n", w)
-	}
-	outPath := defaultTraceOut(out, input, sc)
-	st, err := writeChromeFile(outPath, res.WriteChromeTrace)
-	if err != nil {
-		return err
-	}
-	if err := res.WriteText(os.Stdout); err != nil {
-		return err
-	}
-	if csvPath != "" {
-		f, err := os.Create(csvPath)
-		if err != nil {
-			return err
-		}
-		if err := res.WriteTraceCSV(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", csvPath)
-	}
-	fmt.Printf("wrote %s (%d spans, %d counter samples, %d processes) — load in https://ui.perfetto.dev\n",
-		outPath, st.Spans, st.Counters, st.Procs)
-	if failed := res.Failures(); len(failed) > 0 {
-		return fmt.Errorf("trace: %d assertion failure(s):\n  %s", len(failed), strings.Join(failed, "\n  "))
-	}
-	return nil
-}
-
-// traceSummaryTable renders one exposed-communication breakdown as a
-// metric/value table.
-func traceSummaryTable(title string, bd trace.Breakdown) *report.Table {
-	const psPerUs = 1e6
-	t := report.New(title, "metric", "value")
-	t.Add("comm us", float64(bd.CommTotal)/psPerUs)
-	t.Add("exposed comm us", float64(bd.CommExposed)/psPerUs)
-	t.Add("overlapped comm us", float64(bd.CommOverlapped)/psPerUs)
-	t.Add("compute busy us", float64(bd.ComputeBusy)/psPerUs)
-	t.Add("overlap frac", bd.OverlapFrac)
-	t.Add("link util", bd.LinkUtil)
-	t.Add("hbm util", bd.HBMUtil)
-	t.Add("spans", int64(bd.Spans))
-	return t
-}
-
-// traceGraph executes one graph file on a traced platform.
-func traceGraph(g *graph.Graph, input, out, csvPath, sizeStr, preset string) error {
-	size, err := parseTorus(sizeStr)
-	if err != nil {
-		return err
-	}
-	p, err := system.ParsePreset(preset)
-	if err != nil {
-		return err
-	}
-	if g.Ranks != size.N() {
-		return fmt.Errorf("trace: graph %s targets %d ranks, torus %s has %d", input, g.Ranks, size, size.N())
-	}
-	tr := trace.New()
-	spec := system.NewSpec(size, p)
-	spec.Tracer = tr
-	res, err := exper.RunGraph(spec, g)
-	if err != nil {
-		return err
-	}
-	outPath := defaultTraceOut(out, input, nil)
-	st, err := writeChromeFile(outPath, func(w io.Writer) error {
-		return trace.WriteChrome(w, []trace.Export{{Label: g.Name, T: tr}})
-	})
-	if err != nil {
-		return err
-	}
-	bd := tr.Breakdown()
-	tab := traceSummaryTable(fmt.Sprintf("%s on %s %s: trace", g.Name, size, p), bd)
-	tab.Add("span us", res.Span.Micros())
-	if err := tab.Write(os.Stdout); err != nil {
-		return err
-	}
-	fmt.Println()
-	if csvPath != "" {
-		f, err := os.Create(csvPath)
-		if err != nil {
-			return err
-		}
-		if err := tab.WriteCSV(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", csvPath)
-	}
-	fmt.Printf("wrote %s (%d spans, %d counter samples, %d processes) — load in https://ui.perfetto.dev\n",
-		outPath, st.Spans, st.Counters, st.Procs)
-	return nil
 }

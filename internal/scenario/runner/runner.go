@@ -220,9 +220,9 @@ func Evaluate(asserts []scenario.Assertion, units []UnitResult) []AssertionOutco
 }
 
 // HybridWarnings returns one line per unit whose requested fast engine
-// fell back to full DES, naming the refusal reasons (sorted). Callers
-// that force tracing (like `acesim trace`) surface these so the
-// fallback is never silent.
+// fell back to full DES, naming the refusal reasons (sorted). The CLI
+// prints them on stderr under every command, so the fallback is never
+// silent.
 func (r *Results) HybridWarnings() []string {
 	var out []string
 	for _, ur := range r.Units {
