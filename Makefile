@@ -10,7 +10,7 @@ GO ?= go
 # below the measured 70.3% so regressions fail again.
 COVER_MIN ?= 70.0
 
-.PHONY: build test test-short test-race bench lint vet fuzz-smoke fmt cover cover-check trace-smoke overhead-guard chaos-smoke hybrid-smoke power-smoke serve-smoke serve-stress perfbench-check figures-smoke
+.PHONY: build test test-short test-race bench lint vet fuzz-smoke fmt cover cover-check trace-smoke overhead-guard chaos-smoke hybrid-smoke power-smoke serve-smoke serve-stress perfbench-check figures-smoke goldens
 
 build:
 	$(GO) build ./...
@@ -70,6 +70,12 @@ figures-smoke:
 	$(GO) run ./cmd/acesim fig4
 	$(GO) run ./cmd/acesim fig5
 	$(GO) run ./cmd/acesim fig6
+
+# Golden gate: the full-size runner goldens (every bundled figure's JSON
+# results, byte for byte) and the fig4 trace digest. `go test -short`
+# skips both, so this target runs them in full mode.
+goldens:
+	$(GO) test -run 'TestScenarioGoldens|TestFig4TraceGolden' ./internal/scenario/runner
 
 # Hybrid-engine smoke: the fast path's golden-equality gates (hybrid ==
 # DES to the picosecond on collectives, Fig 4, training and the p2p

@@ -139,9 +139,11 @@ func RunTraining(spec Spec, m *Model, tc TrainConfig) (TrainResult, error) {
 // Time is simulated time in picoseconds.
 type Time = des.Time
 
-// Sizes4 returns the paper's four evaluation sizes: 16, 32, 64 and 128
-// NPUs.
-func Sizes4() []Topology { return exper.Sizes4() }
+// Sizes4 returns the paper's four evaluation sizes (Fig 11): 16, 32, 64
+// and 128 NPUs.
+func Sizes4() []Topology {
+	return []Topology{Torus3(4, 2, 2), Torus3(4, 4, 2), Torus3(4, 4, 4), Torus3(4, 8, 4)}
+}
 
 // FastGranularity coarsens chunking for large simulations (fidelity knob;
 // see DESIGN.md).

@@ -132,48 +132,25 @@ func BenchmarkFig10(b *testing.B) {
 // BenchmarkFig11 regenerates one size column of the scalability study
 // (all five systems, ResNet-50 + DLRM).
 func BenchmarkFig11(b *testing.B) {
-	models := []*workload.Model{
-		workload.ResNet50(workload.ResNet50Batch),
-		workload.DLRM(workload.DLRMBatch),
-	}
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		rows, _, _, err := exper.Fig11([]noc.Topology{benchTorus}, models)
-		if err != nil {
-			b.Fatal(err)
+	res := benchBundled(b, "fig11.json", func(sc *scenario.Scenario) {
+		sc.Platform.Toruses = []string{benchTorus.String()}
+		sc.Jobs[0].Workloads = []string{"resnet50", "dlrm"}
+	})
+	for _, ur := range res.Units {
+		if u := ur.Unit; u.Preset == system.ACE && u.Workload == "ResNet-50" {
+			b.ReportMetric(ur.Metrics["vs_best_baseline"], "ACE-speedup")
 		}
-		var ace, best float64
-		for _, r := range rows {
-			if r.Workload != "ResNet-50" {
-				continue
-			}
-			t := r.IterTime.Seconds()
-			switch r.Preset {
-			case system.ACE:
-				ace = t
-			case system.Ideal:
-			default:
-				if best == 0 || t < best {
-					best = t
-				}
-			}
-		}
-		speedup = best / ace
 	}
-	b.ReportMetric(speedup, "ACE-speedup")
 }
 
 // BenchmarkFig12 regenerates the DLRM optimized-loop experiment.
 func BenchmarkFig12(b *testing.B) {
-	var gain float64
-	for i := 0; i < b.N; i++ {
-		rows, _, err := exper.Fig12(benchTorus)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gain = rows[2].TotalUS / rows[3].TotalUS
-	}
-	b.ReportMetric(gain, "ACE-opt-gain")
+	res := benchBundled(b, "fig12.json", func(sc *scenario.Scenario) {
+		sc.Platform.Toruses = []string{benchTorus.String()}
+	})
+	// Units run job 0 (default loop) then job 1, CompOpt then ACE: the
+	// last unit is the optimized ACE loop.
+	b.ReportMetric(res.Units[3].Metrics["loop_speedup"], "ACE-opt-gain")
 }
 
 // BenchmarkTable4 regenerates the area/power model.

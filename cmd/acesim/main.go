@@ -16,17 +16,18 @@
 // Experiments: fig4 fig5 fig6 fig9a fig9b fig10 fig11 fig12 table4 table5
 // table6 analytic ablation interference all
 //
-// fig4, fig5 and fig6 run the bundled scenario file of the same name
-// (embedded in the binary) and print it the way `scenario run` does;
-// ablation runs ablation_forwarding.json before its switch and
-// scheduling parts. The bundled figures take no flags: to change one,
-// edit a copy of its file and run that with `acesim scenario run`.
+// fig4, fig5, fig6, fig11 and fig12 run the bundled scenario file of
+// the same name (embedded in the binary) and print it the way `scenario
+// run` does; ablation runs ablation_forwarding.json before its switch
+// and scheduling parts. The bundled figures take no flags: to change
+// one, edit a copy of its file and run that with `acesim scenario run`.
 //
-// Experiment flags:
+// Experiment flags (only the experiments named read them):
 //
-//	-size SHAPE   fabric topology for single-size experiments (default
+//	-size SHAPE   fabric topology of fig9b, fig10 and table5 (default
 //	              4x8x4; sizes joined by "x", "m" suffix = mesh dimension)
-//	-quick        shrink sweeps for a fast pass (small sizes, fewer points)
+//	-quick        shrink fig9a, fig9b, fig10, analytic and interference
+//	              for a fast pass (small sizes, fewer points)
 //	-csv dir      write Fig 10 utilization timelines as CSV files into dir
 //
 // Scenario flags:
@@ -163,7 +164,6 @@ func runCtx(ctx context.Context, args []string) error {
 
 	all := map[string]func() error{
 		"fig9a": r.fig9a, "fig9b": r.fig9b, "fig10": r.fig10,
-		"fig11": r.fig11, "fig12": r.fig12,
 		"table4": r.table4, "table5": r.table5, "table6": r.table6,
 		"analytic": r.analytic, "ablation": r.ablation,
 		"interference": r.interference,
@@ -194,7 +194,8 @@ func runCtx(ctx context.Context, args []string) error {
 // bundledFigures maps the experiments that run a bundled scenario file to
 // that file. They always run at the file's full size: -quick and -size
 // do not apply, even under `all`.
-var bundledFigures = map[string]string{"fig4": "fig4.json", "fig5": "fig5.json", "fig6": "fig6.json"}
+var bundledFigures = map[string]string{"fig4": "fig4.json", "fig5": "fig5.json", "fig6": "fig6.json",
+	"fig11": "fig11.json", "fig12": "fig12.json"}
 
 // runBundled runs one embedded bundled scenario and prints it the way
 // `acesim scenario run` does.
@@ -221,7 +222,9 @@ func usage() {
        acesim bench [-short] [-runs N] [-out path]
        acesim serve [-addr :8080] [-workers N] [-queue UNITS] [-smoke scenario.json] [-stress [stress flags]]
 experiments: fig4 fig5 fig6 fig9a fig9b fig10 fig11 fig12
-             table4 table5 table6 analytic ablation interference all`)
+             table4 table5 table6 analytic ablation interference all
+-size: fig9b fig10 table5; -quick: fig9a fig9b fig10 analytic interference;
+-csv: fig10. The bundled figures fig4 fig5 fig6 fig11 fig12 take no flags.`)
 }
 
 func parseTorus(s string) (noc.Topology, error) {
@@ -526,26 +529,6 @@ func (r runner) fig10() error {
 		fmt.Printf("wrote %d timelines to %s\n", len(traces), r.csvDir)
 	}
 	return show(tab, nil)
-}
-
-func (r runner) fig11() error {
-	sizes := exper.Sizes4()
-	if r.quick {
-		sizes = sizes[:3] // 16, 32, 64 NPUs
-	}
-	_, tabA, tabB, err := exper.Fig11(sizes, r.models())
-	if err != nil {
-		return err
-	}
-	if err := show(tabA, nil); err != nil {
-		return err
-	}
-	return show(tabB, nil)
-}
-
-func (r runner) fig12() error {
-	_, tab, err := exper.Fig12(r.trainSize())
-	return show(tab, err)
 }
 
 func (r runner) table4() error {

@@ -108,6 +108,8 @@ func TestRunDispatch(t *testing.T) {
 		{"bundled figure", []string{"fig4"}, ""},
 		{"bundled figure quick", []string{"fig5", "-quick"}, "-quick does not apply to a bundled figure; edit a copy of examples/scenarios/fig5.json"},
 		{"bundled figure size", []string{"fig6", "-size", "4x2x2"}, "-size does not apply to a bundled figure; edit a copy of examples/scenarios/fig6.json"},
+		{"fig11 quick", []string{"fig11", "-quick"}, "-quick does not apply to a bundled figure; edit a copy of examples/scenarios/fig11.json"},
+		{"fig12 size", []string{"fig12", "-size", "4x4x4"}, "-size does not apply to a bundled figure; edit a copy of examples/scenarios/fig12.json"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -303,6 +305,7 @@ func TestFlagErrorsExitUsage(t *testing.T) {
 		{"table5", "stray-positional"},
 		{"fig4", "-quick"},
 		{"fig5", "-size", "4x4x4", "-quick"},
+		{"fig11", "-quick"},
 	}
 	for _, args := range cases {
 		err := silence(t, func() error { return run(args) })

@@ -164,17 +164,6 @@ func RunTraining(spec system.Spec, m *workload.Model, tc training.Config) (Train
 	}, s, nil
 }
 
-// Sizes4 returns the paper's four evaluation sizes (Fig 11):
-// 16 (4x2x2), 32 (4x4x2), 64 (4x4x4), 128 (4x8x4).
-func Sizes4() []noc.Topology {
-	return []noc.Topology{
-		noc.Torus3(4, 2, 2),
-		noc.Torus3(4, 4, 2),
-		noc.Torus3(4, 4, 4),
-		noc.Torus3(4, 8, 4),
-	}
-}
-
 // FastGranularity coarsens chunking to keep large simulations tractable
 // without changing who-wins shapes (DESIGN.md, Table III note): chunk
 // target 256 KiB, at most 24 chunks per collective. ACE's SRAM partition

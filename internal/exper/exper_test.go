@@ -46,34 +46,6 @@ func TestFig9bUtilization(t *testing.T) {
 	}
 }
 
-func TestFig12Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("64-NPU DLRM sweep in -short mode")
-	}
-	rows, _, err := Fig12(noc.Torus3(4, 4, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	// Both systems benefit (paper: CompOpt 1.05x — reproduced almost
-	// exactly — and ACE 1.2x; our ACE gain is directional, ~1.03x, see
-	// EXPERIMENTS.md), compute shrinks for both, and ACE stays the
-	// fastest system in both modes.
-	compGain := rows[0].TotalUS / rows[1].TotalUS
-	aceGain := rows[2].TotalUS / rows[3].TotalUS
-	if aceGain <= 1.0 || compGain <= 1.0 {
-		t.Fatalf("optimization should help both (ACE %.3f, CompOpt %.3f)", aceGain, compGain)
-	}
-	if rows[1].ComputeUS >= rows[0].ComputeUS || rows[3].ComputeUS >= rows[2].ComputeUS {
-		t.Fatal("optimization should shrink main-stream compute")
-	}
-	if rows[3].TotalUS >= rows[1].TotalUS {
-		t.Fatalf("optimized ACE (%v) should beat optimized CompOpt (%v)", rows[3].TotalUS, rows[1].TotalUS)
-	}
-}
-
 func TestAnalyticVIA(t *testing.T) {
 	rows, _, err := AnalyticVIA([]noc.Topology{noc.Torus3(4, 4, 4)}, 4<<20)
 	if err != nil {

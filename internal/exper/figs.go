@@ -176,102 +176,3 @@ func mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// Fig11Row is one (size, workload, system) training measurement.
-type Fig11Row struct {
-	TrainResult
-	PctOfIdeal float64
-}
-
-// Fig11 reproduces the scalability study: total compute and exposed
-// communication for every workload on every system size under all five
-// Table VI configurations, plus ACE's speedup over each baseline (Fig 11b).
-func Fig11(sizes []noc.Topology, models []*workload.Model) ([]Fig11Row, *report.Table, *report.Table, error) {
-	tabA := report.New("Fig 11a: total compute vs exposed communication (2 iterations)",
-		"NPUs", "workload", "system", "compute us", "exposed us", "total us", "% of ideal")
-	tabB := report.New("Fig 11b: ACE speedup over baselines",
-		"NPUs", "workload", "vs NoOverlap", "vs CommOpt", "vs CompOpt", "best baseline")
-	var rows []Fig11Row
-	for _, t := range sizes {
-		for _, m := range models {
-			byPreset := map[system.Preset]training.Result{}
-			for _, p := range system.Presets() {
-				spec := system.NewSpec(t, p)
-				FastGranularity(&spec)
-				res, _, err := RunTraining(spec, m, training.DefaultConfig())
-				if err != nil {
-					return nil, nil, nil, fmt.Errorf("fig11 %s %s %s: %w", t, m.Name, p, err)
-				}
-				byPreset[p] = res.Result
-			}
-			ideal := byPreset[system.Ideal].IterTime.Seconds()
-			for _, p := range system.Presets() {
-				r := byPreset[p]
-				row := Fig11Row{
-					TrainResult: TrainResult{Preset: p, Topo: t, Workload: m.Name, Result: r},
-					PctOfIdeal:  100 * ideal / r.IterTime.Seconds(),
-				}
-				rows = append(rows, row)
-				tabA.Add(t.N(), m.Name, p.String(),
-					r.TotalCompute.Micros(), r.ExposedComm.Micros(), r.IterTime.Micros(),
-					row.PctOfIdeal)
-			}
-			ace := byPreset[system.ACE].IterTime.Seconds()
-			no := byPreset[system.BaselineNoOverlap].IterTime.Seconds() / ace
-			cm := byPreset[system.BaselineCommOpt].IterTime.Seconds() / ace
-			cp := byPreset[system.BaselineCompOpt].IterTime.Seconds() / ace
-			best := min(no, min(cm, cp))
-			tabB.Add(t.N(), m.Name, no, cm, cp, best)
-		}
-	}
-	return rows, tabA, tabB, nil
-}
-
-// Fig12Row is one configuration of the DLRM optimization experiment.
-type Fig12Row struct {
-	Preset    system.Preset
-	Optimized bool
-	ComputeUS float64
-	ExposedUS float64
-	TotalUS   float64
-}
-
-// Fig12 reproduces the DLRM training-loop optimization: default vs
-// optimized (embedding lookup/update overlapped on a spare 80 GB/s
-// allocation) for BaselineCompOpt and ACE.
-func Fig12(t noc.Topology) ([]Fig12Row, *report.Table, error) {
-	tab := report.New("Fig 12: DLRM optimized training loop (2 iterations)",
-		"system", "loop", "compute us", "exposed us", "total us", "speedup")
-	m := workload.DLRM(workload.DLRMBatch)
-	var rows []Fig12Row
-	for _, p := range []system.Preset{system.BaselineCompOpt, system.ACE} {
-		var base float64
-		for _, opt := range []bool{false, true} {
-			spec := system.NewSpec(t, p)
-			FastGranularity(&spec)
-			tc := training.DefaultConfig()
-			tc.DLRMOptimized = opt
-			res, _, err := RunTraining(spec, m, tc)
-			if err != nil {
-				return nil, nil, err
-			}
-			row := Fig12Row{
-				Preset: p, Optimized: opt,
-				ComputeUS: res.TotalCompute.Micros(),
-				ExposedUS: res.ExposedComm.Micros(),
-				TotalUS:   res.IterTime.Micros(),
-			}
-			rows = append(rows, row)
-			loop := "Default"
-			speedup := 1.0
-			if opt {
-				loop = "Optimized"
-				speedup = base / row.TotalUS
-			} else {
-				base = row.TotalUS
-			}
-			tab.Add(p.String(), loop, row.ComputeUS, row.ExposedUS, row.TotalUS, speedup)
-		}
-	}
-	return rows, tab, nil
-}

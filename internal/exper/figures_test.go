@@ -10,8 +10,8 @@ import (
 	"acesim/internal/system"
 )
 
-// The paper-figure tests of the endpoint models below drive them the way
-// `acesim fig4|fig5|fig6|ablation` do: through the bundled scenario file
+// The paper-figure tests below drive the models the way
+// `acesim fig4|fig5|fig6|fig12|ablation` do: through the bundled scenario file
 // and the scenario runner, the one harness that produces these figures.
 
 // runBundled runs the embedded bundled scenario after trim (nil keeps it
@@ -258,5 +258,43 @@ func TestAblationForwarding(t *testing.T) {
 	}
 	if ace["duration_us"] >= base["duration_us"] {
 		t.Fatalf("ACE a2a (%v us) should beat baseline (%v us)", ace["duration_us"], base["duration_us"])
+	}
+}
+
+func TestFig12Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("64-NPU DLRM sweep in -short mode")
+	}
+	res := runBundled(t, "fig12.json", func(sc *scenario.Scenario) {
+		sc.Platform.Toruses = []string{"4x4x4"}
+	})
+	// Units: job (default loop, then optimized) outer, preset inner.
+	if len(res.Units) != 4 {
+		t.Fatalf("units = %d", len(res.Units))
+	}
+	m := map[bool]map[system.Preset]map[string]float64{false: {}, true: {}}
+	for _, ur := range res.Units {
+		m[ur.Unit.DLRMOptimized][ur.Unit.Preset] = ur.Metrics
+	}
+	def, opt := m[false], m[true]
+	// Both systems benefit (paper: CompOpt 1.05x — reproduced almost
+	// exactly — and ACE 1.2x; our ACE gain is directional, ~1.03x, see
+	// EXPERIMENTS.md), compute shrinks for both, and ACE stays the
+	// fastest system in both modes.
+	compGain := opt[system.BaselineCompOpt]["loop_speedup"]
+	aceGain := opt[system.ACE]["loop_speedup"]
+	if aceGain <= 1.0 || compGain <= 1.0 {
+		t.Fatalf("optimization should help both (ACE %.3f, CompOpt %.3f)", aceGain, compGain)
+	}
+	for _, p := range []system.Preset{system.BaselineCompOpt, system.ACE} {
+		if opt[p]["compute_us"] >= def[p]["compute_us"] {
+			t.Fatalf("%s: optimization should shrink main-stream compute", p)
+		}
+		if def[p]["loop_speedup"] != 1 {
+			t.Fatalf("%s: the default loop is its own reference, got loop_speedup %v", p, def[p]["loop_speedup"])
+		}
+	}
+	if a, c := opt[system.ACE]["iter_time_us"], opt[system.BaselineCompOpt]["iter_time_us"]; a >= c {
+		t.Fatalf("optimized ACE (%v) should beat optimized CompOpt (%v)", a, c)
 	}
 }

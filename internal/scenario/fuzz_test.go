@@ -72,6 +72,15 @@ func FuzzParseScenario(f *testing.F) {
 	f.Add(`{"name":"x","platform":{"toruses":["4"],"overrides":[]},"jobs":[{"kind":"collective","payloads_mb":[1]}]}`)
 	f.Add(`{"name":"x","platform":{"toruses":["4"],"overrides":{"comm_mem_gbps":32}},"jobs":[{"kind":"collective","payloads_mb":[1]}]}`)
 
+	// Relative-block edge cases: both selectors, none, an out-of-range
+	// or negative job, a preset outside the grid, a shadowing name, a
+	// wrong-typed job, and an assertion on a relative metric.
+	f.Add(`{"name":"x","platform":{"toruses":["4"],"presets":["ACE","Ideal"]},"jobs":[{"kind":"collective","payloads_mb":[1]}],"relative":[{"name":"r","metric":"duration_us","presets":["Ideal"]}],"assertions":[{"metric":"r","op":">","value":0,"preset":"ACE"}]}`)
+	f.Add(`{"name":"x","platform":{"toruses":["4"]},"jobs":[{"kind":"collective","payloads_mb":[1]}],"relative":[{"name":"r","metric":"duration_us","presets":["ACE"],"job":0},{"name":"s","metric":"duration_us"}]}`)
+	f.Add(`{"name":"x","platform":{"toruses":["4"]},"jobs":[{"kind":"training","workloads":["dlrm"]}],"relative":[{"name":"r","metric":"iter_time_us","job":-1},{"name":"r","metric":"iter_time_us","job":7}]}`)
+	f.Add(`{"name":"x","platform":{"toruses":["4"],"presets":["ACE"]},"jobs":[{"kind":"collective","payloads_mb":[1]}],"relative":[{"name":"duration_us","metric":"duration_us","presets":["Ideal"]},{"name":"","metric":"slowdown","job":"0"}]}`)
+	f.Add(`{"name":"x","jobs":[{"kind":"microbench","payloads_mb":[1],"kernels":[{"gemm_n":64}]}],"relative":[{"name":"r","metric":"slowdown","presets":["ACE"]}]}`)
+
 	f.Fuzz(func(t *testing.T, src string) {
 		sc, err := Parse(strings.NewReader(src))
 		if err != nil {

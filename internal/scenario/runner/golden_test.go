@@ -2,6 +2,7 @@ package runner_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -92,6 +93,61 @@ func TestMeshVsTorusScenario(t *testing.T) {
 	for _, o := range res.Assertions {
 		if o.Matched != 2 {
 			t.Errorf("assertion %s matched %d units, want 2 (one per preset)", o.Assertion, o.Matched)
+		}
+	}
+}
+
+// TestFig11MatchesTable6Golden pins the 16-NPU slice of the bundled
+// fig11.json: its 4x2x2 units are the table6_train grid, so each must
+// report exactly that golden's metrics (plus its relative ones). A
+// full-size fig11 golden would cost minutes of CPU per run.
+func TestFig11MatchesTable6Golden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("15 training units in -short mode")
+	}
+	sc, err := scenario.Load("../../../examples/scenarios/fig11.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Platform.Toruses = []string{"4x2x2"}
+	res, err := runner.Run(sc, runner.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var js bytes.Buffer
+	if err := res.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	type unit struct {
+		Torus, Preset, Workload string
+		Metrics                 map[string]float64
+	}
+	var got, want struct{ Units []unit }
+	b, err := os.ReadFile(filepath.Join("testdata", "golden", "table6_train.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(js.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Units) != 15 || len(want.Units) != 15 {
+		t.Fatalf("fig11 4x2x2 ran %d units, golden has %d; want 15", len(got.Units), len(want.Units))
+	}
+	for i, w := range want.Units {
+		g := got.Units[i]
+		if g.Torus != w.Torus || g.Preset != w.Preset || g.Workload != w.Workload {
+			t.Fatalf("unit %d is %s %s %s, golden %s %s %s", i, g.Torus, g.Preset, g.Workload, w.Torus, w.Preset, w.Workload)
+		}
+		for k, v := range w.Metrics {
+			if g.Metrics[k] != v {
+				t.Errorf("unit %d (%s %s) %s = %v, golden %v", i, g.Preset, g.Workload, k, g.Metrics[k], v)
+			}
+		}
+		if len(g.Metrics) != len(w.Metrics)+len(sc.Relative) {
+			t.Errorf("unit %d reports %d metrics, want the golden's %d plus %d relative", i, len(g.Metrics), len(w.Metrics), len(sc.Relative))
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"io"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -80,6 +81,8 @@ type Results struct {
 	// unit completed: Units holds the units finished before the cancel
 	// (still in expansion order) and no assertions were evaluated.
 	Canceled bool
+	// Relative is the scenario's relative block (one table column each).
+	Relative []scenario.Relative
 }
 
 // Run expands the scenario and executes every unit on the worker pool.
@@ -147,7 +150,7 @@ dispatch:
 	close(idx)
 	wg.Wait()
 	if ctxErr := ctx.Err(); ctxErr != nil {
-		res := &Results{Name: sc.Name, Total: len(units), Canceled: true}
+		res := &Results{Name: sc.Name, Total: len(units), Canceled: true, Relative: sc.Relative}
 		for i := range units {
 			if started[i] && errs[i] == nil {
 				res.Units = append(res.Units, results[i])
@@ -160,7 +163,8 @@ dispatch:
 			return nil, fmt.Errorf("scenario %s: unit %d (%s): %w", sc.Name, i, describe(units[i]), err)
 		}
 	}
-	res := &Results{Name: sc.Name, Units: results, Total: len(units)}
+	res := &Results{Name: sc.Name, Units: results, Total: len(units), Relative: sc.Relative}
+	AddRelative(sc.Relative, results)
 	res.Assertions = Evaluate(sc.Assertions, results)
 	return res, nil
 }
@@ -206,6 +210,41 @@ func RunOne(u scenario.Unit, traced bool) (UnitResult, error) {
 		}
 	}
 	return runOne(u, alone, traced)
+}
+
+// AddRelative sets the relative metrics (scenario.Relative) on the units
+// with a reference and a nonzero metric. Run calls it once the pool has
+// drained, so the values do not depend on the worker count; the serving
+// layer calls it on copies of cached metrics before evaluating
+// assertions.
+func AddRelative(rel []scenario.Relative, units []UnitResult) {
+	for _, r := range rel {
+		// A unit's point on every expansion axis but the selected one.
+		key := func(u scenario.Unit) string {
+			var other any = u.Job
+			if r.Job != nil {
+				other = u.Preset
+			}
+			return fmt.Sprintf("%v|%v|%s|%d|%s|%v", other, u.Topo.Dims, u.Overrides, u.Bytes, u.Workload, u.Kernel)
+		}
+		// The smallest reference value per point gives the smallest
+		// ratio: division by a positive value is monotone.
+		best := map[string]float64{}
+		for _, ur := range units {
+			u := ur.Unit
+			v, ok := ur.Metrics[r.Metric]
+			isRef := r.Job != nil && u.Job == *r.Job || slices.Contains(r.Presets, u.Preset.String())
+			if b, seen := best[key(u)]; ok && isRef && (!seen || v < b) {
+				best[key(u)] = v
+			}
+		}
+		for _, ur := range units {
+			v, ok := ur.Metrics[r.Metric]
+			if ref, found := best[key(ur.Unit)]; ok && found && v != 0 {
+				ur.Metrics[r.Name] = ref / v
+			}
+		}
+	}
 }
 
 // Evaluate checks assertions against a set of unit results, one outcome
@@ -257,7 +296,7 @@ func describe(u scenario.Unit) string {
 	case scenario.KindCollective:
 		return fmt.Sprintf("%s %s %gMB", point(u), u.Collective, payloadMB(u.Bytes))
 	case scenario.KindTraining:
-		return fmt.Sprintf("%s %s", point(u), u.Workload)
+		return fmt.Sprintf("%s %s", point(u), workloadLabel(u))
 	case scenario.KindMicrobench:
 		return fmt.Sprintf("%s ar=%gMB", u.Kernel.KernelName(), payloadMB(u.Bytes))
 	case scenario.KindMultiJob:
@@ -289,6 +328,15 @@ func graphLabel(u scenario.Unit) string {
 	sched, _ := graph.ParsePipeSchedule(p.Schedule)
 	return fmt.Sprintf("%s/pipe%dx%d/mb%d/%s",
 		p.Workload, p.Stages, u.Topo.N()/p.Stages, p.Microbatches, sched)
+}
+
+// workloadLabel names a training unit's workload, marking the optimized
+// DLRM loop.
+func workloadLabel(u scenario.Unit) string {
+	if u.DLRMOptimized {
+		return u.Workload + " (optimized)"
+	}
+	return u.Workload
 }
 
 // payloadMB converts a payload to MB without truncating sub-MB sweeps.
@@ -599,41 +647,11 @@ func execMultiJob(u scenario.Unit, tr *trace.Tracer) (map[string]float64, unitAu
 // check evaluates one assertion against all matching units.
 func check(a scenario.Assertion, units []UnitResult) AssertionOutcome {
 	out := AssertionOutcome{Assertion: a}
-	// Units carry canonical workload names; canonicalize the filter the
-	// same way so aliases like "resnet50" match "ResNet-50" units.
-	wantWorkload := a.Workload
-	if wantWorkload != "" {
-		if m, err := workload.ByName(wantWorkload); err == nil {
-			wantWorkload = m.Name
-		}
-	}
-	// Same for the topology filter: units carry Topo.String(), so parse
-	// the user's spelling (case-insensitive) into the canonical form.
-	wantTopo := a.Topology
-	if wantTopo != "" {
-		if tp, err := scenario.ParseTopology(wantTopo); err == nil {
-			wantTopo = tp.String()
-		}
-	}
+	sel := a.Selector()
 	for _, ur := range units {
 		u := ur.Unit
-		if a.Kind != "" && a.Kind != u.Kind {
-			continue
-		}
-		if a.Job != nil && *a.Job != u.Job {
-			continue
-		}
-		if wantTopo != "" && (u.Kind == scenario.KindMicrobench || wantTopo != u.Topo.String()) {
-			continue
-		}
-		if a.Preset != "" && (u.Kind == scenario.KindMicrobench || a.Preset != u.Preset.String()) {
-			continue
-		}
-		if wantWorkload != "" && wantWorkload != u.Workload {
-			continue
-		}
 		v, ok := ur.Metrics[a.Metric]
-		if !ok {
+		if !ok || !sel(u) {
 			continue
 		}
 		out.Matched++
@@ -673,6 +691,13 @@ func (r *Results) Tables() []*report.Table {
 		}
 		return append(c, rest...)
 	}
+	// Each relative entry adds a column to its metric's kind table; a
+	// unit without a reference shows "-".
+	relative := map[scenario.JobKind][]string{}
+	for _, rel := range r.Relative {
+		k := scenario.Metrics[rel.Metric]
+		relative[k] = append(relative[k], rel.Name)
+	}
 	byKind := map[scenario.JobKind]*report.Table{}
 	get := func(k scenario.JobKind) *report.Table {
 		if t, ok := byKind[k]; ok {
@@ -696,21 +721,32 @@ func (r *Results) Tables() []*report.Table {
 			t = report.New(r.Name+": graphs (span / busiest-rank compute)",
 				cols("graph", "span us", "compute us", "exposed us", "exposed frac")...)
 		}
+		t.Headers = append(t.Headers, relative[k]...)
 		byKind[k] = t
 		tabs = append(tabs, t)
 		return t
+	}
+	add := func(k scenario.JobKind, m map[string]float64, row ...any) {
+		for _, name := range relative[k] {
+			if v, ok := m[name]; ok {
+				row = append(row, v)
+			} else {
+				row = append(row, "-")
+			}
+		}
+		get(k).Add(row...)
 	}
 	for _, ur := range r.Units {
 		u, m := ur.Unit, ur.Metrics
 		switch u.Kind {
 		case scenario.KindCollective:
-			get(u.Kind).Add(cells(u, u.Collective.String(), payloadMB(u.Bytes),
+			add(u.Kind, m, cells(u, u.Collective.String(), payloadMB(u.Bytes),
 				m["duration_us"], m["eff_gbps_node"], int64(m["reads_node"]), int64(m["writes_node"]))...)
 		case scenario.KindTraining:
-			get(u.Kind).Add(cells(u, u.Workload,
+			add(u.Kind, m, cells(u, workloadLabel(u),
 				m["compute_us"], m["exposed_us"], m["iter_time_us"], m["exposed_comm_frac"])...)
 		case scenario.KindMicrobench:
-			get(u.Kind).Add(u.Kernel.KernelName(), payloadMB(u.Bytes),
+			add(u.Kind, m, u.Kernel.KernelName(), payloadMB(u.Bytes),
 				m["alone_us"], m["overlap_us"], m["slowdown"])
 		case scenario.KindMultiJob:
 			for _, sj := range u.SubJobs {
@@ -722,11 +758,11 @@ func (r *Results) Tables() []*report.Table {
 				if sj.IsTraining() {
 					kind = "training"
 				}
-				get(u.Kind).Add(cells(u, sj.Name, placement, kind,
+				add(u.Kind, m, cells(u, sj.Name, placement, kind,
 					m[sj.Name+"_solo_us"], m[sj.Name+"_co_us"], m[sj.Name+"_slowdown"])...)
 			}
 		case scenario.KindGraph:
-			get(u.Kind).Add(cells(u, graphLabel(u),
+			add(u.Kind, m, cells(u, graphLabel(u),
 				m["graph_span_us"], m["graph_compute_us"], m["graph_exposed_us"], m["graph_exposed_frac"])...)
 		}
 	}
@@ -760,6 +796,7 @@ type unitJSON struct {
 	Collective   string              `json:"collective,omitempty"`
 	PayloadBytes int64               `json:"payload_bytes,omitempty"`
 	Workload     string              `json:"workload,omitempty"`
+	DLRMOpt      bool                `json:"dlrm_optimized,omitempty"`
 	Kernel       string              `json:"kernel,omitempty"`
 	Jobs         []string            `json:"jobs,omitempty"`
 	Graph        string              `json:"graph,omitempty"`
@@ -782,6 +819,7 @@ func unitJSONOf(ur UnitResult) unitJSON {
 		uj.Collective, uj.PayloadBytes = u.Collective.String(), u.Bytes
 	case scenario.KindTraining:
 		uj.Torus, uj.Preset, uj.Workload = u.Topo.String(), u.Preset.String(), u.Workload
+		uj.DLRMOpt = u.DLRMOptimized
 	case scenario.KindMicrobench:
 		uj.Kernel, uj.PayloadBytes = u.Kernel.KernelName(), u.Bytes
 	case scenario.KindMultiJob:

@@ -10,7 +10,9 @@ import (
 	"testing"
 
 	"acesim/internal/exper"
+	"acesim/internal/noc"
 	"acesim/internal/scenario"
+	"acesim/internal/system"
 )
 
 // gridScenario expands to 8 cheap collective units (2 toruses x 2
@@ -108,13 +110,17 @@ func TestAssertionOutcomes(t *testing.T) {
 	  "jobs": [{"kind": "collective", "payloads_mb": [1]}],
 	  "assertions": [
 	    {"metric": "eff_gbps_node", "op": ">", "value": 0},
-	    {"metric": "eff_gbps_node", "op": ">", "value": 1e9},
-	    {"metric": "eff_gbps_node", "op": ">", "value": 0, "preset": "ACE"}
+	    {"metric": "eff_gbps_node", "op": ">", "value": 1e9}
 	  ]
 	}`), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Validation rejects a filter outside the grid, so evaluate that one
+	// directly against the results.
+	res.Assertions = append(res.Assertions, Evaluate([]scenario.Assertion{
+		{Metric: "eff_gbps_node", Op: ">", Value: 0, Preset: "ACE"},
+	}, res.Units)...)
 	if len(res.Assertions) != 3 {
 		t.Fatalf("outcomes = %d", len(res.Assertions))
 	}
@@ -231,6 +237,37 @@ func TestOutputFormats(t *testing.T) {
 	if !strings.HasPrefix(csv.String(), "torus,preset,collective,MB") {
 		t.Fatalf("csv header wrong:\n%s", csv.String())
 	}
+
+	// The optimized DLRM loop is marked in every output; the default
+	// loop prints as before.
+	m := map[string]float64{"iter_time_us": 2, "compute_us": 1, "exposed_us": 1, "exposed_comm_frac": 0.5}
+	train := scenario.Unit{Kind: scenario.KindTraining, Topo: noc.Torus3(4, 2, 2), Preset: system.ACE, Workload: "DLRM"}
+	opt := train
+	opt.Index, opt.DLRMOptimized = 1, true
+	dl := &Results{Name: "dlrm", Units: []UnitResult{{Unit: train, Metrics: m}, {Unit: opt, Metrics: m}}}
+	txt.Reset()
+	js.Reset()
+	csv.Reset()
+	if err := dl.WriteText(&txt); err != nil {
+		t.Fatal(err)
+	}
+	if err := dl.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	if err := dl.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	for name, out := range map[string]string{"text": txt.String(), "csv": csv.String()} {
+		if strings.Count(out, "DLRM (optimized)") != 1 || strings.Count(out, "DLRM") != 2 {
+			t.Errorf("%s output should mark only the optimized loop:\n%s", name, out)
+		}
+	}
+	if strings.Count(js.String(), `"dlrm_optimized": true`) != 1 || strings.Contains(js.String(), `"dlrm_optimized": false`) {
+		t.Errorf("JSON output should mark only the optimized loop:\n%s", js.String())
+	}
+	if got := describe(opt); got != "4x2x2 ACE DLRM (optimized)" {
+		t.Errorf("describe = %q", got)
+	}
 }
 
 // TestGraphUnits runs a graph job end to end: a pipeline synthesis and a
@@ -288,5 +325,86 @@ func TestGraphUnits(t *testing.T) {
 	bad.Platform = &scenario.Platform{Toruses: []string{"4x4x2"}}
 	if _, err := Run(&bad, Options{}); err == nil {
 		t.Fatal("ran a 16-rank trace on a 32-node torus")
+	}
+}
+
+// relativeScenario is a cheap 4x2x2 collective grid with one relative
+// entry per selector form. Job 1's 4 MB point has no job-0 twin, so it
+// has no vs_allreduce reference.
+const relativeScenario = `{
+  "name": "relative",
+  "platform": {"toruses": ["4x2x2"], "presets": ["BaselineCommOpt", "ACE", "Ideal"]},
+  "jobs": [
+    {"kind": "collective", "payloads_mb": [1, 2]},
+    {"kind": "collective", "collective": "alltoall", "payloads_mb": [1, 4]}
+  ],
+  "relative": [
+    {"name": "vs_commopt", "metric": "duration_us", "presets": ["BaselineCommOpt"]},
+    {"name": "vs_best", "metric": "duration_us", "presets": ["BaselineCommOpt", "ACE"]},
+    {"name": "vs_allreduce", "metric": "duration_us", "job": 0}
+  ],
+  "assertions": [
+    {"metric": "vs_commopt", "op": "==", "value": 1, "preset": "BaselineCommOpt"},
+    {"metric": "vs_allreduce", "op": "==", "value": 1, "job": 0}
+  ]
+}`
+
+func TestRelativeMetrics(t *testing.T) {
+	res, err := Run(parse(t, relativeScenario), Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := res.Failures(); len(f) > 0 {
+		t.Fatalf("relative assertions failed: %v", f)
+	}
+	dur := func(job int, p system.Preset, bytes int64) (float64, bool) {
+		for _, ur := range res.Units {
+			if u := ur.Unit; u.Job == job && u.Preset == p && u.Bytes == bytes {
+				return ur.Metrics["duration_us"], true
+			}
+		}
+		return 0, false
+	}
+	for _, ur := range res.Units {
+		u, m := ur.Unit, ur.Metrics
+		v := m["duration_us"]
+		comm, _ := dur(u.Job, system.BaselineCommOpt, u.Bytes)
+		ace, _ := dur(u.Job, system.ACE, u.Bytes)
+		if got := m["vs_commopt"]; got != comm/v {
+			t.Errorf("unit %d: vs_commopt = %v, want %v", u.Index, got, comm/v)
+		}
+		if u.Preset == system.BaselineCommOpt && m["vs_commopt"] != 1 {
+			t.Errorf("unit %d: reference unit has vs_commopt %v, want 1", u.Index, m["vs_commopt"])
+		}
+		if got, want := m["vs_best"], min(comm/v, ace/v); got != want {
+			t.Errorf("unit %d: vs_best = %v, want the smallest ratio %v", u.Index, got, want)
+		}
+		ar, ok := dur(0, u.Preset, u.Bytes)
+		if got, has := m["vs_allreduce"]; has != ok || ok && got != ar/v {
+			t.Errorf("unit %d: vs_allreduce = %v (present %v), want %v (present %v)", u.Index, got, has, ar/v, ok)
+		}
+	}
+	var txt strings.Builder
+	if err := res.WriteText(&txt); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(txt.String(), "vs_commopt  vs_best  vs_allreduce") || !strings.Contains(txt.String(), "  -\n") {
+		t.Fatalf("table lacks the relative columns or the empty cell of a unit without a reference:\n%s", txt.String())
+	}
+	// Relative values are computed after the pool drains, so the worker
+	// count cannot change them.
+	var one, four bytes.Buffer
+	if err := res.WriteJSON(&one); err != nil {
+		t.Fatal(err)
+	}
+	res4, err := Run(parse(t, relativeScenario), Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res4.WriteJSON(&four); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(one.Bytes(), four.Bytes()) {
+		t.Fatalf("JSON differs between -workers 1 and 4:\n%s\nvs\n%s", one.Bytes(), four.Bytes())
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"acesim/internal/collectives"
@@ -54,6 +55,9 @@ type Scenario struct {
 	// Recovery tunes the retry/backoff/park policy link faults are
 	// recovered under; nil takes the collectives defaults.
 	Recovery *fault.Recovery `json:"recovery,omitempty"`
+	// Relative lists metrics taken relative to another unit of the same
+	// scenario; each becomes an assertable metric and a table column.
+	Relative []Relative `json:"relative,omitempty"`
 
 	// dir is the scenario file's directory (set by Load); relative graph
 	// paths resolve against it. Scenarios parsed from a reader resolve
@@ -341,6 +345,33 @@ func (a Assertion) Holds(v float64) bool {
 	return false
 }
 
+// Selector returns the predicate of the assertion's unit filters, which
+// is also the grid-membership test of assertion filters and relative
+// selectors. Units carry canonical workload and topology spellings, so
+// those filters are canonicalized first ("resnet50" selects "ResNet-50"
+// units).
+func (a Assertion) Selector() func(Unit) bool {
+	workloadName, topo := a.Workload, a.Topology
+	if workloadName != "" {
+		if m, err := workload.ByName(workloadName); err == nil {
+			workloadName = m.Name
+		}
+	}
+	if topo != "" {
+		if t, err := ParseTopology(topo); err == nil {
+			topo = t.String()
+		}
+	}
+	return func(u Unit) bool {
+		platform := u.Kind != KindMicrobench
+		return (a.Kind == "" || a.Kind == u.Kind) &&
+			(a.Job == nil || *a.Job == u.Job) &&
+			(topo == "" || platform && topo == u.Topo.String()) &&
+			(a.Preset == "" || platform && a.Preset == u.Preset.String()) &&
+			(workloadName == "" || workloadName == u.Workload)
+	}
+}
+
 // String formats the assertion predicate.
 func (a Assertion) String() string {
 	var filters []string
@@ -364,6 +395,18 @@ func (a Assertion) String() string {
 		where = " [" + strings.Join(filters, " ") + "]"
 	}
 	return fmt.Sprintf("%s %s %g%s", a.Metric, a.Op, a.Value, where)
+}
+
+// Relative is one metric taken relative to another unit of the same
+// scenario: Name = reference Metric / unit Metric, where the reference
+// matches the unit on every expansion axis but the selected preset or
+// job. Over several presets the smallest ratio (the speedup over the
+// best of them) wins.
+type Relative struct {
+	Name    string   `json:"name"`
+	Metric  string   `json:"metric"` // a kind metric (see Metrics)
+	Presets []string `json:"presets,omitempty"`
+	Job     *int     `json:"job,omitempty"`
 }
 
 // TraceSpec is the scenario "trace" block.
@@ -910,7 +953,11 @@ func (s *Scenario) Expand() ([]Unit, error) {
 			units[i].Power = s.Power
 		}
 	}
-	if err := s.validateAssertions(); err != nil {
+	relative, err := s.validateRelative(units)
+	if err == nil {
+		err = s.validateAssertions(units, relative)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	return units, nil
@@ -1092,7 +1139,40 @@ func (j Job) payloads() ([]int64, error) {
 	return out, nil
 }
 
-func (s *Scenario) validateAssertions() error {
+// validateRelative checks the relative block and returns the job kind
+// of each entry by name.
+func (s *Scenario) validateRelative(units []Unit) (map[string]JobKind, error) {
+	kinds := map[string]JobKind{}
+	for i, r := range s.Relative {
+		kind, ok := Metrics[r.Metric]
+		var err error
+		switch {
+		case r.Name == "" || Metrics[r.Name] != "" || kinds[r.Name] != "" || TraceMetrics[r.Name] || FaultMetrics[r.Name] ||
+			PowerMetrics[r.Name] || s.isSubJobMetric(r.Name):
+			err = errors.New("needs a name no other metric has")
+		case !ok:
+			err = fmt.Errorf("unknown metric %q (want a kind metric)", r.Metric)
+		case (len(r.Presets) > 0) == (r.Job != nil):
+			err = errors.New("needs exactly one of presets or job")
+		case r.Job != nil && !slices.ContainsFunc(units, Assertion{Kind: kind, Job: r.Job}.Selector()):
+			err = fmt.Errorf("job %d runs no %s units", *r.Job, kind)
+		case r.Job == nil && kind == KindMicrobench:
+			err = errors.New("microbench units have no preset; select a job")
+		}
+		for _, p := range r.Presets {
+			if err == nil && !slices.ContainsFunc(units, Assertion{Kind: kind, Preset: p}.Selector()) {
+				err = fmt.Errorf("no %s unit runs preset %q", kind, p)
+			}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("relative %d (%s): %w", i, r.Name, err)
+		}
+		kinds[r.Name] = kind
+	}
+	return kinds, nil
+}
+
+func (s *Scenario) validateAssertions(units []Unit, relative map[string]JobKind) error {
 	for i, a := range s.Assertions {
 		if TraceMetrics[a.Metric] {
 			// Trace metrics exist on every traced unit, whatever its
@@ -1119,15 +1199,16 @@ func (s *Scenario) validateAssertions() error {
 			if a.Kind == KindMicrobench {
 				return fmt.Errorf("assertion %d: microbench units report no energy metrics", i)
 			}
-		} else if s.isSubJobMetric(a.Metric) {
-			// Per-sub-job multijob metrics ("<name>_slowdown" etc.) are
-			// named after the scenario's own sub-jobs.
-			if a.Kind != "" && a.Kind != KindMultiJob {
-				return fmt.Errorf("assertion %d: metric %q belongs to %s jobs, not %s",
-					i, a.Metric, KindMultiJob, a.Kind)
-			}
 		} else {
 			kind, ok := Metrics[a.Metric]
+			if !ok {
+				kind, ok = relative[a.Metric]
+			}
+			if !ok {
+				// Per-sub-job multijob metrics ("<name>_slowdown" etc.)
+				// are named after the scenario's own sub-jobs.
+				kind, ok = KindMultiJob, s.isSubJobMetric(a.Metric)
+			}
 			if !ok {
 				return fmt.Errorf("assertion %d: unknown metric %q", i, a.Metric)
 			}
@@ -1135,6 +1216,8 @@ func (s *Scenario) validateAssertions() error {
 				return fmt.Errorf("assertion %d: metric %q belongs to %s jobs, not %s",
 					i, a.Metric, kind, a.Kind)
 			}
+			// A kind metric can only match units of its kind.
+			a.Kind = kind
 		}
 		switch a.Op {
 		case ">=", "<=", ">", "<", "==", "!=":
@@ -1146,18 +1229,11 @@ func (s *Scenario) validateAssertions() error {
 				return fmt.Errorf("assertion %d: %w", i, err)
 			}
 		}
-		if a.Workload != "" {
-			if _, err := workload.ByName(a.Workload); err != nil {
-				return fmt.Errorf("assertion %d: %w", i, err)
-			}
-		}
-		if a.Topology != "" {
-			if _, err := ParseTopology(a.Topology); err != nil {
-				return fmt.Errorf("assertion %d: %w", i, err)
-			}
-		}
 		if a.Job != nil && (*a.Job < 0 || *a.Job >= len(s.Jobs)) {
 			return fmt.Errorf("assertion %d: job %d out of range [0,%d)", i, *a.Job, len(s.Jobs))
+		}
+		if !slices.ContainsFunc(units, a.Selector()) {
+			return fmt.Errorf("assertion %d (%s): no unit of the grid matches its filters", i, s.Assertions[i])
 		}
 	}
 	return nil

@@ -490,3 +490,88 @@ func TestParseTopologyField(t *testing.T) {
 		t.Fatal("per-dimension bandwidth override lost")
 	}
 }
+
+// relativeGrid is a 4x2x2 platform with two presets, a collective job
+// (0), a training job (1) and a microbench job (2); each case appends
+// its own relative block and assertions.
+const relativeGrid = `{
+  "name": "x",
+  "platform": {"toruses": ["4x2x2"], "presets": ["BaselineCommOpt", "ACE"]},
+  "jobs": [
+    {"kind": "collective", "payloads_mb": [1]},
+    {"kind": "training", "workloads": ["dlrm"]},
+    {"kind": "microbench", "payloads_mb": [1], "kernels": [{"gemm_n": 8}]}
+  ]`
+
+func TestValidateRelative(t *testing.T) {
+	cases := []struct {
+		name, rest, want string // want empty: validates
+	}{
+		{"presets", `"relative": [{"name": "vs_comm", "metric": "duration_us", "presets": ["BaselineCommOpt"]}],
+		  "assertions": [{"metric": "vs_comm", "op": ">", "value": 0, "preset": "ACE"}]`, ""},
+		{"job", `"relative": [{"name": "vs_first", "metric": "slowdown", "job": 2}]`, ""},
+		{"missing name", `"relative": [{"metric": "duration_us", "job": 0}]`, "needs a name"},
+		{"unknown metric", `"relative": [{"name": "r", "metric": "latency", "job": 0}]`, "unknown metric"},
+		{"not a kind metric", `"relative": [{"name": "r", "metric": "overlap_frac", "job": 0}]`, "unknown metric"},
+		{"shadows kind metric", `"relative": [{"name": "iter_time_us", "metric": "duration_us", "job": 0}]`, "needs a name no other metric has"},
+		{"shadows trace metric", `"relative": [{"name": "overlap_frac", "metric": "duration_us", "job": 0}]`, "needs a name no other metric has"},
+		{"duplicate name", `"relative": [{"name": "r", "metric": "duration_us", "job": 0}, {"name": "r", "metric": "iter_time_us", "job": 1}]`, "needs a name no other metric has"},
+		{"no selector", `"relative": [{"name": "r", "metric": "duration_us"}]`, "exactly one of presets or job"},
+		{"two selectors", `"relative": [{"name": "r", "metric": "duration_us", "presets": ["ACE"], "job": 0}]`, "exactly one of presets or job"},
+		{"unknown preset", `"relative": [{"name": "r", "metric": "duration_us", "presets": ["Turbo"]}]`, `no collective unit runs preset "Turbo"`},
+		{"preset outside grid", `"relative": [{"name": "r", "metric": "duration_us", "presets": ["Ideal"]}]`, `no collective unit runs preset "Ideal"`},
+		{"job out of range", `"relative": [{"name": "r", "metric": "duration_us", "job": 3}]`, "job 3 runs no collective units"},
+		{"job of another kind", `"relative": [{"name": "r", "metric": "duration_us", "job": 1}]`, "job 1 runs no collective units"},
+		{"microbench presets", `"relative": [{"name": "r", "metric": "slowdown", "presets": ["ACE"]}]`, "microbench units have no preset"},
+		{"no unit of the metric's kind", `"relative": [{"name": "r", "metric": "graph_span_us", "presets": ["ACE"]}]`, `no graph unit runs preset "ACE"`},
+		{"no job reports the metric", `"relative": [{"name": "r", "metric": "graph_span_us", "job": 0}]`, "job 0 runs no graph units"},
+		{"assertion kind mismatch", `"relative": [{"name": "r", "metric": "duration_us", "job": 0}],
+		  "assertions": [{"metric": "r", "op": ">", "value": 0, "kind": "training"}]`, "belongs to collective"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := parse(t, relativeGrid+",\n"+tc.rest+"}").Validate()
+			if tc.want == "" {
+				if err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v does not mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestValidateAssertionFiltersInGrid rejects, at validate time, filters
+// that select no unit of the grid: such an assertion could only fail
+// with "matched no units" after simulating everything.
+func TestValidateAssertionFiltersInGrid(t *testing.T) {
+	cases := []struct {
+		name, assertion string
+		ok              bool
+	}{
+		{"preset in grid", `{"metric": "iter_time_us", "op": ">", "value": 0, "preset": "ACE"}`, true},
+		{"workload alias", `{"metric": "iter_time_us", "op": ">", "value": 0, "workload": "DLRM", "topology": "4X2X2"}`, true},
+		{"preset outside grid", `{"metric": "duration_us", "op": ">", "value": 0, "preset": "Ideal"}`, false},
+		{"topology outside grid", `{"metric": "duration_us", "op": ">", "value": 0, "topology": "4x4x4"}`, false},
+		{"workload no job runs", `{"metric": "iter_time_us", "op": ">", "value": 0, "workload": "gnmt"}`, false},
+		{"kind no job has", `{"metric": "overlap_frac", "op": ">", "value": 0, "kind": "graph"}`, false},
+		{"metric kind no job has", `{"metric": "job_slowdown_max", "op": ">", "value": 0}`, false},
+		{"preset on microbench", `{"metric": "slowdown", "op": ">", "value": 0, "preset": "ACE"}`, false},
+		{"job of another kind", `{"metric": "duration_us", "op": ">", "value": 0, "job": 1}`, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			src := relativeGrid + `, "trace": {"enabled": true}, "assertions": [` + tc.assertion + `]}`
+			err := parse(t, src).Validate()
+			if tc.ok != (err == nil) {
+				t.Fatalf("validate = %v, want ok %v", err, tc.ok)
+			}
+			if err != nil && !strings.Contains(err.Error(), "no unit of the grid matches") {
+				t.Fatalf("error %v does not name the grid", err)
+			}
+		})
+	}
+}

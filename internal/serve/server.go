@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"runtime"
@@ -67,6 +68,17 @@ type job struct {
 	done      chan struct{} // closed when completed==len(units) or canceled
 	failures  []string      // assertion violations, evaluated once done
 	evaluated bool
+}
+
+// results pairs every finished unit with a copy of its metrics plus the
+// relative ones, which cached maps and streamed json-lines never carry.
+func (j *job) results() []runner.UnitResult {
+	urs := make([]runner.UnitResult, len(j.units))
+	for i := range j.units {
+		urs[i] = runner.UnitResult{Unit: j.units[i], Metrics: maps.Clone(j.states[i].metrics)}
+	}
+	runner.AddRelative(j.sc.Relative, urs)
+	return urs
 }
 
 // Server is the acesim daemon: an HTTP control plane over a bounded
@@ -327,11 +339,7 @@ func (s *Server) statusLocked(j *job) JobStatus {
 	case j.completed == len(j.units):
 		st.State = "done"
 		if !j.evaluated {
-			urs := make([]runner.UnitResult, len(j.units))
-			for i := range j.units {
-				urs[i] = runner.UnitResult{Unit: j.units[i], Metrics: j.states[i].metrics}
-			}
-			for _, o := range runner.Evaluate(j.sc.Assertions, urs) {
+			for _, o := range runner.Evaluate(j.sc.Assertions, j.results()) {
 				for _, v := range o.Violations {
 					j.failures = append(j.failures, fmt.Sprintf("%s: %s", o.Assertion, v))
 				}
@@ -564,16 +572,12 @@ func (s *Server) resultsCSV(w http.ResponseWriter, r *http.Request, j *job) {
 			httpError(w, http.StatusConflict, "job canceled before completion")
 			return
 		}
-	}
-	urs := make([]runner.UnitResult, 0, len(j.units))
-	for i := range j.units {
 		if j.states[i].err != nil {
 			httpError(w, http.StatusConflict, fmt.Sprintf("unit %d failed: %v", j.units[i].Index, j.states[i].err))
 			return
 		}
-		urs = append(urs, runner.UnitResult{Unit: j.units[i], Metrics: j.states[i].metrics})
 	}
-	res := runner.Results{Name: j.sc.Name, Units: urs, Total: len(urs)}
+	res := runner.Results{Name: j.sc.Name, Units: j.results(), Total: len(j.units), Relative: j.sc.Relative}
 	w.Header().Set("Content-Type", "text/csv")
 	_ = res.WriteCSV(w)
 }

@@ -342,3 +342,49 @@ func TestReadyClosedBeforeDone(t *testing.T) {
 		}
 	}
 }
+
+// TestServerRelativeAssertions evaluates assertions on a relative metric:
+// the daemon computes it on copies of the cached metrics when the job
+// finishes, so the assertion sees it while the streamed json-lines do
+// not carry it.
+func TestServerRelativeAssertions(t *testing.T) {
+	const src = `{
+	  "name": "rel",
+	  "platform": {"toruses": ["4"], "presets": ["ACE", "Ideal"]},
+	  "jobs": [{"kind": "collective", "payload_bytes": [4096, 65536]}],
+	  "relative": [{"name": "vs_ace", "metric": "duration_us", "presets": ["ACE"]}],
+	  "assertions": [
+	    {"metric": "vs_ace", "op": "==", "value": 1, "preset": "ACE"},
+	    {"metric": "vs_ace", "op": ">", "value": 1e9, "preset": "ACE"}
+	  ]
+	}`
+	s := startServer(t, Config{Workers: 2})
+	defer drainServer(t, s)
+	base := "http://" + s.Addr()
+	client := &http.Client{Timeout: 60 * time.Second}
+	ctx := context.Background()
+	var retried atomic.Int64
+	id, err := submitWithRetry(ctx, client, base, []byte(src), &retried)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := waitDone(ctx, client, base, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != "done" || len(st.Failures) != 2 {
+		t.Fatalf("status %+v, want done with the two ACE units violating the second assertion", st)
+	}
+	for _, f := range st.Failures {
+		if !strings.HasPrefix(f, "vs_ace > 1e+09 [ACE]: ") || !strings.HasSuffix(f, "vs_ace = 1") {
+			t.Errorf("failure %q does not name the relative assertion and value 1", f)
+		}
+	}
+	body, err := fetchResults(ctx, client, base, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(body, []byte("vs_ace")) || strings.Count(string(body), "\n") != 4 {
+		t.Fatalf("stream must carry the 4 units' own metrics only:\n%s", body)
+	}
+}
