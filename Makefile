@@ -72,10 +72,11 @@ figures-smoke:
 	$(GO) run ./cmd/acesim fig6
 
 # Golden gate: the full-size runner goldens (every bundled figure's JSON
-# results, byte for byte) and the fig4 trace digest. `go test -short`
-# skips both, so this target runs them in full mode.
+# results, byte for byte), the fig4 trace digest, the multijob trace's
+# workers 1-vs-8 byte equality and its peak-heap budget. `go test
+# -short` skips all of them, so this target runs them in full mode.
 goldens:
-	$(GO) test -run 'TestScenarioGoldens|TestFig4TraceGolden' ./internal/scenario/runner
+	$(GO) test -run 'TestScenarioGoldens|TestFig4TraceGolden|TestTraceWorkerDeterminism|TestMultijobTracePeakHeap' ./internal/scenario/runner
 
 # Hybrid-engine smoke: the fast path's golden-equality gates (hybrid ==
 # DES to the picosecond on collectives, Fig 4, training and the p2p

@@ -337,34 +337,34 @@ type Collective struct {
 	pendingIn  [][]inMsg
 	completeAt []des.Time
 	issuedAt   des.Time
-	// phaseNames are the per-phase span labels ("name/p0.rs[local]",
-	// stream-qualified on multi-stream runtimes), precomputed once per
+	// spanLabels are the per-phase span labels ("name/p0.rs[local]",
+	// stream-qualified on multi-stream runtimes), registered once per
 	// collective so the per-chunk emission allocates nothing.
-	phaseNames []string
+	spanLabels []trace.LabelID
 }
 
-// phaseSpanNames builds a collective's per-phase span labels.
-func phaseSpanNames(rt *Runtime, stream StreamID, spec Spec) []string {
+// phaseSpanLabels registers a collective's per-phase span labels.
+func phaseSpanLabels(rt *Runtime, stream StreamID, spec Spec) []trace.LabelID {
 	label := spec.Name
 	if rt.cfg.Streams > 1 {
 		label = fmt.Sprintf("%s@s%d", label, stream)
 	}
 	shapes := Shapes(spec.Plan, spec.Bytes)
-	names := make([]string, len(shapes))
+	labels := make([]trace.LabelID, len(shapes))
 	for i, sh := range shapes {
-		names[i] = fmt.Sprintf("%s/p%d.%s[%s]", label, i, sh.Kind, sh.Dim)
+		labels[i] = rt.tracer.Label(trace.CatComm, fmt.Sprintf("%s/p%d.%s[%s]", label, i, sh.Kind, sh.Dim))
 	}
-	return names
+	return labels
 }
 
 func newCollective(rt *Runtime, seq int, stream StreamID, spec Spec) *Collective {
 	n := rt.Nodes()
-	var phaseNames []string
+	var spanLabels []trace.LabelID
 	if rt.tracer != nil {
-		phaseNames = phaseSpanNames(rt, stream, spec)
+		spanLabels = phaseSpanLabels(rt, stream, spec)
 	}
 	return &Collective{
-		phaseNames: phaseNames,
+		spanLabels: spanLabels,
 		rt:         rt,
 		seq:        seq,
 		stream:     stream,
@@ -824,7 +824,7 @@ func (e *chunkExec) phaseDone() {
 	e.a2a = nil
 	rt := e.rt()
 	if rt.tracer != nil {
-		rt.tracer.Span(rt.collTracks[e.node], trace.CatComm, e.coll.phaseNames[e.phase],
+		rt.tracer.Span(rt.collTracks[e.node], e.coll.spanLabels[e.phase],
 			int64(e.phaseStart), int64(rt.eng.Now()), e.chunk.Bytes)
 	}
 	e.phase++

@@ -340,7 +340,7 @@ func (s *Scheduler) span(name string, start, end des.Time) {
 	if s.tracer == nil {
 		return
 	}
-	s.tracer.Span(s.track, trace.CatFault, name, int64(start), int64(end), 0)
+	s.tracer.Span(s.track, s.tracer.Label(trace.CatFault, name), int64(start), int64(end), 0)
 }
 
 // Schedule registers every event on the engine against one target. Call

@@ -159,8 +159,9 @@ func TestSchedulerEmitsFaultSpans(t *testing.T) {
 	}, tg)
 	eng.Run()
 	var spans []trace.Span
+	labels := tracer.Labels()
 	for _, s := range tracer.Spans() {
-		if s.Cat == trace.CatFault {
+		if labels[s.Label].Cat == trace.CatFault {
 			spans = append(spans, s)
 		}
 	}
@@ -170,7 +171,7 @@ func TestSchedulerEmitsFaultSpans(t *testing.T) {
 	// The down window is [10us, 30us].
 	found := false
 	for _, s := range spans {
-		if strings.HasPrefix(s.Name, "link_down") {
+		if strings.HasPrefix(labels[s.Label].Name, "link_down") {
 			found = true
 			if s.Start != int64(des.Micros(10)) || s.End != int64(des.Micros(30)) {
 				t.Fatalf("down span [%d,%d], want [10us,30us]", s.Start, s.End)

@@ -107,11 +107,12 @@ type Run struct {
 	groups map[string]*groupMatch
 
 	// Tracing state (nil/empty when the engine has no tracer): one track
-	// per rank, per-position span names ("name#ID") precomputed at Start
-	// so emission allocates nothing, and per-position dispatch times.
+	// per rank, per-position span labels ("name#ID" and the op's
+	// category) registered at Start so emission allocates nothing, and
+	// per-position dispatch times.
 	tracer    *trace.Tracer
 	opTracks  []trace.TrackID
-	opNames   []string
+	opLabels  []trace.LabelID
 	startedAt []des.Time
 }
 
@@ -213,11 +214,12 @@ func (x *Executor) Start(g *Graph) (*Run, error) {
 		for rank := 0; rank < g.Ranks; rank++ {
 			r.opTracks[rank] = tr.RegisterTrack(r.tag(fmt.Sprintf("rank%d/ops", rank)), rank, trace.KindOther)
 		}
-		r.opNames = make([]string, len(r.order))
+		r.opLabels = make([]trace.LabelID, len(r.order))
 		r.startedAt = make([]des.Time, len(r.order))
 		for p := range r.order {
-			op := r.opAt(p)
-			r.opNames[p] = fmt.Sprintf("%s#%d", op.Name, op.ID)
+			if op := r.opAt(p); op.Kind != OpMark {
+				r.opLabels[p] = tr.Label(opCategory(op), fmt.Sprintf("%s#%d", op.Name, op.ID))
+			}
 		}
 	}
 	for p := range r.order {
@@ -230,6 +232,21 @@ func (x *Executor) Start(g *Graph) (*Run, error) {
 }
 
 func (r *Run) opAt(pos int) *Op { return &r.g.Ops[r.order[pos]] }
+
+// opCategory classifies an op's span. Comm ops fold into the overlap
+// accounting (issued-but-unfinished communication is exactly what can
+// be exposed); main-stream compute ops do not — the npu kernel spans
+// already carry the exact busy intervals, and double-counting queue
+// time would inflate compute.
+func opCategory(op *Op) string {
+	switch {
+	case op.Kind == OpCollective || op.Kind == OpSend:
+		return trace.CatComm
+	case op.Kind == OpCompute && op.Side:
+		return trace.CatSide
+	}
+	return trace.CatOp
+}
 
 // Cancel aborts the run's remaining compute, modeling a job departing the
 // platform mid-run: ops dispatched after the cancel complete in zero time,
@@ -324,20 +341,8 @@ func (r *Run) opDone(pos int) {
 	r.done[pos] = true
 	op := r.opAt(pos)
 	if r.tracer != nil && op.Kind != OpMark {
-		// Spans cover dispatch -> completion, i.e. queueing included. Comm
-		// ops fold into the overlap accounting (issued-but-unfinished
-		// communication is exactly what can be exposed); main-stream
-		// compute ops do not — the npu kernel spans already carry the
-		// exact busy intervals, and double-counting queue time would
-		// inflate compute.
-		cat := trace.CatOp
-		switch {
-		case op.Kind == OpCollective || op.Kind == OpSend:
-			cat = trace.CatComm
-		case op.Kind == OpCompute && op.Side:
-			cat = trace.CatSide
-		}
-		r.tracer.Span(r.opTracks[op.Rank], cat, r.opNames[pos],
+		// Spans cover dispatch -> completion, i.e. queueing included.
+		r.tracer.Span(r.opTracks[op.Rank], r.opLabels[pos],
 			int64(r.startedAt[pos]), int64(r.x.Eng.Now()), op.Bytes)
 	}
 	rs := &r.ranks[op.Rank]

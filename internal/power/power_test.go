@@ -184,7 +184,7 @@ func TestSamplerEmitCounters(t *testing.T) {
 	tr := trace.New()
 	// ValidateChrome requires at least one span; give the document one.
 	work := tr.RegisterTrack("work", 0, trace.KindOther)
-	tr.Span(work, "test", "kernel", 0, 2500, 0)
+	tr.Span(work, tr.Label("test", "kernel"), 0, 2500, 0)
 	s.EmitCounters(tr, 2500)
 	var buf bytes.Buffer
 	if err := trace.WriteChrome(&buf, []trace.Export{{Label: "power", T: tr}}); err != nil {

@@ -4,9 +4,14 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/metrics"
+	"sync"
 	"testing"
+	"time"
 
 	"acesim/internal/scenario"
 	"acesim/internal/scenario/runner"
@@ -94,7 +99,9 @@ func TestTraceBlockEnablesTracing(t *testing.T) {
 // TestTraceWorkerDeterminism pins the exported-trace determinism
 // contract on the bundled multijob scenario (partitioned jobs, shared
 // contention, per-job trace processes): the Chrome trace-event JSON
-// must be byte-identical at workers=1 and workers=8.
+// must be byte-identical at workers=1 and workers=8. The two ~1.2 GB
+// exports are compared chunk by chunk through pipes, one of them teed
+// into ValidateChrome, so neither document is ever held in memory.
 func TestTraceWorkerDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multijob trace renders in -short mode")
@@ -103,27 +110,142 @@ func TestTraceWorkerDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	render := func(workers int) []byte {
+	run := func(workers int) *runner.Results {
 		t.Helper()
 		res, err := runner.Run(sc, runner.Options{Workers: workers, Trace: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := res.WriteChromeTrace(&buf); err != nil {
-			t.Fatal(err)
+		return res
+	}
+	serial, parallel := run(1), run(8)
+
+	pr1, pw1 := io.Pipe()
+	pr8, pw8 := io.Pipe()
+	prV, pwV := io.Pipe()
+	var wg sync.WaitGroup
+	export := func(res *runner.Results, pw *io.PipeWriter) {
+		defer wg.Done()
+		pw.CloseWithError(res.WriteChromeTrace(pw))
+	}
+	var st trace.ChromeStats
+	var verr error
+	wg.Add(3)
+	go export(serial, pw1)
+	go export(parallel, pw8)
+	go func() {
+		defer wg.Done()
+		st, verr = trace.ValidateChrome(prV)
+		// Drain what the validator leaves unread so the tee never blocks.
+		_, _ = io.Copy(io.Discard, prV)
+	}()
+	n, err := sameBytes(io.TeeReader(pr1, pwV), pr8)
+	pwV.CloseWithError(err)
+	pr1.CloseWithError(err)
+	pr8.CloseWithError(err)
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("workers=1 vs workers=8 chrome trace: %v", err)
+	}
+	if verr != nil {
+		t.Fatal(verr)
+	}
+	spans := 0
+	for _, ur := range serial.Units {
+		spans += ur.Trace.NumSpans()
+	}
+	if st.Spans != spans {
+		t.Fatalf("validated %d spans in %d bytes, tracers recorded %d", st.Spans, n, spans)
+	}
+}
+
+// sameBytes reads a and b to the end in 64 KiB chunks and reports the
+// first chunk where they differ. It returns the bytes compared.
+func sameBytes(a, b io.Reader) (int64, error) {
+	bufA, bufB := make([]byte, 64<<10), make([]byte, 64<<10)
+	var off int64
+	for {
+		na, errA := io.ReadFull(a, bufA)
+		nb, errB := io.ReadFull(b, bufB)
+		for _, err := range []error{errA, errB} {
+			if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+				return off, err
+			}
 		}
-		return buf.Bytes()
+		if !bytes.Equal(bufA[:na], bufB[:nb]) {
+			return off, fmt.Errorf("outputs differ in the chunk at byte %d (%d vs %d bytes read)", off, na, nb)
+		}
+		off += int64(na)
+		if errA != nil { // a short chunk ends both streams (the chunks were equal)
+			return off, nil
+		}
 	}
-	serial := render(1)
-	parallel := render(8)
-	if !bytes.Equal(serial, parallel) {
-		t.Fatalf("chrome trace differs between workers=1 (%d bytes) and workers=8 (%d bytes)",
-			len(serial), len(parallel))
+}
+
+// multijobPeakHeapBudget bounds the peak of live and not-yet-swept heap
+// objects while the bundled multijob scenario runs traced (2 workers)
+// and exports its Chrome trace. Measured on a 2-core linux/amd64 VM:
+// 1521-2101 MiB over three runs with 64-byte spans holding two strings
+// and the fmt-based encoder; 754-851 MiB with 32-byte spans and the
+// append-only encoder. The peak varies with where GC cycles land.
+const multijobPeakHeapBudget = 1100 << 20
+
+// TestMultijobTracePeakHeap pins the memory contract of tracing: the
+// multijob scenario's ~10.5 M retained spans and their export stay
+// under multijobPeakHeapBudget, sampled with runtime/metrics.
+func TestMultijobTracePeakHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multijob trace renders in -short mode")
 	}
-	if _, err := trace.ValidateChrome(bytes.NewReader(serial)); err != nil {
+	sc, err := scenario.Load("../../../examples/scenarios/multijob.json")
+	if err != nil {
 		t.Fatal(err)
 	}
+	peak := peakHeapDuring(func() {
+		res, err := runner.Run(sc, runner.Options{Workers: 2, Trace: true})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := res.WriteChromeTrace(io.Discard); err != nil {
+			t.Error(err)
+		}
+	})
+	t.Logf("peak heap objects: %.0f MiB (budget %d MiB)", float64(peak)/(1<<20), multijobPeakHeapBudget>>20)
+	if peak > multijobPeakHeapBudget {
+		t.Fatalf("peak heap objects %.0f MiB exceeds the %d MiB budget", float64(peak)/(1<<20), multijobPeakHeapBudget>>20)
+	}
+}
+
+// peakHeapDuring runs fn and returns the largest
+// /memory/classes/heap/objects:bytes reading taken every 2 ms meanwhile.
+func peakHeapDuring(fn func()) uint64 {
+	sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	read := func() uint64 {
+		metrics.Read(sample)
+		return sample[0].Value.Uint64()
+	}
+	runtime.GC()
+	peak := read()
+	done := make(chan struct{})
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		tick := time.NewTicker(2 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+				peak = max(peak, read())
+			}
+		}
+	}()
+	fn()
+	close(done)
+	<-sampled
+	return max(peak, read())
 }
 
 // TestFig4TraceGolden pins the fig4 Chrome trace across refactors: the

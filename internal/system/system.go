@@ -376,7 +376,7 @@ func (s *System) observe() {
 			node.BusRX.Observe(span(tr, fmt.Sprintf("npu%d/bus.rx", i), i, trace.KindDMA, trace.CatDMA, "bus.rx"))
 			track := tr.RegisterTrack(fmt.Sprintf("npu%d/compute", i), i, trace.KindCompute)
 			cp.Observe(func(start, end des.Time, bytes int64) {
-				tr.Span(track, trace.CatCompute, cp.KernelName(), int64(start), int64(end), bytes)
+				tr.Span(track, tr.Label(trace.CatCompute, cp.KernelName()), int64(start), int64(end), bytes)
 			})
 		}
 		if sm != nil {
@@ -412,12 +412,13 @@ func busy(t *stats.Trace) resource.Observer {
 	return func(start, end des.Time, _ int64) { t.AddBusy(start, end, 1) }
 }
 
-// span registers a track and returns an observer recording each
-// interval as a span on it, with the interval's bytes as the argument.
+// span registers a track and a label and returns an observer recording
+// each interval as a span on it, with the interval's bytes as the
+// argument.
 func span(tr *trace.Tracer, track string, node int, kind trace.Kind, cat, name string) resource.Observer {
-	id := tr.RegisterTrack(track, node, kind)
+	id, label := tr.RegisterTrack(track, node, kind), tr.Label(cat, name)
 	return func(start, end des.Time, bytes int64) {
-		tr.Span(id, cat, name, int64(start), int64(end), bytes)
+		tr.Span(id, label, int64(start), int64(end), bytes)
 	}
 }
 

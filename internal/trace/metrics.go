@@ -44,6 +44,13 @@ type nodeKey struct {
 	node int
 }
 
+// Span classes for the overlap math, indexed by LabelID.
+const (
+	classOther uint8 = iota
+	classCompute
+	classComm
+)
+
 // Breakdown computes the overlap accounting over everything recorded so
 // far. Safe on nil (returns the zero Breakdown).
 func (t *Tracer) Breakdown() Breakdown {
@@ -53,40 +60,64 @@ func (t *Tracer) Breakdown() Breakdown {
 	}
 	bd.Spans = len(t.spans)
 
-	compute := make(map[nodeKey][]ival)
-	comm := make(map[nodeKey][]ival)
-	trackBusy := make(map[TrackID]int64)
-	for _, s := range t.spans {
-		if s.End > bd.Span {
-			bd.Span = s.End
-		}
-		tk := t.track(s.Track)
-		if tk.Kind == KindLink || tk.Kind == KindHBM {
-			trackBusy[s.Track] += s.End - s.Start
-		}
+	// lane[i] is track i's (proc, node) lane, -1 for non-node tracks.
+	lane := make([]int32, len(t.tracks))
+	laneOf := make(map[nodeKey]int32)
+	for i, tk := range t.tracks {
+		lane[i] = -1
 		if tk.Node < 0 {
 			continue
 		}
 		k := nodeKey{proc: tk.Proc, node: tk.Node}
-		switch s.Cat {
+		id, ok := laneOf[k]
+		if !ok {
+			id = int32(len(laneOf))
+			laneOf[k] = id
+		}
+		lane[i] = id
+	}
+	class := make([]uint8, len(t.labels))
+	for i, l := range t.labels {
+		switch l.Cat {
 		case CatCompute:
-			compute[k] = append(compute[k], ival{s.Start, s.End})
+			class[i] = classCompute
 		case CatComm:
-			comm[k] = append(comm[k], ival{s.Start, s.End})
+			class[i] = classComm
 		}
 	}
 
-	nodes := make(map[nodeKey]bool)
-	for k := range compute {
-		nodes[k] = true
+	compute := make([][]ival, len(laneOf))
+	comm := make([][]ival, len(laneOf))
+	trackBusy := make([]int64, len(t.tracks))
+	for _, s := range t.spans {
+		if s.End > bd.Span {
+			bd.Span = s.End
+		}
+		if int(s.Track) < 0 || int(s.Track) >= len(t.tracks) {
+			continue // unregistered track: counts toward the extent only
+		}
+		if k := t.tracks[s.Track].Kind; k == KindLink || k == KindHBM {
+			trackBusy[s.Track] += s.End - s.Start
+		}
+		l := lane[s.Track]
+		if l < 0 || int(s.Label) < 0 || int(s.Label) >= len(class) {
+			continue
+		}
+		switch class[s.Label] {
+		case classCompute:
+			compute[l] = append(compute[l], ival{s.Start, s.End})
+		case classComm:
+			comm[l] = append(comm[l], ival{s.Start, s.End})
+		}
 	}
-	for k := range comm {
-		nodes[k] = true
-	}
-	bd.Nodes = len(nodes)
-	for k := range nodes {
-		cu := union(compute[k])
-		mu := union(comm[k])
+
+	for l := range compute {
+		if len(compute[l]) == 0 && len(comm[l]) == 0 {
+			continue
+		}
+		bd.Nodes++
+		cu := union(compute[l])
+		mu := union(comm[l])
 		bd.ComputeBusy += total(cu)
 		ct := total(mu)
 		ov := intersect(cu, mu)
@@ -105,10 +136,10 @@ func (t *Tracer) Breakdown() Breakdown {
 			switch tk.Kind {
 			case KindLink:
 				links++
-				linkSum += float64(trackBusy[TrackID(id)]) / float64(bd.Span)
+				linkSum += float64(trackBusy[id]) / float64(bd.Span)
 			case KindHBM:
 				hbms++
-				hbmSum += float64(trackBusy[TrackID(id)]) / float64(bd.Span)
+				hbmSum += float64(trackBusy[id]) / float64(bd.Span)
 			}
 		}
 		if links > 0 {

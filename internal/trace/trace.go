@@ -22,8 +22,6 @@
 // are raw int64 picoseconds), so any layer can depend on it.
 package trace
 
-import "fmt"
-
 // Kind classifies a track's resource for the utilization metrics.
 type Kind uint8
 
@@ -90,14 +88,24 @@ type Track struct {
 	Kind Kind
 }
 
-// Span is one half-open [Start, End) interval on a track. Times are
-// picoseconds; Arg carries the payload bytes (0 when not meaningful).
+// LabelID identifies one registered (category, name) span label.
+type LabelID int32
+
+// Label is a span's category and name. Labels are interned per tracer
+// (like tracks), so a recorded span holds only fixed-size integers.
+type Label struct {
+	Cat  string
+	Name string
+}
+
+// Span is one half-open [Start, End) interval on a track, 32 bytes.
+// Times are picoseconds; Arg carries the payload bytes (0 when not
+// meaningful); Label indexes the tracer's label table.
 type Span struct {
-	Track      TrackID
-	Cat        string
-	Name       string
 	Start, End int64
 	Arg        int64
+	Track      TrackID
+	Label      LabelID
 }
 
 // Sample is one counter observation.
@@ -115,13 +123,15 @@ type Tracer struct {
 	proc     string
 	tracks   []Track
 	byKey    map[string]TrackID
+	labels   []Label
+	labelOf  map[Label]LabelID
 	spans    []Span
 	counters []Sample
 }
 
 // New returns an empty, enabled tracer.
 func New() *Tracer {
-	return &Tracer{byKey: make(map[string]TrackID)}
+	return &Tracer{byKey: make(map[string]TrackID), labelOf: make(map[Label]LabelID)}
 }
 
 // Enabled reports whether the tracer records anything.
@@ -155,14 +165,32 @@ func (t *Tracer) RegisterTrack(name string, node int, kind Kind) TrackID {
 	return id
 }
 
+// Label returns the ID of the (cat, name) label, creating it on first
+// use. Register static labels once at build time; a dynamic name (a
+// kernel, a fault window) costs one map lookup per call. Safe on nil
+// (returns 0).
+func (t *Tracer) Label(cat, name string) LabelID {
+	if t == nil {
+		return 0
+	}
+	l := Label{Cat: cat, Name: name}
+	if id, ok := t.labelOf[l]; ok {
+		return id
+	}
+	id := LabelID(len(t.labels))
+	t.labels = append(t.labels, l)
+	t.labelOf[l] = id
+	return id
+}
+
 // Span records one interval. Zero- and negative-length spans are
 // dropped. Safe on nil; the only cost of an enabled call is the
 // amortized slice append.
-func (t *Tracer) Span(track TrackID, cat, name string, start, end, arg int64) {
+func (t *Tracer) Span(track TrackID, label LabelID, start, end, arg int64) {
 	if t == nil || end <= start {
 		return
 	}
-	t.spans = append(t.spans, Span{Track: track, Cat: cat, Name: name, Start: start, End: end, Arg: arg})
+	t.spans = append(t.spans, Span{Start: start, End: end, Arg: arg, Track: track, Label: label})
 }
 
 // Count records one counter sample. Safe on nil.
@@ -179,6 +207,15 @@ func (t *Tracer) Tracks() []Track {
 		return nil
 	}
 	return t.tracks
+}
+
+// Labels returns the registered labels, indexed by LabelID (shared
+// slice; do not mutate).
+func (t *Tracer) Labels() []Label {
+	if t == nil {
+		return nil
+	}
+	return t.labels
 }
 
 // Spans returns the recorded spans (shared slice; do not mutate).
@@ -203,12 +240,4 @@ func (t *Tracer) NumSpans() int {
 		return 0
 	}
 	return len(t.spans)
-}
-
-// track returns the span's track, defensively bounds-checked.
-func (t *Tracer) track(id TrackID) Track {
-	if int(id) < 0 || int(id) >= len(t.tracks) {
-		return Track{Name: fmt.Sprintf("unknown(%d)", id), Node: -1}
-	}
-	return t.tracks[id]
 }

@@ -113,10 +113,12 @@ type Launch struct {
 	run *graph.Run
 
 	// tracer/track emit node 0's fwd/bwd step windows as spans when the
-	// run is traced; emitted guards against double emission when Result
-	// is read more than once.
+	// run is traced, labelled fwd.<i>/bwd.<i> (steps[i], registered at
+	// Start); emitted guards against double emission when Result is read
+	// more than once.
 	tracer  *trace.Tracer
 	track   trace.TrackID
+	steps   [][2]trace.LabelID
 	emitted bool
 }
 
@@ -158,6 +160,13 @@ func (r *Runner) Start(m *workload.Model) (*Launch, error) {
 		}
 		l.tracer = tr
 		l.track = tr.RegisterTrack(name, -1, trace.KindOther)
+		l.steps = make([][2]trace.LabelID, r.Cfg.Iterations)
+		for i := range l.steps {
+			l.steps[i] = [2]trace.LabelID{
+				tr.Label(trace.CatStep, fmt.Sprintf("fwd.%d", i)),
+				tr.Label(trace.CatStep, fmt.Sprintf("bwd.%d", i)),
+			}
+		}
 	}
 	return l, nil
 }
@@ -208,10 +217,10 @@ func (l *Launch) Result() (Result, error) {
 	if l.tracer != nil && !l.emitted {
 		l.emitted = true
 		for i, w := range res.FwdWindows {
-			l.tracer.Span(l.track, trace.CatStep, fmt.Sprintf("fwd.%d", i), int64(w.Start), int64(w.End), 0)
+			l.tracer.Span(l.track, l.steps[i][0], int64(w.Start), int64(w.End), 0)
 		}
 		for i, w := range res.BwdWindows {
-			l.tracer.Span(l.track, trace.CatStep, fmt.Sprintf("bwd.%d", i), int64(w.Start), int64(w.End), 0)
+			l.tracer.Span(l.track, l.steps[i][1], int64(w.Start), int64(w.End), 0)
 		}
 	}
 	return res, nil

@@ -116,7 +116,7 @@ func TestTracingEnabledRecords(t *testing.T) {
 	}
 	cats := make(map[string]int)
 	for _, s := range tr.Spans() {
-		cats[s.Cat]++
+		cats[tr.Labels()[s.Label].Cat]++
 	}
 	for _, cat := range []string{trace.CatComm, trace.CatCompute, trace.CatLink, trace.CatHBM} {
 		if cats[cat] == 0 {
