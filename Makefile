@@ -10,7 +10,7 @@ GO ?= go
 # below the measured 70.3% so regressions fail again.
 COVER_MIN ?= 70.0
 
-.PHONY: build test test-short test-race bench lint vet fuzz-smoke fmt cover cover-check trace-smoke overhead-guard chaos-smoke hybrid-smoke power-smoke serve-smoke serve-stress perfbench-check figures-smoke goldens
+.PHONY: build test test-short test-race bench lint vet fuzz-smoke fmt cover cover-check trace-smoke overhead-guard hotpath-guard chaos-smoke hybrid-smoke power-smoke serve-smoke serve-stress perfbench-check figures-smoke goldens
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,14 @@ trace-smoke:
 # count, no additional allocations.
 overhead-guard:
 	$(GO) test -run TestTracingDisabledOverheadGuard -v .
+
+# DES hot-path gate: the event queue against its container/heap
+# reference (lanes and fallback pushes included), the 16-byte heap key,
+# the engine's zero-allocation scheduling, and the allocation budget of a
+# warm all-reduce (ACE, BaselineCommOpt) and ResNet-50 iteration.
+hotpath-guard:
+	$(GO) test -run 'TestQueueMatchesReferenceHeap|TestQueueKeySize|TestEngineZeroAllocScheduling' -v ./internal/des
+	$(GO) test -run TestHotPathAllocBudget -v .
 
 vet:
 	$(GO) vet ./...

@@ -174,7 +174,7 @@ func NewRuntime(eng *des.Engine, net *noc.Network, eps []core.Endpoint, cfg Conf
 	for i := range eps {
 		sc := &nodeSched{rt: rt, node: noc.NodeID(i), issued: make([]int, rt.cfg.Streams)}
 		if rt.cfg.Arb == ArbRoundRobin {
-			sc.rrPending = make([][]*chunkExec, rt.cfg.Streams)
+			sc.rrPending = make([]prioQueue, rt.cfg.Streams)
 		}
 		rt.scheds = append(rt.scheds, sc)
 	}
@@ -337,6 +337,7 @@ type Collective struct {
 	pendingIn  [][]inMsg
 	completeAt []des.Time
 	issuedAt   des.Time
+	geoms      []chunkGeom // per chunk size; see geom
 	// spanLabels are the per-phase span labels ("name/p0.rs[local]",
 	// stream-qualified on multi-stream runtimes), registered once per
 	// collective so the per-chunk emission allocates nothing.
@@ -446,56 +447,79 @@ type nodeSched struct {
 	rt        *Runtime
 	node      noc.NodeID
 	issued    []int // per-stream issue counters
-	pending   []*chunkExec
-	rrPending [][]*chunkExec // per-stream queues (ArbRoundRobin only)
-	rrNext    StreamID       // next stream offered an admission slot
+	pending   prioQueue
+	rrPending []prioQueue // per-stream queues (ArbRoundRobin only)
+	rrNext    StreamID    // next stream offered an admission slot
 	inflight  int
+	free      []*chunkExec // drained chunk state, reused by newChunkExec
 }
 
-// insertByPrio inserts e into q keeping (prio desc, chunk asc) order.
-func insertByPrio(q []*chunkExec, e *chunkExec) []*chunkExec {
-	i := len(q)
-	for i > 0 {
-		p := q[i-1]
+// prioQueue holds chunks awaiting admission in (prio desc, chunk asc)
+// order. It pops through a head index and zeroes each popped slot, so
+// admitted chunks stay reachable only while they run, and it reuses its
+// backing array instead of leaking the popped prefix.
+type prioQueue struct {
+	items []*chunkExec
+	head  int
+}
+
+func (q *prioQueue) len() int { return len(q.items) - q.head }
+
+// insert adds e behind every queued chunk that orders ahead of it.
+func (q *prioQueue) insert(e *chunkExec) {
+	if q.head > 0 && len(q.items) == cap(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
+	i := len(q.items)
+	for i > q.head {
+		p := q.items[i-1]
 		if p.chunk.Prio > e.chunk.Prio ||
 			(p.chunk.Prio == e.chunk.Prio && p.idx < e.idx) {
 			break
 		}
 		i--
 	}
-	q = append(q, nil)
-	copy(q[i+1:], q[i:])
-	q[i] = e
-	return q
+	q.items = append(q.items, nil)
+	copy(q.items[i+1:], q.items[i:])
+	q.items[i] = e
+}
+
+// pop removes the first chunk, or returns nil when the queue is empty.
+func (q *prioQueue) pop() *chunkExec {
+	if q.len() == 0 {
+		return nil
+	}
+	e := q.items[q.head]
+	q.items[q.head] = nil
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return e
 }
 
 func (s *nodeSched) enqueue(e *chunkExec) {
 	if s.rrPending != nil {
-		st := e.coll.stream
-		s.rrPending[st] = insertByPrio(s.rrPending[st], e)
+		s.rrPending[e.coll.stream].insert(e)
 		return
 	}
-	s.pending = insertByPrio(s.pending, e)
+	s.pending.insert(e)
 }
 
 // next pops the chunk the arbitration policy grants the next slot to, or
 // nil when nothing is pending.
 func (s *nodeSched) next() *chunkExec {
 	if s.rrPending == nil {
-		if len(s.pending) == 0 {
-			return nil
-		}
-		e := s.pending[0]
-		s.pending = s.pending[1:]
-		return e
+		return s.pending.pop()
 	}
 	n := StreamID(len(s.rrPending))
 	for off := StreamID(0); off < n; off++ {
 		st := (s.rrNext + off) % n
-		if q := s.rrPending[st]; len(q) > 0 {
-			s.rrPending[st] = q[1:]
+		if e := s.rrPending[st].pop(); e != nil {
 			s.rrNext = (st + 1) % n
-			return q[0]
+			return e
 		}
 	}
 	return nil
@@ -511,7 +535,7 @@ func (s *nodeSched) maybeAdmit() {
 		if s.rt.tracer != nil {
 			s.rt.tracer.Count(s.rt.collTracks[s.node], "inflight", int64(s.rt.eng.Now()), float64(s.inflight))
 		}
-		s.rt.eps[s.node].Admit(e.chunk, e.start)
+		s.rt.eps[s.node].Admit(&e.chunk, e.startFn)
 	}
 }
 
@@ -526,61 +550,78 @@ func (s *nodeSched) chunkFinished() {
 	s.maybeAdmit()
 }
 
-// ringRun is the per-direction state of a ring phase.
+// ringRun is the per-direction state of a ring phase. A chunkExec embeds
+// one per direction and resets it at every phase start.
 type ringRun struct {
 	exec         *chunkExec
-	dirIdx       int // 0 -> +1, 1 -> -1
+	dirIdx       int  // 0 -> +1, 1 -> -1
+	up           bool // the direction carries traffic in the current phase
 	shape        *PhaseShape
 	recvsDone    int
-	sendsIssued  int
 	sendsSourced int
-	queue        []int64 // arrived, unprocessed message sizes
+	queue        []int64 // arrived message sizes; queue[qhead:] unprocessed
+	qhead        int
 	busy         bool
 	finished     bool
 
-	// Hot-path callbacks, built once per direction-phase and reused for
-	// all Steps sends and receives. A ring direction's message geometry
-	// (destination, phase, bytes) is constant, so nothing needs to be
-	// captured per hop; this removes three closure allocations per ring
-	// step that the naive formulation pays.
+	// Hot-path callbacks, built once per chunk and reused for every send
+	// and receive of every phase: they read the phase state when they
+	// run, so nothing is captured per hop or per phase.
 	onSourced func() // SourceSend completion: inject into the fabric
 	onRecvd   func() // SinkRecv completion: advance the receive pipeline
-	deliverFn func() // network delivery at the downstream neighbor
 }
 
-// initCallbacks builds the direction's reusable callbacks. Must run after
-// exec/dirIdx/shape are set and before the first send is issued.
-func (rr *ringRun) initCallbacks() {
+// ringDelivery is one ring message's delivery at the downstream
+// neighbor. Each (phase, direction) of a chunk has one record, written
+// when the phase starts and never changed, because its messages may
+// still be in flight after the sender has moved on.
+type ringDelivery struct {
+	coll *Collective
+	dst  noc.NodeID
+	m    inMsg
+}
+
+// deliverRing is the static network-delivery callback (AtCtx form).
+func deliverRing(a any) {
+	d := a.(*ringDelivery)
+	d.coll.deliver(d.dst, d.m)
+}
+
+// reset prepares the direction for phase s, keeping its callbacks and
+// receive buffer.
+func (rr *ringRun) reset(s *PhaseShape) {
+	rr.up = s.DirIn[rr.dirIdx] != 0
+	rr.shape = s
+	rr.recvsDone, rr.sendsSourced = 0, 0
+	rr.queue, rr.qhead = rr.queue[:0], 0
+	rr.busy, rr.finished = false, false
+	if rr.up && rr.onSourced == nil {
+		rr.onSourced = rr.sourced
+		rr.onRecvd = rr.recvd
+	}
+}
+
+// sourced injects the direction's next message into the fabric once the
+// endpoint has sourced it.
+func (rr *ringRun) sourced() {
 	e := rr.exec
-	rt := e.rt()
 	s := rr.shape
-	phase := e.phase
-	bytes := s.DirSeg[rr.dirIdx]
-	dir := dirVal(rr.dirIdx)
-	dst := rt.net.Topo().Neighbor(e.node, s.Dim, dir)
-	if rt.mirror {
-		// Mirrored shadow: the fabric carries only this node's traffic,
-		// and by rotation symmetry a message sent to the downstream
-		// neighbor arrives exactly when the upstream neighbor's copy
-		// would arrive here — so deliver to self on the real link.
-		dst = e.node
+	e.rt().net.SendNeighborCtx(e.node, s.Dim, dirVal(rr.dirIdx), s.DirSeg[rr.dirIdx],
+		deliverRing, &e.deliveries[2*e.phase+rr.dirIdx])
+	rr.sendsSourced++
+	rr.maybeFinish()
+}
+
+// recvd advances the receive pipeline once the endpoint has sunk a
+// message.
+func (rr *ringRun) recvd() {
+	rr.busy = false
+	rr.recvsDone++
+	if rr.recvsDone < rr.shape.Steps {
+		rr.issueSend()
 	}
-	m := inMsg{chunk: e.idx, phase: phase, dirIdx: rr.dirIdx, bytes: bytes}
-	rr.deliverFn = func() { e.coll.deliver(dst, m) }
-	rr.onSourced = func() {
-		rt.net.SendNeighbor(e.node, s.Dim, dir, bytes, rr.deliverFn)
-		rr.sendsSourced++
-		rr.maybeFinish()
-	}
-	rr.onRecvd = func() {
-		rr.busy = false
-		rr.recvsDone++
-		if rr.recvsDone < s.Steps {
-			rr.issueSend()
-		}
-		rr.maybeFinish()
-		rr.pump()
-	}
+	rr.maybeFinish()
+	rr.pump()
 }
 
 // a2aRun is the state of an all-to-all phase.
@@ -593,53 +634,99 @@ type a2aRun struct {
 }
 
 // chunkExec drives one chunk of one collective at one node through its
-// plan phases against the node's endpoint.
+// plan phases against the node's endpoint. A drained chunkExec returns to
+// its node's free list and is reused, callbacks and buffers included, by
+// a later chunk at the same node (so the same endpoint sees its Chunk
+// again).
 type chunkExec struct {
 	coll       *Collective
 	idx        int
 	node       noc.NodeID
-	chunk      *core.Chunk
+	chunk      core.Chunk
 	shapes     []PhaseShape
 	phase      int
 	phaseStart des.Time // when the current phase began (span emission)
 	started    bool
-	dirs       [2]*ringRun
+	dirs       [2]ringRun
 	dirsUp     int
 	a2a        *a2aRun
 	inbox      [][2][]int64
+	// deliveries holds the ring delivery records, two per phase
+	// (index 2*phase+dirIdx); allocated at the first ring phase and never
+	// reused, since messages may outlive the chunk.
+	deliveries []ringDelivery
 
-	// startPhaseFn and drainedFn are built once per chunk and reused for
-	// every phase transition / the terminal drain, avoiding a method-value
-	// allocation per phase.
+	// startFn, startPhaseFn and drainedFn are built once per chunkExec
+	// and reused for the admission, every phase transition and the
+	// terminal drain, avoiding a method-value allocation per use.
+	startFn      func()
 	startPhaseFn func()
 	drainedFn    func()
 }
 
-func newChunkExec(c *Collective, idx int, node noc.NodeID, bytes int64) *chunkExec {
+// chunkGeom is the phase geometry every chunk of one size shares.
+type chunkGeom struct {
+	bytes    int64
+	shapes   []PhaseShape
+	resident []int64
+}
+
+// geom returns the shared geometry of a chunk of the given size. A
+// collective has at most two chunk sizes (see chunkSizes).
+func (c *Collective) geom(bytes int64) *chunkGeom {
+	for i := range c.geoms {
+		if c.geoms[i].bytes == bytes {
+			return &c.geoms[i]
+		}
+	}
 	shapes := Shapes(c.spec.Plan, bytes)
-	e := &chunkExec{
-		coll:   c,
-		idx:    idx,
-		node:   node,
-		shapes: shapes,
-		inbox:  make([][2][]int64, len(shapes)),
+	c.geoms = append(c.geoms, chunkGeom{bytes: bytes, shapes: shapes, resident: ResidentBytes(shapes)})
+	return &c.geoms[len(c.geoms)-1]
+}
+
+func newChunkExec(c *Collective, idx int, node noc.NodeID, bytes int64) *chunkExec {
+	sc := c.rt.scheds[node]
+	var e *chunkExec
+	if n := len(sc.free); n > 0 {
+		e = sc.free[n-1]
+		sc.free[n-1] = nil
+		sc.free = sc.free[:n-1]
+	} else {
+		e = &chunkExec{}
+		e.dirs[0] = ringRun{exec: e, dirIdx: 0}
+		e.dirs[1] = ringRun{exec: e, dirIdx: 1}
+		e.startFn = e.start
+		e.startPhaseFn = e.startPhase
+		e.drainedFn = e.drained
+	}
+	g := c.geom(bytes)
+	e.coll, e.idx, e.node, e.shapes = c, idx, node, g.shapes
+	e.phase, e.started, e.dirsUp, e.a2a, e.deliveries = 0, false, 0, nil, nil
+	if cap(e.inbox) < len(g.shapes) {
+		e.inbox = make([][2][]int64, len(g.shapes))
+	} else {
+		e.inbox = e.inbox[:len(g.shapes)]
+		clear(e.inbox)
 	}
 	prio := int64(c.seq) - c.spec.PrioBias // LIFO: later issues are more urgent
 	if c.rt.cfg.FIFOSched {
 		prio = -int64(c.seq)
 	}
-	e.chunk = &core.Chunk{
-		Bytes:    bytes,
-		Resident: ResidentBytes(shapes),
-		Prio:     prio,
-	}
-	e.startPhaseFn = e.startPhase
-	e.drainedFn = func() {
-		rt := e.rt()
-		e.coll.chunkDoneAt(e.node)
-		rt.scheds[e.node].chunkFinished()
-	}
+	e.chunk.Bytes, e.chunk.Resident, e.chunk.Prio = bytes, g.resident, prio
 	return e
+}
+
+// drained completes the chunk at its node once the endpoint has drained
+// it, and returns its state to the node's free list: live chunk state is
+// bounded by the chunks issued and not yet drained, not by the run.
+func (e *chunkExec) drained() {
+	c, node := e.coll, e.node
+	sc := c.rt.scheds[node]
+	c.execs[node][e.idx] = nil
+	e.coll = nil
+	sc.free = append(sc.free, e)
+	c.chunkDoneAt(node)
+	sc.chunkFinished()
 }
 
 func (e *chunkExec) rt() *Runtime { return e.coll.rt }
@@ -657,19 +744,32 @@ func (e *chunkExec) startPhase() {
 		e.startA2A(s)
 		return
 	}
-	e.dirs = [2]*ringRun{}
+	rt := e.rt()
+	if e.deliveries == nil {
+		e.deliveries = make([]ringDelivery, 2*len(e.shapes))
+	}
 	e.dirsUp = 0
-	for d := 0; d < 2; d++ {
-		if s.DirIn[d] == 0 {
+	for d := range e.dirs {
+		rr := &e.dirs[d]
+		rr.reset(s)
+		if !rr.up {
 			continue
 		}
-		rr := &ringRun{exec: e, dirIdx: d, shape: s}
-		rr.initCallbacks()
-		e.dirs[d] = rr
 		e.dirsUp++
+		dst := rt.net.Topo().Neighbor(e.node, s.Dim, dirVal(d))
+		if rt.mirror {
+			// Mirrored shadow: the fabric carries only this node's
+			// traffic, and by rotation symmetry a message sent to the
+			// downstream neighbor arrives exactly when the upstream
+			// neighbor's copy would arrive here — so deliver to self on
+			// the real link.
+			dst = e.node
+		}
+		e.deliveries[2*e.phase+d] = ringDelivery{coll: e.coll, dst: dst,
+			m: inMsg{chunk: e.idx, phase: e.phase, dirIdx: d, bytes: s.DirSeg[d]}}
 	}
-	for d := 0; d < 2; d++ {
-		if rr := e.dirs[d]; rr != nil {
+	for d := range e.dirs {
+		if rr := &e.dirs[d]; rr.up {
 			rr.issueSend()
 			// Replay buffered arrivals for this phase.
 			for _, b := range e.inbox[e.phase][d] {
@@ -692,8 +792,7 @@ func dirVal(dirIdx int) int {
 // outgoing message; onSourced (prebuilt) injects it into the fabric.
 func (rr *ringRun) issueSend() {
 	e := rr.exec
-	rr.sendsIssued++
-	e.rt().eps[e.node].SourceSend(e.chunk, e.phase, rr.shape.Kind, rr.shape.DirSeg[rr.dirIdx], rr.onSourced)
+	e.rt().eps[e.node].SourceSend(&e.chunk, e.phase, rr.shape.Kind, rr.shape.DirSeg[rr.dirIdx], rr.onSourced)
 }
 
 func (rr *ringRun) arrive(bytes int64) {
@@ -702,12 +801,15 @@ func (rr *ringRun) arrive(bytes int64) {
 }
 
 func (rr *ringRun) pump() {
-	if rr.busy || len(rr.queue) == 0 {
+	if rr.busy || rr.qhead == len(rr.queue) {
 		return
 	}
 	rr.busy = true
-	bytes := rr.queue[0]
-	rr.queue = rr.queue[1:]
+	bytes := rr.queue[rr.qhead]
+	rr.qhead++
+	if rr.qhead == len(rr.queue) {
+		rr.queue, rr.qhead = rr.queue[:0], 0
+	}
 	e := rr.exec
 	s := rr.shape
 	if rr.recvsDone >= s.Steps {
@@ -715,7 +817,7 @@ func (rr *ringRun) pump() {
 			e.coll.spec.Name, e.node, e.phase, rr.dirIdx))
 	}
 	reduce := rr.recvsDone < s.Reduces()
-	e.rt().eps[e.node].SinkRecv(e.chunk, e.phase, s.Kind, bytes, reduce, rr.onRecvd)
+	e.rt().eps[e.node].SinkRecv(&e.chunk, e.phase, s.Kind, bytes, reduce, rr.onRecvd)
 }
 
 // maybeFinish completes the direction once every receive has been
@@ -747,12 +849,13 @@ func (e *chunkExec) startA2A(s *PhaseShape) {
 	// sequence is the same pattern shifted by its own position
 	// (rotation-equivariant). This keeps all nodes' timelines identical,
 	// which the LIFO chunk scheduler relies on (see DESIGN.md).
+	coll := e.coll // the delivery may outlive this chunkExec's use
 	for _, dst := range a2aOrder(rt.net.Topo(), e.node) {
 		dst := dst
-		rt.eps[e.node].SourceSend(e.chunk, phase, s.Kind, seg, func() {
+		rt.eps[e.node].SourceSend(&e.chunk, phase, s.Kind, seg, func() {
 			m := inMsg{chunk: e.idx, phase: phase, dirIdx: 0, bytes: seg}
 			rt.net.SendRouted(e.node, dst, seg, func() {
-				e.coll.deliver(dst, m)
+				coll.deliver(dst, m)
 			})
 			e.a2a.sendsSourced++
 			e.a2a.maybeFinish()
@@ -779,7 +882,7 @@ func a2aOrder(t noc.Topology, self noc.NodeID) []noc.NodeID {
 
 func (e *chunkExec) a2aArrive(bytes int64) {
 	s := &e.shapes[e.phase]
-	e.rt().eps[e.node].SinkRecv(e.chunk, e.phase, s.Kind, bytes, false, func() {
+	e.rt().eps[e.node].SinkRecv(&e.chunk, e.phase, s.Kind, bytes, false, func() {
 		e.a2a.recvsDone++
 		e.a2a.maybeFinish()
 	})
@@ -808,8 +911,8 @@ func (e *chunkExec) onArrival(phase, dirIdx int, bytes int64) {
 		e.a2aArrive(bytes)
 		return
 	}
-	rr := e.dirs[dirIdx]
-	if rr == nil {
+	rr := &e.dirs[dirIdx]
+	if !rr.up {
 		// Same phase-transition gap as above.
 		e.inbox[phase][dirIdx] = append(e.inbox[phase][dirIdx], bytes)
 		return
@@ -820,7 +923,7 @@ func (e *chunkExec) onArrival(phase, dirIdx int, bytes int64) {
 func (e *chunkExec) phaseDone() {
 	// Clear per-phase state before advancing: arrivals racing the
 	// endpoint's NextPhase must be buffered, not fed to stale state.
-	e.dirs = [2]*ringRun{}
+	e.dirs[0].up, e.dirs[1].up = false, false
 	e.a2a = nil
 	rt := e.rt()
 	if rt.tracer != nil {
@@ -829,10 +932,10 @@ func (e *chunkExec) phaseDone() {
 	}
 	e.phase++
 	if e.phase < len(e.shapes) {
-		rt.eps[e.node].NextPhase(e.chunk, e.phase, e.startPhaseFn)
+		rt.eps[e.node].NextPhase(&e.chunk, e.phase, e.startPhaseFn)
 		return
 	}
-	rt.eps[e.node].Drain(e.chunk, e.drainedFn)
+	rt.eps[e.node].Drain(&e.chunk, e.drainedFn)
 }
 
 // DebugState reports unfinished collectives and per-node scheduler state
@@ -865,7 +968,7 @@ func (rt *Runtime) DebugState() string {
 			}
 			sb = append(sb, fmt.Sprintf("  node %d: left=%d", n, c.nodeLeft[n])...)
 			for _, e := range c.execs[n] {
-				if e.phase >= len(e.shapes) {
+				if e == nil || e.phase >= len(e.shapes) {
 					continue
 				}
 				state := "pend"
@@ -876,9 +979,9 @@ func (rt *Runtime) DebugState() string {
 				if e.a2a != nil {
 					detail = fmt.Sprintf(" a2a(s=%d,r=%d)", e.a2a.sendsSourced, e.a2a.recvsDone)
 				}
-				for di, rr := range e.dirs {
-					if rr != nil {
-						detail += fmt.Sprintf(" d%d(r=%d,s=%d,q=%d)", di, rr.recvsDone, rr.sendsSourced, len(rr.queue))
+				for di := range e.dirs {
+					if rr := &e.dirs[di]; rr.up {
+						detail += fmt.Sprintf(" d%d(r=%d,s=%d,q=%d)", di, rr.recvsDone, rr.sendsSourced, len(rr.queue)-rr.qhead)
 					}
 				}
 				for ph := range e.inbox {
@@ -908,11 +1011,11 @@ func (rt *Runtime) DebugState() string {
 // pendingLen counts chunks awaiting admission across all streams.
 func (s *nodeSched) pendingLen() int {
 	if s.rrPending == nil {
-		return len(s.pending)
+		return s.pending.len()
 	}
 	n := 0
-	for _, q := range s.rrPending {
-		n += len(q)
+	for i := range s.rrPending {
+		n += s.rrPending[i].len()
 	}
 	return n
 }

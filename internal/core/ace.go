@@ -91,10 +91,23 @@ func (c ACEConfig) MinPartitionBytes() int64 {
 	return m
 }
 
-// aceChunkState is ACE-private per-chunk bookkeeping.
+// aceChunkState is ACE-private per-chunk bookkeeping. It also carries
+// the chunk's admission, phase-change and drain continuations, built
+// once per state, so moving a chunk through the engine allocates
+// nothing per phase, and nothing at all when the runtime re-admits the
+// Chunk.
 type aceChunkState struct {
+	a     *ACE
+	c     *Chunk
 	phase int   // current partition index the chunk occupies
 	held  int64 // bytes reserved in that partition
+	// p and pi are the phase and partition a pending Admit or NextPhase
+	// moves to; fn is the caller's continuation of the pending step.
+	p, pi int
+	fn    func()
+
+	fsmGranted, partGranted, dmaDone func()
+	drainGranted, drainDone          func()
 }
 
 // ACE is the Accelerator Collectives Engine endpoint. Chunks enter through
@@ -114,6 +127,8 @@ type ACE struct {
 
 	active int
 	start  des.Time
+	// joins recycles the two-arm join records of SinkRecv and Forward.
+	joins []*join2
 	// Observers see every interval with >= 1 chunk assigned (Fig 9b
 	// occupancy; bytes 0). The internal servers (Servers) carry their
 	// own observer lists.
@@ -155,7 +170,10 @@ func (a *ACE) Active() int { return a.active }
 
 func (a *ACE) st(c *Chunk) *aceChunkState {
 	if c.state == nil {
-		c.state = &aceChunkState{}
+		st := &aceChunkState{a: a, c: c}
+		st.fsmGranted, st.partGranted, st.dmaDone = st.onFSM, st.onPart, st.onDMA
+		st.drainGranted, st.drainDone = st.onDrainPart, st.onDrainBus
+		c.state = st
 	}
 	return c.state.(*aceChunkState)
 }
@@ -182,19 +200,9 @@ func (a *ACE) phaseIndex(p int) int {
 // Admit implements Endpoint: FSM slot, phase-0 partition space, TX DMA
 // (HBM read -> NPU-AFI bus -> SRAM write).
 func (a *ACE) Admit(c *Chunk, fn func()) {
-	a.fsms[0].Acquire(func() {
-		a.parts[0].Acquire(c.Resident[0], func() {
-			a.markActive(+1)
-			st := a.st(c)
-			st.phase, st.held = 0, c.Resident[0]
-			// The DMA's SRAM writes land through the banked crossbar
-			// (Table IV's switch & interconnect) and do not contend
-			// with the collective ports; HBM and the bus serialize it.
-			a.node.CommMem.Request(c.Bytes, func() {
-				a.node.BusTX.Request(c.Bytes, fn)
-			})
-		})
-	})
+	st := a.st(c)
+	st.p, st.pi, st.fn = 0, 0, fn
+	a.fsms[0].Acquire(st.fsmGranted)
 }
 
 // NextPhase implements Endpoint: acquire the next phase's FSM and
@@ -205,14 +213,12 @@ func (a *ACE) NextPhase(c *Chunk, p int, fn func()) {
 	pi := a.phaseIndex(p)
 	st := a.st(c)
 	prev := st.phase
+	st.p, st.pi, st.fn = p, pi, fn
 	if pi == prev {
 		// Clamped plan: the chunk stays in this partition; grow the
 		// reservation if the new phase is larger (all-gather).
 		if grow := c.Resident[p] - st.held; grow > 0 {
-			a.parts[pi].Acquire(grow, func() {
-				st.held = c.Resident[p]
-				a.eng.After(0, fn)
-			})
+			a.parts[pi].Acquire(grow, st.partGranted)
 			return
 		}
 		a.eng.After(0, fn)
@@ -227,15 +233,34 @@ func (a *ACE) NextPhase(c *Chunk, p int, fn func()) {
 	a.fsms[prev].Release()
 	a.parts[prev].Release(st.held)
 	st.held = 0
-	a.fsms[pi].Acquire(func() {
-		a.parts[pi].Acquire(c.Resident[p], func() {
-			st.phase, st.held = pi, c.Resident[p]
-			// Phase hand-off is an FSM pointer update, not a copy
-			// (Section IV-F: the chunk context moves between FSM
-			// queues); no SRAM port time is charged.
-			a.eng.After(0, fn)
-		})
-	})
+	a.fsms[pi].Acquire(st.fsmGranted)
+}
+
+// onFSM queues for the pending phase's partition space.
+func (st *aceChunkState) onFSM() {
+	st.a.parts[st.pi].Acquire(st.c.Resident[st.p], st.partGranted)
+}
+
+// onPart moves the chunk into the pending phase's partition.
+func (st *aceChunkState) onPart() {
+	a, c := st.a, st.c
+	st.phase, st.held = st.pi, c.Resident[st.p]
+	if st.p == 0 {
+		// Admission. The DMA's SRAM writes land through the banked
+		// crossbar (Table IV's switch & interconnect) and do not contend
+		// with the collective ports; HBM and the bus serialize it.
+		a.markActive(+1)
+		a.node.CommMem.Request(c.Bytes, st.dmaDone)
+		return
+	}
+	// Phase hand-off is an FSM pointer update, not a copy (Section IV-F:
+	// the chunk context moves between FSM queues); no SRAM port time is
+	// charged.
+	a.eng.After(0, st.fn)
+}
+
+func (st *aceChunkState) onDMA() {
+	st.a.node.BusTX.Request(st.c.Bytes, st.fn)
 }
 
 // SourceSend implements Endpoint: outgoing messages stream from SRAM
@@ -248,9 +273,7 @@ func (a *ACE) SourceSend(c *Chunk, p int, kind PhaseKind, bytes int64, fn func()
 // chunk's partition; reductions additionally stream through the ALUs.
 func (a *ACE) SinkRecv(c *Chunk, p int, kind PhaseKind, bytes int64, reduce bool, fn func()) {
 	if reduce {
-		done := join(2, fn)
-		a.alu.Request(bytes, done)
-		a.sramW.Request(bytes, done)
+		a.both(a.alu, a.sramW, bytes, fn)
 		return
 	}
 	a.sramW.Request(bytes, fn)
@@ -260,31 +283,69 @@ func (a *ACE) SinkRecv(c *Chunk, p int, kind PhaseKind, bytes int64, reduce bool
 // by the SRAM without touching HBM (Section V, "its SRAM absorbs packets
 // and forwards the ones that have different destinations").
 func (a *ACE) Forward(bytes int64, fn func()) {
-	done := join(2, fn)
-	a.sramW.Request(bytes, done)
-	a.sramR.Request(bytes, done)
+	a.both(a.sramW, a.sramR, bytes, fn)
+}
+
+// join2 runs fn once both arms of a two-server request have completed.
+// Records are recycled through the owning ACE's free list, so a reduce
+// or forward allocates nothing once the pool is warm.
+type join2 struct {
+	a    *ACE
+	left int
+	fn   func()
+}
+
+// joinArm is the static completion callback of one join2 arm.
+func joinArm(x any) {
+	j := x.(*join2)
+	j.left--
+	if j.left > 0 {
+		return
+	}
+	fn := j.fn
+	j.fn = nil
+	j.a.joins = append(j.a.joins, j)
+	fn()
+}
+
+// both requests bytes on x, then on y, and runs fn when both are served.
+func (a *ACE) both(x, y *resource.Server, bytes int64, fn func()) {
+	var j *join2
+	if n := len(a.joins); n > 0 {
+		j = a.joins[n-1]
+		a.joins = a.joins[:n-1]
+	} else {
+		j = &join2{a: a}
+	}
+	j.left, j.fn = 2, fn
+	x.RequestAfterCtx(bytes, 0, joinArm, j)
+	y.RequestAfterCtx(bytes, 0, joinArm, j)
 }
 
 // Drain implements Endpoint: results move into the terminal partition,
 // the phase resources are released, and the RX DMA writes back to HBM.
 func (a *ACE) Drain(c *Chunk, fn func()) {
-	last := len(c.Resident) - 1 // terminal index in chunk terms
-	term := a.cfg.Phases        // terminal partition index
 	st := a.st(c)
-	cur := st.phase
-	out := c.Resident[last]
-	a.parts[term].Acquire(out, func() {
-		a.fsms[cur].Release()
-		a.parts[cur].Release(st.held)
-		// As with the TX DMA, the RX DMA's SRAM reads go through the
-		// banked crossbar; the bus serializes the transfer.
-		a.node.BusRX.Request(out, func() {
-			a.node.WriteMeter.Add(out)
-			a.parts[term].Release(out)
-			a.markActive(-1)
-			fn()
-		})
-	})
+	st.fn = fn
+	a.parts[a.cfg.Phases].Acquire(c.Resident[len(c.Resident)-1], st.drainGranted)
+}
+
+func (st *aceChunkState) onDrainPart() {
+	a := st.a
+	a.fsms[st.phase].Release()
+	a.parts[st.phase].Release(st.held)
+	// As with the TX DMA, the RX DMA's SRAM reads go through the banked
+	// crossbar; the bus serializes the transfer.
+	a.node.BusRX.Request(st.c.Resident[len(st.c.Resident)-1], st.drainDone)
+}
+
+func (st *aceChunkState) onDrainBus() {
+	a := st.a
+	out := st.c.Resident[len(st.c.Resident)-1]
+	a.node.WriteMeter.Add(out)
+	a.parts[a.cfg.Phases].Release(out)
+	a.markActive(-1)
+	st.fn()
 }
 
 var _ Endpoint = (*ACE)(nil)

@@ -25,6 +25,9 @@ type Baseline struct {
 	eng    *des.Engine
 	node   *npu.Node
 	window *resource.SlotGate
+	// runs recycles the staged-transfer records of sends, receives and
+	// forwards.
+	runs []*stageRun
 }
 
 // NewBaseline builds the software endpoint for one node.
@@ -49,9 +52,7 @@ func (b *Baseline) NextPhase(c *Chunk, p int, fn func()) { b.eng.After(0, fn) }
 
 // SourceSend implements Endpoint: one HBM read plus the bus crossing.
 func (b *Baseline) SourceSend(c *Chunk, p int, kind PhaseKind, bytes int64, fn func()) {
-	b.node.CommMem.Request(bytes, func() {
-		b.node.BusTX.Request(bytes, fn)
-	})
+	b.stages(bytes, -1, fn, b.node.CommMem, b.node.BusTX)
 }
 
 // SinkRecv implements Endpoint: the message crosses the bus and is written
@@ -59,26 +60,65 @@ func (b *Baseline) SourceSend(c *Chunk, p int, kind PhaseKind, bytes int64, fn f
 // HBM read, which together with the per-send read reproduces the paper's
 // 2x RS / 1x AG read accounting).
 func (b *Baseline) SinkRecv(c *Chunk, p int, kind PhaseKind, bytes int64, reduce bool, fn func()) {
-	b.node.BusRX.Request(bytes, func() {
-		b.node.WriteMeter.Add(bytes)
-		if reduce {
-			b.node.CommMem.Request(bytes, fn)
-			return
-		}
-		fn()
-	})
+	if reduce {
+		b.stages(bytes, 0, fn, b.node.BusRX, b.node.CommMem)
+		return
+	}
+	b.stages(bytes, 0, fn, b.node.BusRX)
 }
 
 // Forward implements Endpoint: multi-hop traffic is staged through HBM at
 // every intermediate node (the paper's NVLink neighbor-only observation):
 // bus in, write, read back, bus out.
 func (b *Baseline) Forward(bytes int64, fn func()) {
-	b.node.BusRX.Request(bytes, func() {
-		b.node.WriteMeter.Add(bytes)
-		b.node.CommMem.Request(bytes, func() {
-			b.node.BusTX.Request(bytes, fn)
-		})
-	})
+	b.stages(bytes, 0, fn, b.node.BusRX, b.node.CommMem, b.node.BusTX)
+}
+
+// stageRun carries one transfer through a sequence of servers, one after
+// the other. Records are recycled through the owning Baseline's free
+// list, so a send, receive or forward allocates nothing once the pool is
+// warm.
+type stageRun struct {
+	b     *Baseline
+	srv   [3]*resource.Server
+	n, i  int
+	bytes int64
+	// write is the stage after whose service the bytes land in HBM (the
+	// write is metered then); -1 for none.
+	write int
+	fn    func()
+}
+
+// stages requests bytes on each server in turn, metering an HBM write
+// after stage write (-1: none), and runs fn after the last one.
+func (b *Baseline) stages(bytes int64, write int, fn func(), srv ...*resource.Server) {
+	var r *stageRun
+	if n := len(b.runs); n > 0 {
+		r = b.runs[n-1]
+		b.runs = b.runs[:n-1]
+	} else {
+		r = &stageRun{b: b}
+	}
+	r.n = copy(r.srv[:], srv)
+	r.i, r.bytes, r.write, r.fn = 0, bytes, write, fn
+	r.srv[0].RequestAfterCtx(bytes, 0, stageDone, r)
+}
+
+// stageDone is the static completion callback of one stage.
+func stageDone(x any) {
+	r := x.(*stageRun)
+	if r.i == r.write {
+		r.b.node.WriteMeter.Add(r.bytes)
+	}
+	r.i++
+	if r.i < r.n {
+		r.srv[r.i].RequestAfterCtx(r.bytes, 0, stageDone, r)
+		return
+	}
+	fn := r.fn
+	r.fn = nil
+	r.b.runs = append(r.b.runs, r)
+	fn()
 }
 
 // Drain implements Endpoint: final results were already written on their

@@ -20,27 +20,35 @@ func testNode(t *testing.T, eng *des.Engine, commMem float64, commSMs int, smCap
 	return n
 }
 
+// TestJoin pins the ACE's two-arm join: fn runs once, after the later
+// arm, and the record returns to the engine's free list for reuse.
 func TestJoin(t *testing.T) {
-	n := 0
-	done := join(3, func() { n++ })
-	done()
-	done()
-	if n != 0 {
-		t.Fatal("join fired early")
+	eng := des.NewEngine()
+	a, err := NewACE(eng, testNode(t, eng, 128, 4, false), DefaultACEConfig(2))
+	if err != nil {
+		t.Fatal(err)
 	}
-	done()
-	if n != 1 {
-		t.Fatal("join did not fire")
+	var at []des.Time
+	a.both(a.alu, a.sramW, 1<<20, func() { at = append(at, eng.Now()) })
+	eng.Run()
+	want := a.alu.FreeAt()
+	if w := a.sramW.FreeAt(); w > want {
+		want = w
 	}
-}
-
-func TestJoinZeroPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("join(0) should panic")
-		}
-	}()
-	join(0, func() {})
+	if len(at) != 1 || at[0] != want {
+		t.Fatalf("join fired at %v, want once at %v", at, want)
+	}
+	if len(a.joins) != 1 || a.joins[0].fn != nil {
+		t.Fatalf("join record not recycled: pool %d", len(a.joins))
+	}
+	a.both(a.sramW, a.sramR, 1<<20, func() { at = append(at, eng.Now()) })
+	if len(a.joins) != 0 {
+		t.Fatal("pooled join record not reused")
+	}
+	eng.Run()
+	if len(at) != 2 {
+		t.Fatalf("second join fired %d times", len(at)-1)
+	}
 }
 
 func TestPhaseKindString(t *testing.T) {

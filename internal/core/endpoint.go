@@ -57,7 +57,10 @@ func (k PhaseKind) String() string {
 }
 
 // Chunk is the unit of endpoint admission: one pipelined slice of a
-// collective payload, as seen by one node.
+// collective payload, as seen by one node. Once its Drain has completed,
+// the runtime may admit the same Chunk again, with new fields, for a
+// later slice at the same endpoint; endpoints reset their per-chunk
+// state in Admit.
 type Chunk struct {
 	// Bytes is the chunk payload entering phase 0.
 	Bytes int64
@@ -104,21 +107,6 @@ type Endpoint interface {
 	// Drain completes the chunk: final results are moved to HBM and all
 	// endpoint resources are released.
 	Drain(c *Chunk, fn func())
-}
-
-// join invokes fn after n asynchronous arms have completed. Each arm must
-// call the returned function exactly once.
-func join(n int, fn func()) func() {
-	if n <= 0 {
-		panic("core: join of zero arms")
-	}
-	remaining := n
-	return func() {
-		remaining--
-		if remaining == 0 {
-			fn()
-		}
-	}
 }
 
 // cycle returns the duration of one clock cycle at freqGHz.

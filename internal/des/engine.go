@@ -1,74 +1,90 @@
 package des
 
-import "acesim/internal/trace"
+import (
+	"math/bits"
 
-// event is a single scheduled callback. Exactly one of fn / ctxFn is set:
-// fn for At/After, ctxFn (+arg) for AtCtx/AfterCtx. Events are stored by
-// value in the engine's flat queue — scheduling never boxes an event
-// through an interface and never allocates per event (amortized slice
-// growth aside).
-type event struct {
-	at    Time
-	seq   uint64
-	fn    func()
-	ctxFn func(any)
-	arg   any
+	"acesim/internal/trace"
+)
+
+// qkey is one heap entry: the event's time and ss = seq<<slotBits | slot,
+// where seq is the engine-wide scheduling sequence and slot indexes the
+// callback in the engine's slot table. Sequence numbers are unique, so
+// comparing ss compares seq; the key carries no pointers, so sifting it
+// needs no GC write barriers and the heap is never scanned.
+type qkey struct {
+	at Time
+	ss uint64
 }
 
-// before reports whether e orders ahead of o: earlier time first, then
+const (
+	slotBits = 24
+	slotMask = 1<<slotBits - 1
+	// maxSeq bounds the sequence so seq<<slotBits never overflows.
+	maxSeq = 1<<(64-slotBits) - 1
+)
+
+// before reports whether k orders ahead of o: earlier time first, then
 // FIFO by scheduling sequence. This (at, seq) total order is the engine's
 // determinism contract; every queue implementation must preserve it
 // exactly.
-func (e *event) before(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	return e.seq < o.seq
+//
+// It compares (at, ss) as one 128-bit unsigned number, whose borrow is
+// the answer: no data-dependent branch for the sift loops to mispredict.
+// Event times are never negative (scheduling clamps to now >= 0), so
+// the unsigned view of at orders like the signed one.
+func (k qkey) before(o qkey) bool {
+	_, b := bits.Sub64(k.ss, o.ss, 0)
+	_, b = bits.Sub64(uint64(k.at), uint64(o.at), b)
+	return b != 0
 }
 
-// eventQueue is a hand-rolled 4-ary min-heap over a flat []event slice.
+func (k qkey) slot() uint32 { return uint32(k.ss & slotMask) }
+
+// slot holds one scheduled callback. Exactly one of fn / ctxFn is set:
+// fn for At/After, ctxFn (+arg) for AtCtx/AfterCtx. lane is set when the
+// event waits in (or heads) that lane rather than entering the heap on
+// its own (see Lane).
+type slot struct {
+	fn    func()
+	ctxFn func(any)
+	arg   any
+	lane  *Lane
+}
+
+// eventQueue is a hand-rolled 4-ary min-heap over flat 16-byte keys.
 //
 // Compared to container/heap it avoids the interface{} boxing that costs
 // one heap allocation per Push, and the 4-ary layout halves tree depth
-// (fewer cache lines touched per sift) — the queue is the hottest
-// structure in the simulator, every chunk hop passes through it several
-// times. The heap property is the partial order induced by event.before,
-// so pops come out in exact (at, seq) order.
+// (fewer cache lines touched per sift). The heap property is the partial
+// order induced by qkey.before, so pops come out in exact (at, seq) order.
 type eventQueue struct {
-	items []event
+	items []qkey
 }
 
 func (q *eventQueue) len() int { return len(q.items) }
 
-// peek returns the next event without removing it. Caller must ensure the
-// queue is non-empty.
-func (q *eventQueue) peek() *event { return &q.items[0] }
-
-// push inserts ev, keeping the heap ordered. The backing slice grows in
+// push inserts k, keeping the heap ordered. The backing slice grows in
 // place (append); no per-event allocation occurs.
-func (q *eventQueue) push(ev event) {
+func (q *eventQueue) push(k qkey) {
 	i := len(q.items)
-	q.items = append(q.items, ev)
-	// Sift up: move the hole toward the root until ev fits.
+	q.items = append(q.items, k)
+	// Sift up: move the hole toward the root until k fits.
 	for i > 0 {
 		p := (i - 1) / 4
-		if !ev.before(&q.items[p]) {
+		if !k.before(q.items[p]) {
 			break
 		}
 		q.items[i] = q.items[p]
 		i = p
 	}
-	q.items[i] = ev
+	q.items[i] = k
 }
 
-// pop removes and returns the minimum event. The vacated tail slot is
-// zeroed so the queue does not pin callback closures or context arguments
-// past their execution.
-func (q *eventQueue) pop() event {
+// pop removes the minimum key. Caller must ensure the queue is non-empty.
+func (q *eventQueue) pop() qkey {
 	top := q.items[0]
 	n := len(q.items) - 1
 	last := q.items[n]
-	q.items[n] = event{}
 	q.items = q.items[:n]
 	if n > 0 {
 		q.siftDown(last)
@@ -76,9 +92,9 @@ func (q *eventQueue) pop() event {
 	return top
 }
 
-// siftDown re-inserts ev starting from the root, moving the hole toward
+// siftDown re-inserts k starting from the root, moving the hole toward
 // the leaves past any smaller child.
-func (q *eventQueue) siftDown(ev event) {
+func (q *eventQueue) siftDown(k qkey) {
 	items := q.items
 	n := len(items)
 	i := 0
@@ -93,17 +109,41 @@ func (q *eventQueue) siftDown(ev event) {
 			end = n
 		}
 		for c := first + 1; c < end; c++ {
-			if items[c].before(&items[min]) {
+			if items[c].before(items[min]) {
 				min = c
 			}
 		}
-		if !items[min].before(&ev) {
+		if !items[min].before(k) {
 			break
 		}
 		items[i] = items[min]
 		i = min
 	}
-	items[i] = ev
+	items[i] = k
+}
+
+// Lane is a FIFO of events whose times never decrease — the completions
+// of a FIFO rate server, for example. Only the lane's head sits in the
+// engine's heap; the rest wait in the lane in order, and popping the head
+// moves the next one into the heap in the same sift. A lane therefore
+// costs the heap one entry however deep its backlog is.
+//
+// The zero value is an empty lane. A lane belongs to one engine. An idle
+// lane holds no storage: its buffer comes from and returns to a pool the
+// engine owns.
+type Lane struct {
+	buf  []qkey // ring buffer (power-of-two length) of keys behind the head
+	head int
+	n    int
+	tail Time // time of the latest event the lane holds
+	live bool // the lane's head is in the heap
+}
+
+func (l *Lane) popFront() qkey {
+	k := l.buf[l.head]
+	l.head = (l.head + 1) & (len(l.buf) - 1)
+	l.n--
+	return k
 }
 
 // Engine is a deterministic discrete-event scheduler. The zero value is
@@ -118,6 +158,14 @@ type Engine struct {
 	q      eventQueue
 	seq    uint64
 	nSteps uint64
+	// slots holds every queued callback, indexed by the low bits of its
+	// key; free lists the vacant entries for reuse.
+	slots []slot
+	free  []uint32
+	// laned counts events waiting behind a lane head (not in q).
+	laned int
+	// lanePool recycles lane ring buffers so idle lanes hold none.
+	lanePool [][]qkey
 	// tracer is the optional per-run span collector. It is nil by
 	// default; every instrumented layer checks the nil fast path, so a
 	// tracerless engine pays nothing beyond a pointer test.
@@ -150,7 +198,7 @@ func (e *Engine) Steps() uint64 { return e.nSteps }
 // event whose callback schedules new work — even at the current instant —
 // increases Pending until that work is itself executed: the engine never
 // runs a callback inline.
-func (e *Engine) Pending() int { return e.q.len() }
+func (e *Engine) Pending() int { return e.q.len() + e.laned }
 
 // NextAt returns the timestamp of the next queued event, or false when
 // the queue is empty. It lets a co-simulation driver lazily advance a
@@ -159,7 +207,7 @@ func (e *Engine) NextAt() (Time, bool) {
 	if e.q.len() == 0 {
 		return 0, false
 	}
-	return e.q.peek().at, true
+	return e.q.items[0].at, true
 }
 
 // AdvanceTo moves the clock to t without executing anything. It panics
@@ -170,7 +218,7 @@ func (e *Engine) AdvanceTo(t Time) {
 	if t < e.now {
 		panic("des: AdvanceTo into the past")
 	}
-	if e.q.len() > 0 && e.q.peek().at < t {
+	if e.q.len() > 0 && e.q.items[0].at < t {
 		panic("des: AdvanceTo over a pending event")
 	}
 	e.now = t
@@ -189,8 +237,7 @@ func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		t = e.now
 	}
-	e.seq++
-	e.q.push(event{at: t, seq: e.seq, fn: fn})
+	e.q.push(e.key(t, slot{fn: fn}))
 }
 
 // AtCtx schedules fn(arg) to run at absolute time t, with the same
@@ -203,8 +250,89 @@ func (e *Engine) AtCtx(t Time, fn func(any), arg any) {
 	if t < e.now {
 		t = e.now
 	}
+	e.q.push(e.key(t, slot{ctxFn: fn, arg: arg}))
+}
+
+// LaneAt is At through lane l: fn runs at t (clamped to now) in the same
+// (at, seq) order At would give it. When t is not earlier than the
+// latest event l holds, the event waits in l behind its head instead of
+// entering the heap; otherwise it goes to the heap directly.
+func (e *Engine) LaneAt(l *Lane, t Time, fn func()) {
+	e.laneAt(l, t, slot{fn: fn})
+}
+
+// LaneAtCtx is AtCtx through lane l (see LaneAt).
+func (e *Engine) LaneAtCtx(l *Lane, t Time, fn func(any), arg any) {
+	e.laneAt(l, t, slot{ctxFn: fn, arg: arg})
+}
+
+func (e *Engine) laneAt(l *Lane, t Time, s slot) {
+	if t < e.now {
+		t = e.now
+	}
+	switch {
+	case !l.live:
+		// Empty lane: the event becomes its head, in the heap.
+		l.live, l.tail = true, t
+		s.lane = l
+		e.q.push(e.key(t, s))
+	case t >= l.tail:
+		l.tail = t
+		e.laned++
+		s.lane = l
+		k := e.key(t, s)
+		if l.n == len(l.buf) {
+			e.growLane(l)
+		}
+		l.buf[(l.head+l.n)&(len(l.buf)-1)] = k
+		l.n++
+	default:
+		// Earlier than the lane's tail: an ordinary heap event. The heap
+		// merges it with the lane's head in exact (at, seq) order.
+		e.q.push(e.key(t, s))
+	}
+}
+
+// growLane gives l room for one more key: a pooled buffer when it has
+// none, else one twice the size with the backlog copied in order.
+func (e *Engine) growLane(l *Lane) {
+	if len(l.buf) == 0 {
+		if n := len(e.lanePool); n > 0 {
+			l.buf = e.lanePool[n-1]
+			e.lanePool[n-1] = nil
+			e.lanePool = e.lanePool[:n-1]
+		} else {
+			l.buf = make([]qkey, 8)
+		}
+		l.head = 0
+		return
+	}
+	buf := make([]qkey, 2*len(l.buf))
+	for i := 0; i < l.n; i++ {
+		buf[i] = l.buf[(l.head+i)&(len(l.buf)-1)]
+	}
+	l.buf, l.head = buf, 0
+}
+
+// key assigns the next sequence number and a slot for s.
+func (e *Engine) key(t Time, s slot) qkey {
+	if e.seq == maxSeq {
+		panic("des: event sequence exhausted")
+	}
 	e.seq++
-	e.q.push(event{at: t, seq: e.seq, ctxFn: fn, arg: arg})
+	var i uint32
+	if n := len(e.free); n > 0 {
+		i = e.free[n-1]
+		e.free = e.free[:n-1]
+		e.slots[i] = s
+	} else {
+		if len(e.slots) > slotMask {
+			panic("des: too many pending events")
+		}
+		i = uint32(len(e.slots))
+		e.slots = append(e.slots, s)
+	}
+	return qkey{at: t, ss: e.seq<<slotBits | uint64(i)}
 }
 
 // After schedules fn to run d after the current time. Negative delays are
@@ -235,13 +363,35 @@ func (e *Engine) Step() bool {
 	if e.q.len() == 0 {
 		return false
 	}
-	ev := e.q.pop()
-	e.now = ev.at
-	e.nSteps++
-	if ev.fn != nil {
-		ev.fn()
+	k := e.q.items[0]
+	i := k.slot()
+	s := e.slots[i]
+	// Vacate the slot so the table does not pin the callback or its
+	// argument past execution.
+	e.slots[i] = slot{}
+	e.free = append(e.free, i)
+	if l := s.lane; l != nil && l.n > 0 {
+		// The lane's next event replaces the head at the top of the
+		// heap, in one sift.
+		next := l.popFront()
+		e.laned--
+		e.q.siftDown(next)
+		if l.n == 0 {
+			e.lanePool = append(e.lanePool, l.buf)
+			l.buf = nil
+		}
 	} else {
-		ev.ctxFn(ev.arg)
+		if l != nil {
+			l.live = false
+		}
+		e.q.pop()
+	}
+	e.now = k.at
+	e.nSteps++
+	if s.fn != nil {
+		s.fn()
+	} else {
+		s.ctxFn(s.arg)
 	}
 	return true
 }
@@ -260,7 +410,7 @@ func (e *Engine) Run() uint64 {
 // that executed callbacks schedule at or before the deadline are also
 // executed during the same call.
 func (e *Engine) RunUntil(deadline Time) {
-	for e.q.len() > 0 && e.q.peek().at <= deadline {
+	for e.q.len() > 0 && e.q.items[0].at <= deadline {
 		e.Step()
 	}
 	if e.now < deadline {

@@ -4,10 +4,11 @@ import (
 	"container/heap"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // refEvent / refHeap is a container/heap reference implementation with the
-// same (at, seq) ordering contract as eventQueue.
+// same (at, seq) ordering contract as the engine's queue.
 type refEvent struct {
 	at  Time
 	seq uint64
@@ -32,37 +33,100 @@ func (h *refHeap) Pop() any {
 	return e
 }
 
-// TestQueueMatchesReferenceHeap drives the hand-rolled 4-ary queue and a
-// container/heap reference with 10k random events (interleaved pushes and
-// pops, heavy timestamp collisions) and requires identical pop sequences.
+// TestQueueKeySize pins the heap entry at 16 pointer-free bytes: the
+// sift loops move keys, and a wider or pointer-bearing key brings back
+// the copying and write-barrier cost the slot table removed.
+func TestQueueKeySize(t *testing.T) {
+	if n := unsafe.Sizeof(qkey{}); n != 16 {
+		t.Fatalf("qkey is %d bytes, want 16", n)
+	}
+}
+
+// TestQueueMatchesReferenceHeap drives the engine with 20k random events
+// scheduled through At, AtCtx and LaneAt/LaneAtCtx on 8 lanes (in-order
+// lane pushes that wait behind the lane head, and out-of-order ones that
+// take the heap directly), interleaved with Steps. Timestamps collide
+// heavily so the seq tie-break is exercised. After every operation the
+// engine must agree with a container/heap reference on the executed
+// event's (at, seq), Pending() and NextAt().
 func TestQueueMatchesReferenceHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	var q eventQueue
+	e := NewEngine()
 	var ref refHeap
+	var lanes [8]Lane
 	var seq uint64
-	const n = 10000
-	pushed, popped := 0, 0
+	var ran refEvent
+	evs := make([]refEvent, 0, 20000)
+	record := func(a any) { ran = *a.(*refEvent) }
+	const n = 20000
+	pushed, popped, laned, fallback := 0, 0, 0, 0
+	check := func(op string) {
+		t.Helper()
+		if p := e.Pending(); p != ref.Len() {
+			t.Fatalf("%s: Pending() = %d, reference %d", op, p, ref.Len())
+		}
+		at, ok := e.NextAt()
+		if ok != (ref.Len() > 0) || (ok && at != ref[0].at) {
+			t.Fatalf("%s: NextAt() = (%d, %v), reference head %v", op, at, ok, ref)
+		}
+	}
 	for popped < n {
-		if pushed < n && (q.len() == 0 || rng.Intn(3) != 0) {
-			// Small time range forces many (at) ties so the seq
-			// tie-break is actually exercised.
-			at := Time(rng.Intn(64))
+		if pushed < n && (ref.Len() == 0 || rng.Intn(3) != 0) {
+			now := e.Now()
+			at := now + Time(rng.Intn(64)) - 4 // a few land in the past
+			kind := rng.Intn(4)
+			l := &lanes[rng.Intn(len(lanes))]
+			if kind >= 2 && l.live && rng.Intn(4) != 0 {
+				// Mostly in lane order: at or after the lane's tail.
+				at = l.tail + Time(rng.Intn(8))
+			}
+			clamped := max(at, now)
 			seq++
-			q.push(event{at: at, seq: seq})
-			heap.Push(&ref, refEvent{at: at, seq: seq})
+			evs = append(evs, refEvent{at: clamped, seq: seq})
+			ev := &evs[len(evs)-1]
+			if kind >= 2 {
+				if l.live && clamped < l.tail {
+					fallback++
+				} else {
+					laned++
+				}
+			}
+			switch kind {
+			case 0:
+				e.At(at, func() { ran = *ev })
+			case 1:
+				e.AtCtx(at, record, ev)
+			case 2:
+				e.LaneAt(l, at, func() { ran = *ev })
+			case 3:
+				e.LaneAtCtx(l, at, record, ev)
+			}
+			heap.Push(&ref, *ev)
 			pushed++
+			check("push")
 			continue
 		}
-		got := q.pop()
+		if !e.Step() {
+			t.Fatalf("pop %d: engine empty, reference holds %d", popped, ref.Len())
+		}
 		want := heap.Pop(&ref).(refEvent)
-		if got.at != want.at || got.seq != want.seq {
-			t.Fatalf("pop %d: queue gave (at=%d seq=%d), reference gave (at=%d seq=%d)",
-				popped, got.at, got.seq, want.at, want.seq)
+		if ran != want || e.Now() != want.at {
+			t.Fatalf("pop %d: engine ran (at=%d seq=%d) at now=%d, reference (at=%d seq=%d)",
+				popped, ran.at, ran.seq, e.Now(), want.at, want.seq)
 		}
 		popped++
+		check("pop")
 	}
-	if q.len() != 0 || ref.Len() != 0 {
-		t.Fatalf("leftover events: queue %d, reference %d", q.len(), ref.Len())
+	if e.Step() {
+		t.Fatal("engine ran an event the reference does not hold")
+	}
+	if laned == 0 || fallback == 0 {
+		t.Fatalf("lane paths not both exercised: %d lane appends, %d fallbacks", laned, fallback)
+	}
+	for i := range lanes {
+		if l := &lanes[i]; l.live || l.n != 0 || l.buf != nil {
+			t.Fatalf("lane %d not idle after drain: live=%v n=%d buf=%d", i, l.live, l.n, len(l.buf))
+		}
 	}
 }
 
@@ -72,14 +136,14 @@ func TestQueueSortedDrain(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var q eventQueue
 	for i := 0; i < 5000; i++ {
-		q.push(event{at: Time(rng.Intn(100)), seq: uint64(i + 1)})
+		q.push(qkey{at: Time(rng.Intn(100)), ss: uint64(i+1) << slotBits})
 	}
 	prev := q.pop()
 	for q.len() > 0 {
 		cur := q.pop()
-		if cur.before(&prev) {
-			t.Fatalf("out of order: (at=%d seq=%d) after (at=%d seq=%d)",
-				cur.at, cur.seq, prev.at, prev.seq)
+		if cur.before(prev) {
+			t.Fatalf("out of order: (at=%d ss=%d) after (at=%d ss=%d)",
+				cur.at, cur.ss, prev.at, prev.ss)
 		}
 		prev = cur
 	}
@@ -160,25 +224,27 @@ func TestEngineSameInstantScheduling(t *testing.T) {
 }
 
 // TestEngineZeroAllocScheduling asserts the engine core allocates nothing
-// per event once the queue's backing slice is warm: At with a
-// pre-existing callback and AtCtx with a pointer argument are both free.
+// per event once the queue, slot table and lane pool are warm: At with a
+// pre-existing callback, AtCtx with a pointer argument, and both lane
+// forms are free.
 func TestEngineZeroAllocScheduling(t *testing.T) {
 	e := NewEngine()
 	n := 0
 	fn := func() { n++ }
 	ctxFn := func(a any) { *a.(*int)++ }
-	// Warm the queue's backing slice.
-	for i := 0; i < 64; i++ {
-		e.At(Time(i), fn)
-	}
-	e.Run()
-	avg := testing.AllocsPerRun(100, func() {
+	var lanes [2]Lane
+	batch := func() {
 		for i := 0; i < 64; i++ {
 			e.At(Time(i), fn)
 			e.AtCtx(Time(i), ctxFn, &n)
+			e.LaneAt(&lanes[0], Time(i), fn)
+			e.LaneAtCtx(&lanes[1], Time(i), ctxFn, &n)
 		}
 		e.Run()
-	})
+	}
+	// Warm the queue's backing slice, the slot table and the lane pool.
+	batch()
+	avg := testing.AllocsPerRun(100, batch)
 	if avg != 0 {
 		t.Fatalf("engine allocates %.2f allocs per warm schedule+run batch, want 0", avg)
 	}

@@ -93,9 +93,10 @@ func (c Config) classFor(d Dim) LinkClass {
 // (directions +1/-1) per non-degenerate wraparound dimension; mesh
 // dimensions omit the boundary (wraparound) links.
 type Network struct {
-	eng   *des.Engine
-	cfg   Config
-	links map[linkKey]*Link
+	eng *des.Engine
+	cfg Config
+	// links indexes every link by linkIndex; nil where none exists.
+	links []*Link
 	all   []*Link // every link, in construction order
 	// Forward is charged at intermediate hops of SendRouted. If nil,
 	// forwarding is free.
@@ -127,10 +128,13 @@ type Network struct {
 	reroutes  int64
 }
 
-type linkKey struct {
-	from NodeID
-	dim  Dim
-	dir  int // +1 / -1
+// linkIndex is the position of the (from, d, dir) link in Network.links.
+func (n *Network) linkIndex(from NodeID, d Dim, dir int) int {
+	i := (int(from)*n.cfg.Topo.NumDims() + int(d)) * 2
+	if dir < 0 {
+		i++
+	}
+	return i
 }
 
 // New builds the fabric.
@@ -139,11 +143,11 @@ func New(eng *des.Engine, cfg Config) (*Network, error) {
 		return nil, err
 	}
 	n := &Network{
-		eng:   eng,
-		cfg:   cfg,
-		links: make(map[linkKey]*Link),
+		eng: eng,
+		cfg: cfg,
 	}
 	t := cfg.Topo
+	n.links = make([]*Link, 2*t.N()*t.NumDims())
 	for id := NodeID(0); int(id) < t.N(); id++ {
 		for d := Dim(0); int(d) < t.NumDims(); d++ {
 			if t.Size(d) == 1 {
@@ -165,7 +169,7 @@ func New(eng *des.Engine, cfg Config) (*Network, error) {
 					lat: cls.Latency(),
 					up:  true, factor: 1, baseGBps: cls.EffGBps(),
 				}
-				n.links[linkKey{id, d, dir}] = l
+				n.links[n.linkIndex(id, d, dir)] = l
 				n.all = append(n.all, l)
 			}
 		}
@@ -201,9 +205,14 @@ func (n *Network) AddTraffic(wire, injected int64) {
 	n.extraInjected += injected
 }
 
-// Link returns the link leaving node from along d in direction dir.
+// Link returns the link leaving node from along d in direction dir, or
+// nil when there is none.
 func (n *Network) Link(from NodeID, d Dim, dir int) *Link {
-	return n.links[linkKey{from, d, dir}]
+	t := n.cfg.Topo
+	if from < 0 || int(from) >= t.N() || int(d) >= t.NumDims() || (dir != 1 && dir != -1) {
+		return nil
+	}
+	return n.links[n.linkIndex(from, d, dir)]
 }
 
 // TotalLinkBusy sums busy time over all links.
@@ -242,7 +251,7 @@ func (n *Network) SendNeighbor(src NodeID, d Dim, dir int, bytes int64, deliver 
 		return
 	}
 	if t.HasLink(src, d, dir) {
-		n.sendOnLink(n.links[linkKey{src, d, dir}], bytes, deliver)
+		n.sendOnLink(n.links[n.linkIndex(src, d, dir)], bytes, deliver)
 		return
 	}
 	if t.Size(d) == 1 || t.Wrap(d) {
@@ -260,6 +269,21 @@ func (n *Network) SendNeighbor(src NodeID, d Dim, dir int, bytes int64, deliver 
 	x := &routedXfer{net: n, path: path, cur: src, bytes: bytes, deliver: deliver}
 	x.fwdDone = x.advance
 	x.send()
+}
+
+// SendNeighborCtx is SendNeighbor with delivery in the engine's
+// callback-with-context form: fn(arg) runs at the destination. A direct
+// hop on a fault-free fabric schedules it with no allocation; the
+// fault-aware path and a mesh boundary hop fall back to SendNeighbor
+// with a closure.
+func (n *Network) SendNeighborCtx(src NodeID, d Dim, dir int, bytes int64, fn func(any), arg any) {
+	if n.faultsOn || !n.cfg.Topo.HasLink(src, d, dir) {
+		n.SendNeighbor(src, d, dir, bytes, func() { fn(arg) })
+		return
+	}
+	n.injected.Add(bytes)
+	l := n.links[n.linkIndex(src, d, dir)]
+	l.srv.RequestAfterCtx(bytes, l.lat, fn, arg)
 }
 
 // sendOnLink serializes bytes on l (FIFO at the link's effective rate)
@@ -407,7 +431,7 @@ func (n *Network) DegradeLink(from NodeID, d Dim, dir int, factor float64) {
 }
 
 func (n *Network) mustLink(from NodeID, d Dim, dir int) *Link {
-	l := n.links[linkKey{from, d, dir}]
+	l := n.links[n.linkIndex(from, d, dir)]
 	if l == nil {
 		panic(fmt.Sprintf("noc: no link from %d along %s dir %+d", from, d, dir))
 	}
@@ -483,7 +507,7 @@ func (n *Network) sendNeighborF(src NodeID, d Dim, dir int, bytes int64, deliver
 	}
 	t := n.cfg.Topo
 	if t.HasLink(src, d, dir) {
-		l := n.links[linkKey{src, d, dir}]
+		l := n.links[n.linkIndex(src, d, dir)]
 		if l.up {
 			n.sendOnLinkF(l, fx, func() { n.delivered(fx) })
 			return
@@ -575,7 +599,7 @@ func (n *Network) detour(src NodeID, d Dim, dir int) []NodeID {
 		path := make([]NodeID, 0, t.Size(d)-1)
 		cur, ok := src, true
 		for i := 0; i < t.Size(d)-1; i++ {
-			if !t.HasLink(cur, d, -dir) || !n.links[linkKey{cur, d, -dir}].up {
+			if !t.HasLink(cur, d, -dir) || !n.links[n.linkIndex(cur, d, -dir)].up {
 				ok = false
 				break
 			}
@@ -602,9 +626,9 @@ func (n *Network) detour(src NodeID, d Dim, dir int) []NodeID {
 			if !t.HasLink(b, e, -ed) || t.Neighbor(b, e, -ed) != dst {
 				continue
 			}
-			if n.links[linkKey{src, e, ed}].up &&
-				n.links[linkKey{a, d, dir}].up &&
-				n.links[linkKey{b, e, -ed}].up {
+			if n.links[n.linkIndex(src, e, ed)].up &&
+				n.links[n.linkIndex(a, d, dir)].up &&
+				n.links[n.linkIndex(b, e, -ed)].up {
 				return []NodeID{a, b, dst}
 			}
 		}
@@ -621,7 +645,7 @@ func (n *Network) linkTo(a, b NodeID) *Link {
 		}
 		for _, dir := range []int{+1, -1} {
 			if t.HasLink(a, d, dir) && t.Neighbor(a, d, dir) == b {
-				return n.links[linkKey{a, d, dir}]
+				return n.links[n.linkIndex(a, d, dir)]
 			}
 		}
 	}

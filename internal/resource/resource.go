@@ -53,7 +53,11 @@ type Server struct {
 
 	freeAt des.Time
 	busy   des.Time
-	Meter  stats.Meter
+	// lane carries the server's completion events: FIFO service makes
+	// them monotone in time, so only the earliest sits in the engine's
+	// heap.
+	lane  des.Lane
+	Meter stats.Meter
 	// Observers see every request's service interval.
 	Observers
 }
@@ -131,7 +135,7 @@ func (s *Server) reserve(n int64) des.Time {
 func (s *Server) Request(n int64, done func()) {
 	end := s.reserve(n)
 	if done != nil {
-		s.eng.At(end, done)
+		s.eng.LaneAt(&s.lane, end, done)
 	}
 }
 
@@ -148,7 +152,7 @@ func (s *Server) RequestAfter(n int64, extra des.Time, done func()) {
 	}
 	end := s.reserve(n)
 	if done != nil {
-		s.eng.At(end+extra, done)
+		s.eng.LaneAt(&s.lane, end+extra, done)
 	}
 }
 
@@ -161,7 +165,7 @@ func (s *Server) RequestAfterCtx(n int64, extra des.Time, fn func(any), arg any)
 		extra = 0
 	}
 	end := s.reserve(n)
-	s.eng.AtCtx(end+extra, fn, arg)
+	s.eng.LaneAtCtx(&s.lane, end+extra, fn, arg)
 }
 
 // String describes the server state for debugging.
@@ -175,6 +179,40 @@ type byteWaiter struct {
 	fn func()
 }
 
+// fifo is a FIFO of waiters reused through a head index: popped slots
+// are zeroed so granted callbacks are not pinned, and the backing array
+// is reused (rewound when the queue empties, compacted when it fills)
+// instead of leaking its dead prefix.
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+func (q *fifo[T]) len() int { return len(q.items) - q.head }
+
+func (q *fifo[T]) push(v T) {
+	if q.head > 0 && len(q.items) == cap(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
+	q.items = append(q.items, v)
+}
+
+// front returns the oldest waiter. Caller must ensure len() > 0.
+func (q *fifo[T]) front() T { return q.items[q.head] }
+
+func (q *fifo[T]) pop() T {
+	var zero T
+	v := q.items[q.head]
+	q.items[q.head] = zero
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return v
+}
+
 // ByteGate grants byte-sized reservations against a fixed capacity, FIFO.
 // The head waiter blocks all later waiters (no bypass), which keeps
 // admission fair and the simulation deterministic.
@@ -182,7 +220,7 @@ type ByteGate struct {
 	name     string
 	capacity int64
 	used     int64
-	q        []byteWaiter
+	q        fifo[byteWaiter]
 	maxUsed  int64
 }
 
@@ -203,7 +241,7 @@ func (g *ByteGate) Used() int64 { return g.used }
 func (g *ByteGate) MaxUsed() int64 { return g.maxUsed }
 
 // Waiting returns the number of queued (not yet granted) acquisitions.
-func (g *ByteGate) Waiting() int { return len(g.q) }
+func (g *ByteGate) Waiting() int { return g.q.len() }
 
 // Acquire reserves n bytes, calling fn once the reservation is granted.
 // Requests larger than the whole capacity are granted when the gate is
@@ -212,7 +250,11 @@ func (g *ByteGate) Acquire(n int64, fn func()) {
 	if n < 0 {
 		n = 0
 	}
-	g.q = append(g.q, byteWaiter{n, fn})
+	if g.q.len() == 0 && g.fits(n) {
+		g.grant(n, fn)
+		return
+	}
+	g.q.push(byteWaiter{n, fn})
 	g.drain()
 }
 
@@ -236,15 +278,18 @@ func (g *ByteGate) fits(n int64) bool {
 	return g.used+n <= g.capacity
 }
 
+func (g *ByteGate) grant(n int64, fn func()) {
+	g.used += n
+	if g.used > g.maxUsed {
+		g.maxUsed = g.used
+	}
+	fn()
+}
+
 func (g *ByteGate) drain() {
-	for len(g.q) > 0 && g.fits(g.q[0].n) {
-		w := g.q[0]
-		g.q = g.q[1:]
-		g.used += w.n
-		if g.used > g.maxUsed {
-			g.maxUsed = g.used
-		}
-		w.fn()
+	for g.q.len() > 0 && g.fits(g.q.front().n) {
+		w := g.q.pop()
+		g.grant(w.n, w.fn)
 	}
 }
 
@@ -253,7 +298,7 @@ type SlotGate struct {
 	name    string
 	cap     int
 	used    int
-	q       []func()
+	q       fifo[func()]
 	maxUsed int
 }
 
@@ -273,11 +318,15 @@ func (g *SlotGate) Used() int { return g.used }
 func (g *SlotGate) MaxUsed() int { return g.maxUsed }
 
 // Waiting returns the number of queued acquisitions.
-func (g *SlotGate) Waiting() int { return len(g.q) }
+func (g *SlotGate) Waiting() int { return g.q.len() }
 
 // Acquire takes one slot, calling fn when granted.
 func (g *SlotGate) Acquire(fn func()) {
-	g.q = append(g.q, fn)
+	if g.q.len() == 0 && g.free() {
+		g.grant(fn)
+		return
+	}
+	g.q.push(fn)
 	g.drain()
 }
 
@@ -290,14 +339,18 @@ func (g *SlotGate) Release() {
 	g.drain()
 }
 
+func (g *SlotGate) free() bool { return g.cap <= 0 || g.used < g.cap }
+
+func (g *SlotGate) grant(fn func()) {
+	g.used++
+	if g.used > g.maxUsed {
+		g.maxUsed = g.used
+	}
+	fn()
+}
+
 func (g *SlotGate) drain() {
-	for len(g.q) > 0 && (g.cap <= 0 || g.used < g.cap) {
-		fn := g.q[0]
-		g.q = g.q[1:]
-		g.used++
-		if g.used > g.maxUsed {
-			g.maxUsed = g.used
-		}
-		fn()
+	for g.q.len() > 0 && g.free() {
+		g.grant(g.q.pop())
 	}
 }

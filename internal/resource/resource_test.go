@@ -331,3 +331,67 @@ func TestSlotGateReleasePanic(t *testing.T) {
 	}()
 	NewSlotGate("x", 1).Release()
 }
+
+// TestGatesFIFOUnderReentrantAcquire pins FIFO grant order when grant
+// callbacks themselves acquire and release: an acquisition made from
+// inside a callback queues behind every older waiter, and a drained
+// queue keeps no granted callbacks reachable.
+func TestGatesFIFOUnderReentrantAcquire(t *testing.T) {
+	t.Run("slot", func(t *testing.T) {
+		g := NewSlotGate("fsm", 2)
+		var got []string
+		grant := func(name string) func() { return func() { got = append(got, name) } }
+		g.Acquire(func() {})
+		g.Acquire(func() {})
+		g.Acquire(func() {
+			got = append(got, "A")
+			g.Acquire(grant("D")) // B is older: D must wait behind it
+			g.Release()           // frees A's slot: B, not D, gets it
+		})
+		g.Acquire(func() {
+			got = append(got, "B")
+			g.Acquire(grant("E"))
+		})
+		g.Release()
+		g.Release()
+		g.Release()
+		assertOrder(t, got, "A", "B", "D", "E")
+		if g.Waiting() != 0 || len(g.q.items) != 0 {
+			t.Fatalf("drained queue keeps %d waiting, %d slots", g.Waiting(), len(g.q.items))
+		}
+	})
+	t.Run("byte", func(t *testing.T) {
+		g := NewByteGate("sram", 100)
+		var got []string
+		grant := func(name string) func() { return func() { got = append(got, name) } }
+		g.Acquire(100, func() {})
+		g.Acquire(50, func() {
+			got = append(got, "A")
+			g.Acquire(50, grant("D"))
+			g.Release(50)
+		})
+		g.Acquire(50, func() {
+			got = append(got, "B")
+			g.Acquire(10, grant("E"))
+		})
+		g.Release(100)
+		g.Release(50)
+		g.Release(50)
+		assertOrder(t, got, "A", "B", "D", "E")
+		if g.Waiting() != 0 || len(g.q.items) != 0 {
+			t.Fatalf("drained queue keeps %d waiting, %d slots", g.Waiting(), len(g.q.items))
+		}
+	})
+}
+
+func assertOrder(t *testing.T, got []string, want ...string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("grant order %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("grant order %v, want %v", got, want)
+		}
+	}
+}
