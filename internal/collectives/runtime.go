@@ -6,6 +6,7 @@ import (
 	"acesim/internal/core"
 	"acesim/internal/des"
 	"acesim/internal/noc"
+	"acesim/internal/resource"
 	"acesim/internal/trace"
 )
 
@@ -451,53 +452,27 @@ type nodeSched struct {
 	rrPending []prioQueue // per-stream queues (ArbRoundRobin only)
 	rrNext    StreamID    // next stream offered an admission slot
 	inflight  int
-	free      []*chunkExec // drained chunk state, reused by newChunkExec
 }
 
 // prioQueue holds chunks awaiting admission in (prio desc, chunk asc)
-// order. It pops through a head index and zeroes each popped slot, so
-// admitted chunks stay reachable only while they run, and it reuses its
-// backing array instead of leaking the popped prefix.
-type prioQueue struct {
-	items []*chunkExec
-	head  int
-}
-
-func (q *prioQueue) len() int { return len(q.items) - q.head }
+// order. Popping zeroes the slot, so admitted chunks stay reachable only
+// while they run.
+type prioQueue struct{ resource.FIFO[*chunkExec] }
 
 // insert adds e behind every queued chunk that orders ahead of it.
-func (q *prioQueue) insert(e *chunkExec) {
-	if q.head > 0 && len(q.items) == cap(q.items) {
-		n := copy(q.items, q.items[q.head:])
-		clear(q.items[n:])
-		q.items, q.head = q.items[:n], 0
-	}
-	i := len(q.items)
-	for i > q.head {
-		p := q.items[i-1]
-		if p.chunk.Prio > e.chunk.Prio ||
-			(p.chunk.Prio == e.chunk.Prio && p.idx < e.idx) {
-			break
-		}
-		i--
-	}
-	q.items = append(q.items, nil)
-	copy(q.items[i+1:], q.items[i:])
-	q.items[i] = e
+func (q *prioQueue) insert(e *chunkExec) { q.Insert(e, chunkAhead) }
+
+// chunkAhead reports whether queued chunk p is admitted before e.
+func chunkAhead(p, e *chunkExec) bool {
+	return p.chunk.Prio > e.chunk.Prio || (p.chunk.Prio == e.chunk.Prio && p.idx < e.idx)
 }
 
 // pop removes the first chunk, or returns nil when the queue is empty.
 func (q *prioQueue) pop() *chunkExec {
-	if q.len() == 0 {
+	if q.Len() == 0 {
 		return nil
 	}
-	e := q.items[q.head]
-	q.items[q.head] = nil
-	q.head++
-	if q.head == len(q.items) {
-		q.items, q.head = q.items[:0], 0
-	}
-	return e
+	return q.Pop()
 }
 
 func (s *nodeSched) enqueue(e *chunkExec) {
@@ -559,8 +534,7 @@ type ringRun struct {
 	shape        *PhaseShape
 	recvsDone    int
 	sendsSourced int
-	queue        []int64 // arrived message sizes; queue[qhead:] unprocessed
-	qhead        int
+	queue        resource.FIFO[int64] // arrived, unprocessed message sizes
 	busy         bool
 	finished     bool
 
@@ -588,12 +562,12 @@ func deliverRing(a any) {
 }
 
 // reset prepares the direction for phase s, keeping its callbacks and
-// receive buffer.
+// receive buffer (empty: a direction finishes only once its last message
+// has been taken from the queue).
 func (rr *ringRun) reset(s *PhaseShape) {
 	rr.up = s.DirIn[rr.dirIdx] != 0
 	rr.shape = s
 	rr.recvsDone, rr.sendsSourced = 0, 0
-	rr.queue, rr.qhead = rr.queue[:0], 0
 	rr.busy, rr.finished = false, false
 	if rr.up && rr.onSourced == nil {
 		rr.onSourced = rr.sourced
@@ -634,10 +608,7 @@ type a2aRun struct {
 }
 
 // chunkExec drives one chunk of one collective at one node through its
-// plan phases against the node's endpoint. A drained chunkExec returns to
-// its node's free list and is reused, callbacks and buffers included, by
-// a later chunk at the same node (so the same endpoint sees its Chunk
-// again).
+// plan phases against the node's endpoint.
 type chunkExec struct {
 	coll       *Collective
 	idx        int
@@ -652,12 +623,11 @@ type chunkExec struct {
 	a2a        *a2aRun
 	inbox      [][2][]int64
 	// deliveries holds the ring delivery records, two per phase
-	// (index 2*phase+dirIdx); allocated at the first ring phase and never
-	// reused, since messages may outlive the chunk.
+	// (index 2*phase+dirIdx); allocated at the first ring phase.
 	deliveries []ringDelivery
 
-	// startFn, startPhaseFn and drainedFn are built once per chunkExec
-	// and reused for the admission, every phase transition and the
+	// startFn, startPhaseFn and drainedFn are built once per chunk and
+	// reused for the admission, every phase transition and the
 	// terminal drain, avoiding a method-value allocation per use.
 	startFn      func()
 	startPhaseFn func()
@@ -685,48 +655,35 @@ func (c *Collective) geom(bytes int64) *chunkGeom {
 }
 
 func newChunkExec(c *Collective, idx int, node noc.NodeID, bytes int64) *chunkExec {
-	sc := c.rt.scheds[node]
-	var e *chunkExec
-	if n := len(sc.free); n > 0 {
-		e = sc.free[n-1]
-		sc.free[n-1] = nil
-		sc.free = sc.free[:n-1]
-	} else {
-		e = &chunkExec{}
-		e.dirs[0] = ringRun{exec: e, dirIdx: 0}
-		e.dirs[1] = ringRun{exec: e, dirIdx: 1}
-		e.startFn = e.start
-		e.startPhaseFn = e.startPhase
-		e.drainedFn = e.drained
-	}
 	g := c.geom(bytes)
-	e.coll, e.idx, e.node, e.shapes = c, idx, node, g.shapes
-	e.phase, e.started, e.dirsUp, e.a2a, e.deliveries = 0, false, 0, nil, nil
-	if cap(e.inbox) < len(g.shapes) {
-		e.inbox = make([][2][]int64, len(g.shapes))
-	} else {
-		e.inbox = e.inbox[:len(g.shapes)]
-		clear(e.inbox)
+	e := &chunkExec{
+		coll:   c,
+		idx:    idx,
+		node:   node,
+		shapes: g.shapes,
+		inbox:  make([][2][]int64, len(g.shapes)),
 	}
+	e.dirs[0] = ringRun{exec: e, dirIdx: 0}
+	e.dirs[1] = ringRun{exec: e, dirIdx: 1}
 	prio := int64(c.seq) - c.spec.PrioBias // LIFO: later issues are more urgent
 	if c.rt.cfg.FIFOSched {
 		prio = -int64(c.seq)
 	}
-	e.chunk.Bytes, e.chunk.Resident, e.chunk.Prio = bytes, g.resident, prio
+	e.chunk = core.Chunk{Bytes: bytes, Resident: g.resident, Prio: prio}
+	e.startFn = e.start
+	e.startPhaseFn = e.startPhase
+	e.drainedFn = e.drained
 	return e
 }
 
 // drained completes the chunk at its node once the endpoint has drained
-// it, and returns its state to the node's free list: live chunk state is
-// bounded by the chunks issued and not yet drained, not by the run.
+// it, and drops it from its collective: live chunk state is bounded by
+// the chunks issued and not yet drained, not by the run.
 func (e *chunkExec) drained() {
-	c, node := e.coll, e.node
-	sc := c.rt.scheds[node]
-	c.execs[node][e.idx] = nil
-	e.coll = nil
-	sc.free = append(sc.free, e)
-	c.chunkDoneAt(node)
-	sc.chunkFinished()
+	c := e.coll
+	c.execs[e.node][e.idx] = nil
+	c.chunkDoneAt(e.node)
+	c.rt.scheds[e.node].chunkFinished()
 }
 
 func (e *chunkExec) rt() *Runtime { return e.coll.rt }
@@ -796,20 +753,16 @@ func (rr *ringRun) issueSend() {
 }
 
 func (rr *ringRun) arrive(bytes int64) {
-	rr.queue = append(rr.queue, bytes)
+	rr.queue.Push(bytes)
 	rr.pump()
 }
 
 func (rr *ringRun) pump() {
-	if rr.busy || rr.qhead == len(rr.queue) {
+	if rr.busy || rr.queue.Len() == 0 {
 		return
 	}
 	rr.busy = true
-	bytes := rr.queue[rr.qhead]
-	rr.qhead++
-	if rr.qhead == len(rr.queue) {
-		rr.queue, rr.qhead = rr.queue[:0], 0
-	}
+	bytes := rr.queue.Pop()
 	e := rr.exec
 	s := rr.shape
 	if rr.recvsDone >= s.Steps {
@@ -849,13 +802,12 @@ func (e *chunkExec) startA2A(s *PhaseShape) {
 	// sequence is the same pattern shifted by its own position
 	// (rotation-equivariant). This keeps all nodes' timelines identical,
 	// which the LIFO chunk scheduler relies on (see DESIGN.md).
-	coll := e.coll // the delivery may outlive this chunkExec's use
 	for _, dst := range a2aOrder(rt.net.Topo(), e.node) {
 		dst := dst
 		rt.eps[e.node].SourceSend(&e.chunk, phase, s.Kind, seg, func() {
 			m := inMsg{chunk: e.idx, phase: phase, dirIdx: 0, bytes: seg}
 			rt.net.SendRouted(e.node, dst, seg, func() {
-				coll.deliver(dst, m)
+				e.coll.deliver(dst, m)
 			})
 			e.a2a.sendsSourced++
 			e.a2a.maybeFinish()
@@ -981,7 +933,7 @@ func (rt *Runtime) DebugState() string {
 				}
 				for di := range e.dirs {
 					if rr := &e.dirs[di]; rr.up {
-						detail += fmt.Sprintf(" d%d(r=%d,s=%d,q=%d)", di, rr.recvsDone, rr.sendsSourced, len(rr.queue)-rr.qhead)
+						detail += fmt.Sprintf(" d%d(r=%d,s=%d,q=%d)", di, rr.recvsDone, rr.sendsSourced, rr.queue.Len())
 					}
 				}
 				for ph := range e.inbox {
@@ -1011,11 +963,11 @@ func (rt *Runtime) DebugState() string {
 // pendingLen counts chunks awaiting admission across all streams.
 func (s *nodeSched) pendingLen() int {
 	if s.rrPending == nil {
-		return s.pending.len()
+		return s.pending.Len()
 	}
 	n := 0
 	for i := range s.rrPending {
-		n += s.rrPending[i].len()
+		n += s.rrPending[i].Len()
 	}
 	return n
 }

@@ -93,9 +93,8 @@ func (c ACEConfig) MinPartitionBytes() int64 {
 
 // aceChunkState is ACE-private per-chunk bookkeeping. It also carries
 // the chunk's admission, phase-change and drain continuations, built
-// once per state, so moving a chunk through the engine allocates
-// nothing per phase, and nothing at all when the runtime re-admits the
-// Chunk.
+// once per chunk, so moving a chunk through the engine allocates nothing
+// per phase.
 type aceChunkState struct {
 	a     *ACE
 	c     *Chunk

@@ -57,10 +57,7 @@ func (k PhaseKind) String() string {
 }
 
 // Chunk is the unit of endpoint admission: one pipelined slice of a
-// collective payload, as seen by one node. Once its Drain has completed,
-// the runtime may admit the same Chunk again, with new fields, for a
-// later slice at the same endpoint; endpoints reset their per-chunk
-// state in Admit.
+// collective payload, as seen by one node.
 type Chunk struct {
 	// Bytes is the chunk payload entering phase 0.
 	Bytes int64

@@ -244,16 +244,36 @@ func (n *Network) TotalWireBytes() int64 {
 // traffic). That multi-hop closure is exactly why ring collectives on a
 // mesh expose more communication than on a torus of the same size.
 func (n *Network) SendNeighbor(src NodeID, d Dim, dir int, bytes int64, deliver func()) {
-	t := n.cfg.Topo
+	n.SendNeighborCtx(src, d, dir, bytes, callFunc, deliver)
+}
+
+// callFunc adapts a plain func() to the callback-with-context form.
+func callFunc(a any) { a.(func())() }
+
+// SendNeighborCtx is SendNeighbor with delivery in the engine's
+// callback-with-context form: fn(arg) runs at the destination. A direct
+// hop on a fault-free fabric schedules it with no allocation; the
+// fault-aware path and a mesh boundary hop wrap it in a closure.
+func (n *Network) SendNeighborCtx(src NodeID, d Dim, dir int, bytes int64, fn func(any), arg any) {
 	n.injected.Add(bytes)
+	if n.faultsOn || !n.cfg.Topo.HasLink(src, d, dir) {
+		n.sendNeighborSlow(src, d, dir, bytes, func() { fn(arg) })
+		return
+	}
+	// One scheduled event covers serialization (FIFO at the link's
+	// effective rate) and the propagation latency after it.
+	l := n.links[n.linkIndex(src, d, dir)]
+	l.srv.RequestAfterCtx(bytes, l.lat, fn, arg)
+}
+
+// sendNeighborSlow is the neighbor hop with no direct fault-free link:
+// the fault-aware path, or a mesh boundary hop routed across the line.
+func (n *Network) sendNeighborSlow(src NodeID, d Dim, dir int, bytes int64, deliver func()) {
 	if n.faultsOn {
 		n.sendNeighborF(src, d, dir, bytes, deliver, nil)
 		return
 	}
-	if t.HasLink(src, d, dir) {
-		n.sendOnLink(n.links[n.linkIndex(src, d, dir)], bytes, deliver)
-		return
-	}
+	t := n.cfg.Topo
 	if t.Size(d) == 1 || t.Wrap(d) {
 		panic(fmt.Sprintf("noc: no link from %d along %s dir %+d", src, d, dir))
 	}
@@ -269,30 +289,6 @@ func (n *Network) SendNeighbor(src NodeID, d Dim, dir int, bytes int64, deliver 
 	x := &routedXfer{net: n, path: path, cur: src, bytes: bytes, deliver: deliver}
 	x.fwdDone = x.advance
 	x.send()
-}
-
-// SendNeighborCtx is SendNeighbor with delivery in the engine's
-// callback-with-context form: fn(arg) runs at the destination. A direct
-// hop on a fault-free fabric schedules it with no allocation; the
-// fault-aware path and a mesh boundary hop fall back to SendNeighbor
-// with a closure.
-func (n *Network) SendNeighborCtx(src NodeID, d Dim, dir int, bytes int64, fn func(any), arg any) {
-	if n.faultsOn || !n.cfg.Topo.HasLink(src, d, dir) {
-		n.SendNeighbor(src, d, dir, bytes, func() { fn(arg) })
-		return
-	}
-	n.injected.Add(bytes)
-	l := n.links[n.linkIndex(src, d, dir)]
-	l.srv.RequestAfterCtx(bytes, l.lat, fn, arg)
-}
-
-// sendOnLink serializes bytes on l (FIFO at the link's effective rate)
-// and runs deliver one propagation latency after serialization completes.
-// RequestAfter folds serialization and latency into a single scheduled
-// event, so a neighbor hop costs no allocations beyond the caller's
-// deliver callback.
-func (n *Network) sendOnLink(l *Link, bytes int64, deliver func()) {
-	l.srv.RequestAfter(bytes, l.lat, deliver)
 }
 
 // routedXfer is the in-flight state of one SendRouted transfer. It is

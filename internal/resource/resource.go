@@ -179,30 +179,55 @@ type byteWaiter struct {
 	fn func()
 }
 
-// fifo is a FIFO of waiters reused through a head index: popped slots
-// are zeroed so granted callbacks are not pinned, and the backing array
-// is reused (rewound when the queue empties, compacted when it fills)
-// instead of leaking its dead prefix.
-type fifo[T any] struct {
+// FIFO is a queue reused through a head index: popped slots are zeroed
+// so popped values (granted callbacks, admitted chunks) are not pinned,
+// and the backing array is reused (rewound when the queue empties,
+// compacted when it fills) instead of leaking its dead prefix. The zero
+// value is an empty queue.
+type FIFO[T any] struct {
 	items []T
 	head  int
 }
 
-func (q *fifo[T]) len() int { return len(q.items) - q.head }
+// Len returns the number of queued values.
+func (q *FIFO[T]) Len() int { return len(q.items) - q.head }
 
-func (q *fifo[T]) push(v T) {
+// Push appends v at the tail.
+func (q *FIFO[T]) Push(v T) {
+	q.compact()
+	q.items = append(q.items, v)
+}
+
+// Insert places v directly behind the last queued value that orders
+// ahead of it (ahead(queued, v) true), scanning from the tail; v goes to
+// the front when none does.
+func (q *FIFO[T]) Insert(v T, ahead func(queued, v T) bool) {
+	q.compact()
+	i := len(q.items)
+	for i > q.head && !ahead(q.items[i-1], v) {
+		i--
+	}
+	var zero T
+	q.items = append(q.items, zero)
+	copy(q.items[i+1:], q.items[i:])
+	q.items[i] = v
+}
+
+// compact moves the live values to the front of a full backing array
+// that has a dead prefix, so the next append reuses it.
+func (q *FIFO[T]) compact() {
 	if q.head > 0 && len(q.items) == cap(q.items) {
 		n := copy(q.items, q.items[q.head:])
 		clear(q.items[n:])
 		q.items, q.head = q.items[:n], 0
 	}
-	q.items = append(q.items, v)
 }
 
-// front returns the oldest waiter. Caller must ensure len() > 0.
-func (q *fifo[T]) front() T { return q.items[q.head] }
+// Front returns the oldest value. Caller must ensure Len() > 0.
+func (q *FIFO[T]) Front() T { return q.items[q.head] }
 
-func (q *fifo[T]) pop() T {
+// Pop removes and returns the oldest value. Caller must ensure Len() > 0.
+func (q *FIFO[T]) Pop() T {
 	var zero T
 	v := q.items[q.head]
 	q.items[q.head] = zero
@@ -220,7 +245,7 @@ type ByteGate struct {
 	name     string
 	capacity int64
 	used     int64
-	q        fifo[byteWaiter]
+	q        FIFO[byteWaiter]
 	maxUsed  int64
 }
 
@@ -241,7 +266,7 @@ func (g *ByteGate) Used() int64 { return g.used }
 func (g *ByteGate) MaxUsed() int64 { return g.maxUsed }
 
 // Waiting returns the number of queued (not yet granted) acquisitions.
-func (g *ByteGate) Waiting() int { return g.q.len() }
+func (g *ByteGate) Waiting() int { return g.q.Len() }
 
 // Acquire reserves n bytes, calling fn once the reservation is granted.
 // Requests larger than the whole capacity are granted when the gate is
@@ -250,11 +275,11 @@ func (g *ByteGate) Acquire(n int64, fn func()) {
 	if n < 0 {
 		n = 0
 	}
-	if g.q.len() == 0 && g.fits(n) {
+	if g.q.Len() == 0 && g.fits(n) {
 		g.grant(n, fn)
 		return
 	}
-	g.q.push(byteWaiter{n, fn})
+	g.q.Push(byteWaiter{n, fn})
 	g.drain()
 }
 
@@ -287,8 +312,8 @@ func (g *ByteGate) grant(n int64, fn func()) {
 }
 
 func (g *ByteGate) drain() {
-	for g.q.len() > 0 && g.fits(g.q.front().n) {
-		w := g.q.pop()
+	for g.q.Len() > 0 && g.fits(g.q.Front().n) {
+		w := g.q.Pop()
 		g.grant(w.n, w.fn)
 	}
 }
@@ -298,7 +323,7 @@ type SlotGate struct {
 	name    string
 	cap     int
 	used    int
-	q       fifo[func()]
+	q       FIFO[func()]
 	maxUsed int
 }
 
@@ -318,15 +343,15 @@ func (g *SlotGate) Used() int { return g.used }
 func (g *SlotGate) MaxUsed() int { return g.maxUsed }
 
 // Waiting returns the number of queued acquisitions.
-func (g *SlotGate) Waiting() int { return g.q.len() }
+func (g *SlotGate) Waiting() int { return g.q.Len() }
 
 // Acquire takes one slot, calling fn when granted.
 func (g *SlotGate) Acquire(fn func()) {
-	if g.q.len() == 0 && g.free() {
+	if g.q.Len() == 0 && g.free() {
 		g.grant(fn)
 		return
 	}
-	g.q.push(fn)
+	g.q.Push(fn)
 	g.drain()
 }
 
@@ -350,7 +375,7 @@ func (g *SlotGate) grant(fn func()) {
 }
 
 func (g *SlotGate) drain() {
-	for g.q.len() > 0 && g.free() {
-		g.grant(g.q.pop())
+	for g.q.Len() > 0 && g.free() {
+		g.grant(g.q.Pop())
 	}
 }

@@ -1,6 +1,7 @@
 package resource
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -393,5 +394,53 @@ func assertOrder(t *testing.T, got []string, want ...string) {
 		if got[i] != want[i] {
 			t.Fatalf("grant order %v, want %v", got, want)
 		}
+	}
+}
+
+// TestFIFOInsertAndReuse pins the shared queue: Insert keeps values
+// behind every queued value ordering ahead of them (stable among
+// equals), Pop zeroes its slot, and a full array with a dead prefix is
+// compacted instead of grown.
+func TestFIFOInsertAndReuse(t *testing.T) {
+	var q FIFO[*int]
+	val := func(v int) *int { return &v }
+	desc := func(queued, v *int) bool { return *queued >= *v }
+	firstFive := val(5)
+	for _, v := range []*int{firstFive, val(3), val(5), val(9), val(1)} {
+		q.Insert(v, desc)
+	}
+	var got []int
+	for i := 0; q.Len() > 0; i++ {
+		if i == 1 && q.Front() != firstFive {
+			t.Fatal("Insert is not stable among equal values")
+		}
+		got = append(got, *q.Pop())
+	}
+	if fmt.Sprint(got) != "[9 5 5 3 1]" {
+		t.Fatalf("insert order %v, want [9 5 5 3 1]", got)
+	}
+	if len(q.items) != 0 {
+		t.Fatalf("drained queue keeps %d slots", len(q.items))
+	}
+
+	for i := 0; i < 4; i++ {
+		q.Push(val(i))
+	}
+	c := cap(q.items)
+	for q.Len() < c {
+		q.Push(val(q.Len()))
+	}
+	q.Pop()
+	q.Pop()
+	if q.items[0] != nil || q.items[1] != nil {
+		t.Fatal("popped slots still pin their values")
+	}
+	q.Push(val(100)) // full with a dead prefix: compact, do not grow
+	if cap(q.items) != c || q.head != 0 || q.Len() != c-1 {
+		t.Fatalf("cap %d (was %d), head %d, len %d after push into a full queue with a dead prefix",
+			cap(q.items), c, q.head, q.Len())
+	}
+	if *q.Front() != 2 {
+		t.Fatalf("front %d after compaction, want 2", *q.Front())
 	}
 }
