@@ -71,13 +71,17 @@ chaos-smoke:
 	$(GO) run ./cmd/acesim scenario run examples/scenarios/link_failure.json
 
 # Figures smoke: the paper figures the CLI runs from its embedded
-# bundled scenario files (examples/scenarios). Each run evaluates its
-# file's assertions, so a file that no longer loads or a figure that
-# moved out of its asserted range fails the target.
+# bundled scenario files (examples/scenarios), all but the multi-minute
+# fig11 and fig12 grids. Each run evaluates its files' assertions, so a
+# file that no longer loads or a figure that moved out of its asserted
+# range fails the target. interference traces every multijob.json unit
+# (~1 GB peak RSS).
 figures-smoke:
 	$(GO) run ./cmd/acesim fig4
 	$(GO) run ./cmd/acesim fig5
 	$(GO) run ./cmd/acesim fig6
+	$(GO) run ./cmd/acesim ablation
+	$(GO) run ./cmd/acesim interference
 
 # Golden gate: the full-size runner goldens (every bundled figure's JSON
 # results, byte for byte), the fig4 trace digest, the multijob trace's

@@ -190,21 +190,15 @@ func BenchmarkAblationForwarding(b *testing.B) {
 // BenchmarkAblationSwitch regenerates the switch-fabric placement
 // ablation.
 func BenchmarkAblationSwitch(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := exper.AblationSwitch(16 << 20); err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := benchBundled(b, "ablation_switch.json", nil)
+	// Units run the presets in Table VI order: unit 3 is ACE.
+	b.ReportMetric(res.Units[3].Metrics["vs_compopt"], "ACE-vs-CompOpt")
 }
 
 // BenchmarkAblationScheduling regenerates the LIFO-vs-FIFO scheduling
 // ablation.
 func BenchmarkAblationScheduling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := exper.AblationScheduling(benchTorus, "resnet50"); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchBundled(b, "ablation_scheduling.json", nil)
 }
 
 // BenchmarkCollectiveAllReduce measures raw simulator throughput on a

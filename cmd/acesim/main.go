@@ -18,16 +18,17 @@
 //
 // fig4, fig5, fig6, fig11 and fig12 run the bundled scenario file of
 // the same name (embedded in the binary) and print it the way `scenario
-// run` does; ablation runs ablation_forwarding.json before its switch
-// and scheduling parts. The bundled figures take no flags: to change
-// one, edit a copy of its file and run that with `acesim scenario run`.
+// run` does; ablation runs ablation_forwarding.json, ablation_switch.json
+// and ablation_scheduling.json, and interference runs multijob.json
+// with tracing on. The bundled figures take no flags: to change one,
+// edit a copy of its file and run that with `acesim scenario run`.
 //
-// Experiment flags (only the experiments named read them):
+// Experiment flags (an experiment rejects a flag it does not read):
 //
 //	-size SHAPE   fabric topology of fig9b, fig10 and table5 (default
 //	              4x8x4; sizes joined by "x", "m" suffix = mesh dimension)
-//	-quick        shrink fig9a, fig9b, fig10, analytic and interference
-//	              for a fast pass (small sizes, fewer points)
+//	-quick        shrink fig9a, fig9b, fig10 and analytic for a fast pass
+//	              (small sizes, fewer points)
 //	-csv dir      write Fig 10 utilization timelines as CSV files into dir
 //
 // Scenario flags:
@@ -47,6 +48,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 
@@ -148,36 +150,23 @@ func runCtx(ctx context.Context, args []string) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("%s: %w: unexpected argument %q", cmd, errUsage, fs.Arg(0))
 	}
-	if file, ok := bundledFigures[cmd]; ok {
-		var set []string
-		fs.Visit(func(f *flag.Flag) { set = append(set, "-"+f.Name) })
-		if len(set) > 0 {
-			return fmt.Errorf("%s: %w: %s does not apply to a bundled figure; edit a copy of examples/scenarios/%s and run it with `acesim scenario run`",
-				cmd, errUsage, strings.Join(set, " "), file)
-		}
+	// Method expressions take the runner as an argument, so every
+	// experiment sees the flags parsed below, also under `all`.
+	all := map[string]func(runner) error{
+		"fig9a": runner.fig9a, "fig9b": runner.fig9b, "fig10": runner.fig10,
+		"table4": runner.table4, "table5": runner.table5, "table6": runner.table6,
+		"analytic": runner.analytic,
 	}
-	size, err := parseTorus(*sizeStr)
-	if err != nil {
-		return err
+	for name := range bundledFigures {
+		all[name] = func(runner) error { return runBundled(ctx, name) }
 	}
-	r := runner{ctx: ctx, size: size, quick: *quick, csvDir: *csvDir}
-
-	all := map[string]func() error{
-		"fig9a": r.fig9a, "fig9b": r.fig9b, "fig10": r.fig10,
-		"table4": r.table4, "table5": r.table5, "table6": r.table6,
-		"analytic": r.analytic, "ablation": r.ablation,
-		"interference": r.interference,
-	}
-	for name, file := range bundledFigures {
-		all[name] = func() error { return runBundled(ctx, file) }
-	}
-	if cmd == "all" {
+	all["all"] = func(r runner) error {
 		for _, name := range []string{
 			"table5", "table6", "table4", "analytic", "fig4", "fig5", "fig6",
 			"fig9a", "fig9b", "fig10", "fig11", "fig12", "ablation",
 			"interference",
 		} {
-			if err := all[name](); err != nil {
+			if err := all[name](r); err != nil {
 				return fmt.Errorf("%s: %w", name, err)
 			}
 		}
@@ -188,27 +177,85 @@ func runCtx(ctx context.Context, args []string) error {
 		usage()
 		return fmt.Errorf("unknown experiment %q", cmd)
 	}
-	return fn()
+	if err := unreadFlags(fs, cmd); err != nil {
+		return err
+	}
+	size, err := parseTorus(*sizeStr)
+	if err != nil {
+		return err
+	}
+	return fn(runner{size: size, quick: *quick, csvDir: *csvDir})
 }
 
-// bundledFigures maps the experiments that run a bundled scenario file to
-// that file. They always run at the file's full size: -quick and -size
-// do not apply, even under `all`.
-var bundledFigures = map[string]string{"fig4": "fig4.json", "fig5": "fig5.json", "fig6": "fig6.json",
-	"fig11": "fig11.json", "fig12": "fig12.json"}
+// flagReaders names the experiments that read each experiment flag.
+// Any other experiment rejects the flag; `all` passes each flag to its
+// readers and runs the rest unchanged.
+var flagReaders = map[string][]string{
+	"size":  {"fig9b", "fig10", "table5"},
+	"quick": {"fig9a", "fig9b", "fig10", "analytic"},
+	"csv":   {"fig10"},
+}
 
-// runBundled runs one embedded bundled scenario and prints it the way
-// `acesim scenario run` does.
-func runBundled(ctx context.Context, file string) error {
-	sc, err := scenarios.Load(file)
-	if err != nil {
-		return err
+// unreadFlags fails with errUsage when a flag is set that cmd does not
+// read. A bundled figure names the files to edit instead.
+func unreadFlags(fs *flag.FlagSet, cmd string) error {
+	if cmd == "all" {
+		return nil
 	}
-	failed, err := runScenarioFile(ctx, sc, runOpts{format: "text"})
-	if err != nil {
-		return err
+	var set []string
+	fs.Visit(func(f *flag.Flag) {
+		if !slices.Contains(flagReaders[f.Name], cmd) {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	if len(set) == 0 {
+		return nil
 	}
-	return assertionFailures(sc.Name, failed)
+	flags := strings.Join(set, " ")
+	if fig, ok := bundledFigures[cmd]; ok {
+		return fmt.Errorf("%s: %w: %s does not apply to a bundled figure; edit a copy of examples/scenarios/%s and run it with `acesim scenario run`",
+			cmd, errUsage, flags, strings.Join(fig.files, ", "))
+	}
+	return fmt.Errorf("%s: %w: %s does not apply to %s", cmd, errUsage, flags, cmd)
+}
+
+// bundledFigure is an experiment that runs bundled scenario files, in
+// order. A traced figure also prints the exposed-communication table.
+type bundledFigure struct {
+	files []string
+	trace bool
+}
+
+// bundledFigures maps the experiments that run bundled scenario files to
+// those files. They always run at the files' full size: no experiment
+// flag applies to them, even under `all`.
+var bundledFigures = map[string]bundledFigure{
+	"fig4":         {files: []string{"fig4.json"}},
+	"fig5":         {files: []string{"fig5.json"}},
+	"fig6":         {files: []string{"fig6.json"}},
+	"fig11":        {files: []string{"fig11.json"}},
+	"fig12":        {files: []string{"fig12.json"}},
+	"ablation":     {files: []string{"ablation_forwarding.json", "ablation_switch.json", "ablation_scheduling.json"}},
+	"interference": {files: []string{"multijob.json"}, trace: true},
+}
+
+// runBundled runs an experiment's embedded bundled scenario files and
+// prints each the way `acesim scenario run` does.
+func runBundled(ctx context.Context, cmd string) error {
+	fig := bundledFigures[cmd]
+	var failed []string
+	for _, file := range fig.files {
+		sc, err := scenarios.Load(file)
+		if err != nil {
+			return err
+		}
+		fails, err := runScenarioFile(ctx, sc, runOpts{format: "text", trace: fig.trace})
+		if err != nil {
+			return err
+		}
+		failed = append(failed, fails...)
+	}
+	return assertionFailures(cmd, failed)
 }
 
 func usage() {
@@ -223,8 +270,9 @@ func usage() {
        acesim serve [-addr :8080] [-workers N] [-queue UNITS] [-smoke scenario.json] [-stress [stress flags]]
 experiments: fig4 fig5 fig6 fig9a fig9b fig10 fig11 fig12
              table4 table5 table6 analytic ablation interference all
--size: fig9b fig10 table5; -quick: fig9a fig9b fig10 analytic interference;
--csv: fig10. The bundled figures fig4 fig5 fig6 fig11 fig12 take no flags.`)
+-size: fig9b fig10 table5; -quick: fig9a fig9b fig10 analytic; -csv: fig10.
+The other experiments take no flags; the bundled figures fig4 fig5 fig6
+fig11 fig12 ablation interference run files under examples/scenarios/.`)
 }
 
 func parseTorus(s string) (noc.Topology, error) {
@@ -342,9 +390,11 @@ type runOpts struct {
 	workers  int
 	format   string // text, json or csv
 	powerCSV string // windowed power timeline CSV path
-	// chrome, when set, traces every unit and writes the validated
-	// Chrome trace-event JSON there; traceCSV writes the per-unit trace
+	// trace runs every unit with the span collector, adding the trace
+	// table. chrome, when set, also writes the validated Chrome
+	// trace-event JSON there; traceCSV writes the per-unit trace
 	// breakdown table as CSV.
+	trace            bool
 	chrome, traceCSV string
 }
 
@@ -354,7 +404,7 @@ type runOpts struct {
 // fallbacks to full DES are named on stderr. A canceled run flushes the
 // completed units and returns errInterrupted.
 func runScenarioFile(ctx context.Context, sc *scenario.Scenario, o runOpts) ([]string, error) {
-	res, err := scrunner.RunContext(ctx, sc, scrunner.Options{Workers: o.workers, Trace: o.chrome != ""})
+	res, err := scrunner.RunContext(ctx, sc, scrunner.Options{Workers: o.workers, Trace: o.trace || o.chrome != ""})
 	if err != nil && (res == nil || !res.Canceled) {
 		return nil, err
 	}
@@ -450,7 +500,6 @@ func platformEngine(sc *scenario.Scenario) collectives.Engine {
 }
 
 type runner struct {
-	ctx    context.Context
 	size   noc.Topology
 	quick  bool
 	csvDir string
@@ -546,47 +595,6 @@ func (r runner) table6() error {
 	return show(exper.Table6(), nil)
 }
 
-// interference demonstrates the multi-job layer on the 16-NPU platform:
-// first two training jobs isolated on disjoint sub-torus partitions (each
-// runs at solo speed), then a training job sharing the full fabric with a
-// standing all-reduce stream (both are slowed — the Section III
-// interference trend at fabric scale). Scenario files can express
-// arbitrary mixes via the "multijob" job kind.
-func (r runner) interference() error {
-	full := noc.Torus3(4, 2, 2)
-	spec := system.NewSpec(full, system.BaselineCommOpt)
-	m := workload.ResNet50(workload.ResNet50Batch)
-	count := 32
-	if r.quick {
-		count = 8
-	}
-	partA := noc.Partition{Full: full, Shape: noc.Torus3(4, 1, 2)}
-	partB := noc.Partition{Full: full, Shape: noc.Torus3(4, 1, 2), Origin: []int{0, 1, 0}}
-	_, tab, err := exper.Interference(spec, []exper.InterferenceJob{
-		{Name: "train-a", Part: &partA, Model: m},
-		{Name: "train-b", Part: &partB, Model: m},
-	})
-	if err := show(tab, err); err != nil {
-		return err
-	}
-	// The shared-fabric co-run collects a trace so the interference
-	// report also quantifies how much communication stayed exposed.
-	tr := trace.New()
-	spec.Tracer = tr
-	_, tab2, err := exper.Interference(spec, []exper.InterferenceJob{
-		{Name: "train", Model: m},
-		{Name: "noise", Stream: exper.StreamSpec{Kind: collectives.AllReduce, Bytes: 32 << 20, Count: count}},
-	})
-	if err := show(tab2, err); err != nil {
-		return err
-	}
-	bd := tr.Breakdown()
-	fmt.Printf("co-run trace: comm %.1f us (exposed %.1f, overlapped %.1f), compute %.1f us, overlap frac %.3f, %d spans\n",
-		float64(bd.CommTotal)/1e6, float64(bd.CommExposed)/1e6, float64(bd.CommOverlapped)/1e6,
-		float64(bd.ComputeBusy)/1e6, bd.OverlapFrac, bd.Spans)
-	return nil
-}
-
 func (r runner) analytic() error {
 	toruses := []noc.Topology{noc.Torus3(4, 2, 2), noc.Torus3(4, 4, 4), noc.Torus3(4, 8, 4)}
 	if r.quick {
@@ -594,16 +602,4 @@ func (r runner) analytic() error {
 	}
 	_, tab, err := exper.AnalyticVIA(toruses, 4<<20)
 	return show(tab, err)
-}
-
-func (r runner) ablation() error {
-	if err := runBundled(r.ctx, "ablation_forwarding.json"); err != nil {
-		return err
-	}
-	_, tab2, err := exper.AblationSwitch(16 << 20)
-	if err := show(tab2, err); err != nil {
-		return err
-	}
-	_, tab3, err := exper.AblationScheduling(noc.Torus3(4, 2, 2), "resnet50")
-	return show(tab3, err)
 }

@@ -110,6 +110,15 @@ func TestRunDispatch(t *testing.T) {
 		{"bundled figure size", []string{"fig6", "-size", "4x2x2"}, "-size does not apply to a bundled figure; edit a copy of examples/scenarios/fig6.json"},
 		{"fig11 quick", []string{"fig11", "-quick"}, "-quick does not apply to a bundled figure; edit a copy of examples/scenarios/fig11.json"},
 		{"fig12 size", []string{"fig12", "-size", "4x4x4"}, "-size does not apply to a bundled figure; edit a copy of examples/scenarios/fig12.json"},
+		{"ablation quick", []string{"ablation", "-quick"},
+			"-quick does not apply to a bundled figure; edit a copy of examples/scenarios/ablation_forwarding.json, ablation_switch.json, ablation_scheduling.json"},
+		{"interference quick", []string{"interference", "-quick"}, "-quick does not apply to a bundled figure; edit a copy of examples/scenarios/multijob.json"},
+		// Other experiments reject the flags they do not read.
+		{"table6 size", []string{"table6", "-size", "8x8x8"}, "-size does not apply to table6"},
+		// -size reaches the experiments that read it: a one-NPU fabric
+		// fails in the training run, not as an empty topology.
+		{"fig9b size", []string{"fig9b", "-size", "1"}, "1 ranks (collectives need at least 2)"},
+		{"fig10 size", []string{"fig10", "-size", "1"}, "1 ranks (collectives need at least 2)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -152,6 +161,19 @@ func TestScenarioValidateCommand(t *testing.T) {
 	err := silence(t, func() error { return run([]string{"scenario", "validate", invalid}) })
 	if err == nil || !strings.Contains(err.Error(), "unknown preset") {
 		t.Fatalf("validate invalid = %v, want unknown preset", err)
+	}
+	// An out-of-range override point fails validation, naming the point.
+	for _, point := range []string{`{"link_efficiency": 1.5}`, `{"link_efficiency": 0}`} {
+		bad := writeScenario(t, "bad_point.json", `{
+		  "name": "bad-point",
+		  "platform": {"toruses": ["4x2x2"], "overrides": [{"fifo_sched": true}, `+point+`]},
+		  "jobs": [{"kind": "collective", "payloads_mb": [1]}]
+		}`)
+		err := silence(t, func() error { return run([]string{"scenario", "validate", bad}) })
+		if err == nil || !strings.Contains(err.Error(), "platform.overrides[1] (link_efficiency=") ||
+			!strings.Contains(err.Error(), "link efficiency must be in (0, 1]") {
+			t.Fatalf("validate %s = %v, want a link efficiency error naming platform.overrides[1]", point, err)
+		}
 	}
 	missing := filepath.Join(t.TempDir(), "nope.json")
 	if err := silence(t, func() error { return run([]string{"scenario", "validate", missing}) }); err == nil {
@@ -306,6 +328,20 @@ func TestFlagErrorsExitUsage(t *testing.T) {
 		{"fig4", "-quick"},
 		{"fig5", "-size", "4x4x4", "-quick"},
 		{"fig11", "-quick"},
+		{"ablation", "-size", "4x2x2"},
+		{"interference", "-quick"},
+		{"interference", "-csv", "x"},
+		// Experiment flags reach only their readers: -size fig9b, fig10
+		// and table5; -quick fig9a, fig9b, fig10 and analytic; -csv fig10.
+		{"table4", "-quick", "-csv", "x"},
+		{"table6", "-size", "8x8x8"},
+		{"table5", "-quick"},
+		{"table5", "-csv", "x"},
+		{"fig9a", "-size", "4x2x2"},
+		{"fig9a", "-csv", "x"},
+		{"fig9b", "-csv", "x"},
+		{"analytic", "-size", "4x2x2"},
+		{"analytic", "-csv", "x"},
 	}
 	for _, args := range cases {
 		err := silence(t, func() error { return run(args) })

@@ -106,38 +106,3 @@ func TestTables5And6(t *testing.T) {
 		}
 	}
 }
-
-func TestAblationSwitch(t *testing.T) {
-	rows, _, err := AblationSwitch(16 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cmp, ace float64
-	for _, r := range rows {
-		switch r.Preset {
-		case system.BaselineCompOpt:
-			cmp = r.DurationUS
-		case system.ACE:
-			ace = r.DurationUS
-		}
-	}
-	// Endpoint offload works on switch-class fabrics too (Table II).
-	if ace > cmp {
-		t.Fatalf("ACE (%v us) should not lose to CompOpt (%v us) on a switch", ace, cmp)
-	}
-}
-
-func TestAblationScheduling(t *testing.T) {
-	rows, _, err := AblationScheduling(torus16, "resnet50")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.TotalUS <= 0 {
-			t.Fatalf("degenerate row %+v", r)
-		}
-	}
-}

@@ -19,14 +19,9 @@ type LinkClass struct {
 // Latency returns the link's propagation latency.
 func (c LinkClass) Latency() des.Time { return des.Cycles(c.LatCycles, c.FreqGHz) }
 
-// EffGBps returns the achievable bandwidth.
-func (c LinkClass) EffGBps() float64 {
-	e := c.Efficiency
-	if e <= 0 || e > 1 {
-		e = 1
-	}
-	return c.GBps * e
-}
+// EffGBps returns the achievable bandwidth. Efficiency must be in
+// (0, 1]; system.Spec.Validate rejects any other value.
+func (c LinkClass) EffGBps() float64 { return c.GBps * c.Efficiency }
 
 // Link is a unidirectional point-to-point link.
 type Link struct {

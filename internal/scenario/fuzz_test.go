@@ -70,6 +70,7 @@ func FuzzParseScenario(f *testing.F) {
 	f.Add(`{"name":"x","platform":{"toruses":["4x2x2"],"presets":["ACE"],"overrides":[{"comm_mem_gbps":64},{"comm_sms":80,"intra_gbps":100},{}]},"jobs":[{"kind":"collective","payloads_mb":[1]}]}`)
 	f.Add(`{"name":"x","platform":{"toruses":["4"],"overrides":[{"comm_sms":500},{"intra_gbps":-1},{"ace_fsms":0}]},"jobs":[{"kind":"training","workloads":["dlrm"]}]}`)
 	f.Add(`{"name":"x","platform":{"toruses":["4"],"overrides":[]},"jobs":[{"kind":"collective","payloads_mb":[1]}]}`)
+	f.Add(`{"name":"x","platform":{"toruses":["4x2x2"],"overrides":[{"fifo_sched":true},{"link_efficiency":1.5},{"link_efficiency":0}]},"jobs":[{"kind":"collective","payloads_mb":[1]}]}`)
 	f.Add(`{"name":"x","platform":{"toruses":["4"],"overrides":{"comm_mem_gbps":32}},"jobs":[{"kind":"collective","payloads_mb":[1]}]}`)
 
 	// Relative-block edge cases: both selectors, none, an out-of-range

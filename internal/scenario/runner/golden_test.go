@@ -19,18 +19,19 @@ var update = flag.Bool("update", false, "rewrite scenario golden files")
 // TestScenarioGoldens pins the full JSON results of bundled scenarios to
 // byte-identical goldens. The fig4, table6-train and pipeline goldens
 // were captured on the fixed 3D-torus engine BEFORE the generalized
-// N-dimensional topology refactor; the fig5, fig6 and
-// ablation_forwarding goldens were recorded when those figures moved
-// from hand-written runners to bundled files, after every value was
-// checked equal, bit for bit, to the runners' rows. The engine must
-// reproduce every metric of every unit: same floats, same ordering, same
-// assertion outcomes. If a future change moves these numbers
-// intentionally, it must say so and re-record them with -update.
+// N-dimensional topology refactor; the fig5, fig6 and ablation_*
+// goldens were recorded when those figures moved from hand-written
+// runners to bundled files, after every value was checked equal, bit
+// for bit, to the runners' rows. The engine must reproduce every metric
+// of every unit: same floats, same ordering, same assertion outcomes.
+// If a future change moves these numbers intentionally, it must say so
+// and re-record them with -update.
 func TestScenarioGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full scenario grids in -short mode")
 	}
-	for _, name := range []string{"fig4", "table6_train", "pipeline", "fig5", "fig6", "ablation_forwarding"} {
+	for _, name := range []string{"fig4", "table6_train", "pipeline", "fig5", "fig6", "ablation_forwarding",
+		"ablation_switch", "ablation_scheduling"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()

@@ -164,6 +164,23 @@ func TestOverridesApply(t *testing.T) {
 	if starved >= def {
 		t.Fatalf("comm_mem_gbps override had no effect: default %.1f, starved %.1f", def, starved)
 	}
+
+	// DLRM's overlapping collectives on the baseline expose more
+	// communication when served in issue order than with the default
+	// LIFO priority (Section V).
+	res, err := Run(parse(t, `{
+	  "name": "sched",
+	  "platform": {"toruses": ["4x2x2"], "presets": ["BaselineCommOpt"], "fast_granularity": true,
+	               "overrides": [{"fifo_sched": false}, {"fifo_sched": true}]},
+	  "jobs": [{"kind": "training", "workloads": ["DLRM"]}]
+	}`), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lifo, fifo := res.Units[0].Metrics["exposed_us"], res.Units[1].Metrics["exposed_us"]
+	if fifo <= lifo {
+		t.Fatalf("fifo_sched override had no effect: LIFO exposed %.1f us, FIFO %.1f us", lifo, fifo)
+	}
 }
 
 func TestTrainingUnits(t *testing.T) {

@@ -106,6 +106,12 @@ type Overrides struct {
 	InterGBps    *float64 `json:"inter_gbps,omitempty"`
 	ACESRAMBytes *int64   `json:"ace_sram_bytes,omitempty"`
 	ACEFSMs      *int     `json:"ace_fsms,omitempty"`
+	// FIFOSched replaces the default LIFO collective priority with FIFO
+	// (issue order), the Section V scheduling ablation.
+	FIFOSched *bool `json:"fifo_sched,omitempty"`
+	// LinkEfficiency sets the achievable fraction of raw bandwidth on
+	// both link classes.
+	LinkEfficiency *float64 `json:"link_efficiency,omitempty"`
 }
 
 // Apply overwrites the set fields onto spec. Safe on nil.
@@ -130,6 +136,13 @@ func (o *Overrides) Apply(spec *system.Spec) {
 	}
 	if o.ACEFSMs != nil {
 		spec.ACE.FSMs = *o.ACEFSMs
+	}
+	if o.FIFOSched != nil {
+		spec.Coll.FIFOSched = *o.FIFOSched
+	}
+	if o.LinkEfficiency != nil {
+		spec.Intra.Efficiency = *o.LinkEfficiency
+		spec.Inter.Efficiency = *o.LinkEfficiency
 	}
 }
 

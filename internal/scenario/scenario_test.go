@@ -188,6 +188,8 @@ func TestValidateOverridePoints(t *testing.T) {
 		{"zero inter link", `{"inter_gbps": 0}`, "link bandwidth must be positive"},
 		{"zero ACE SRAM", `{"ace_sram_bytes": 0}`, "non-positive ACE parameters"},
 		{"negative ACE FSMs", `{"ace_fsms": -4}`, "non-positive ACE parameters"},
+		{"link efficiency above 1", `{"link_efficiency": 1.5}`, "link efficiency must be in (0, 1]"},
+		{"zero link efficiency", `{"link_efficiency": 0}`, "link efficiency must be in (0, 1]"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -208,7 +210,8 @@ func TestValidateOverridePoints(t *testing.T) {
 	}
 	// The boundaries themselves are valid points.
 	sc := parse(t, `{"name": "x", "platform": {"toruses": ["4x2x2"],
-	  "overrides": [{"comm_sms": 80, "comm_mem_gbps": 900}, {"comm_sms": 0, "comm_mem_gbps": 0}, {"intra_gbps": 0.5}]},
+	  "overrides": [{"comm_sms": 80, "comm_mem_gbps": 900}, {"comm_sms": 0, "comm_mem_gbps": 0}, {"intra_gbps": 0.5},
+	                {"link_efficiency": 1}, {"link_efficiency": 0.01}]},
 	  "jobs": [{"kind": "collective", "payloads_mb": [1]}]}`)
 	if err := sc.Validate(); err != nil {
 		t.Fatalf("boundary points rejected: %v", err)

@@ -146,3 +146,31 @@ func TestUnitKeyMicrobench(t *testing.T) {
 		t.Error("kernel shape missing from the microbench hash")
 	}
 }
+
+// TestUnitKeyPinned pins literal keys of an override point and of a
+// point without overrides. Unset override fields are omitted from the
+// key, so adding a field to scenario.Overrides leaves every existing
+// unit's cache key byte-identical; a set field must change it.
+func TestUnitKeyPinned(t *testing.T) {
+	doc := func(overrides string) string {
+		return `{
+		  "name": "pinned",
+		  "platform": {"toruses": ["4x2x2"], "presets": ["ACE"]` + overrides + `},
+		  "jobs": [{"kind": "collective", "payloads_mb": [1]}]
+		}`
+	}
+	pinned := map[string]string{
+		`, "overrides": [{"comm_mem_gbps": 128, "comm_sms": 80}]`: "63b5a2c4436839938a8e0498e11f324f5b08701b461b0f79beb14338ba9d8351",
+		"": "15412883365d597e8f7661d2bf40fe8da19a7429a51d0e3bbf67096e52f40d0a",
+	}
+	for overrides, want := range pinned {
+		if got := keysOf(t, doc(overrides), false)[0]; got != want {
+			t.Errorf("key of %q = %s, want %s", overrides, got, want)
+		}
+	}
+	for _, point := range []string{`{"fifo_sched": false}`, `{"link_efficiency": 1}`} {
+		if keysOf(t, doc(`, "overrides": [`+point+`]`), false)[0] == keysOf(t, doc(""), false)[0] {
+			t.Errorf("override point %s does not change the key", point)
+		}
+	}
+}

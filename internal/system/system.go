@@ -227,8 +227,8 @@ func (s *System) depart() {
 
 // Validate rejects a platform the components cannot simulate
 // faithfully: out-of-range NPU parameters, a malformed ACE
-// configuration, or a non-positive link bandwidth (which would run and
-// report meaningless timings).
+// configuration, a non-positive link bandwidth or a link efficiency
+// outside (0, 1] (which would run and report meaningless timings).
 func (s Spec) Validate() error {
 	if err := s.NPU.Validate(); err != nil {
 		return err
@@ -238,6 +238,9 @@ func (s Spec) Validate() error {
 	}
 	if !(s.Intra.GBps > 0) || !(s.Inter.GBps > 0) {
 		return fmt.Errorf("system: link bandwidth must be positive (intra %g GB/s, inter %g GB/s)", s.Intra.GBps, s.Inter.GBps)
+	}
+	if !(s.Intra.Efficiency > 0 && s.Intra.Efficiency <= 1) || !(s.Inter.Efficiency > 0 && s.Inter.Efficiency <= 1) {
+		return fmt.Errorf("system: link efficiency must be in (0, 1] (intra %g, inter %g)", s.Intra.Efficiency, s.Inter.Efficiency)
 	}
 	return nil
 }

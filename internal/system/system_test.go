@@ -80,6 +80,10 @@ func TestBuildInvalid(t *testing.T) {
 		"zero inter link":     func(s *Spec) { s.Inter.GBps = 0 },
 		"comm SMs over total": func(s *Spec) { s.NPU.CommSMs = 500 },
 		"no ACE FSMs":         func(s *Spec) { s.ACE.FSMs = 0 },
+		// EffGBps would silently run these at full bandwidth.
+		"intra efficiency above 1":  func(s *Spec) { s.Intra.Efficiency = 1.5 },
+		"zero inter efficiency":     func(s *Spec) { s.Inter.Efficiency = 0 },
+		"negative intra efficiency": func(s *Spec) { s.Intra.Efficiency = -0.5 },
 	} {
 		spec := NewSpec(noc.Torus3(4, 2, 2), BaselineCommOpt)
 		mutate(&spec)
