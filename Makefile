@@ -43,12 +43,16 @@ trace-smoke:
 overhead-guard:
 	$(GO) test -run TestTracingDisabledOverheadGuard -v .
 
-# DES hot-path gate: the event queue against its container/heap
-# reference (lanes and fallback pushes included), the 16-byte heap key,
-# the engine's zero-allocation scheduling, and the allocation budget of a
-# warm all-reduce (ACE, BaselineCommOpt) and ResNet-50 iteration.
+# DES hot-path gate: the event calendar against its container/heap
+# reference (same-instant, past-clamped and reopened-instant pushes
+# included), the 16-byte pointer-free time-heap entry, the engine's
+# zero-allocation scheduling (shared instants, an instant per event,
+# thousands of events in one instant), routed-transfer record reuse,
+# and the allocation budget of a warm all-reduce (ACE,
+# BaselineCommOpt), all-to-all and ResNet-50 iteration.
 hotpath-guard:
-	$(GO) test -run 'TestQueueMatchesReferenceHeap|TestQueueKeySize|TestEngineZeroAllocScheduling' -v ./internal/des
+	$(GO) test -run 'TestQueueMatchesReferenceHeap|TestQueueSortedDrain|TestTimeHeapEntrySize|TestEngineZeroAllocScheduling' -v ./internal/des
+	$(GO) test -run 'TestSendRoutedRecyclesRecords' -v ./internal/noc
 	$(GO) test -run TestHotPathAllocBudget -v .
 
 vet:

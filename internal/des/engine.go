@@ -1,102 +1,76 @@
 package des
 
-import (
-	"math/bits"
+import "acesim/internal/trace"
 
-	"acesim/internal/trace"
-)
-
-// qkey is one heap entry: the event's time and ss = seq<<slotBits | slot,
-// where seq is the engine-wide scheduling sequence and slot indexes the
-// callback in the engine's slot table. Sequence numbers are unique, so
-// comparing ss compares seq; the key carries no pointers, so sifting it
-// needs no GC write barriers and the heap is never scanned.
-type qkey struct {
-	at Time
-	ss uint64
-}
-
-const (
-	slotBits = 24
-	slotMask = 1<<slotBits - 1
-	// maxSeq bounds the sequence so seq<<slotBits never overflows.
-	maxSeq = 1<<(64-slotBits) - 1
-)
-
-// before reports whether k orders ahead of o: earlier time first, then
-// FIFO by scheduling sequence. This (at, seq) total order is the engine's
-// determinism contract; every queue implementation must preserve it
-// exactly.
-//
-// It compares (at, ss) as one 128-bit unsigned number, whose borrow is
-// the answer: no data-dependent branch for the sift loops to mispredict.
-// Event times are never negative (scheduling clamps to now >= 0), so
-// the unsigned view of at orders like the signed one.
-func (k qkey) before(o qkey) bool {
-	_, b := bits.Sub64(k.ss, o.ss, 0)
-	_, b = bits.Sub64(uint64(k.at), uint64(o.at), b)
-	return b != 0
-}
-
-func (k qkey) slot() uint32 { return uint32(k.ss & slotMask) }
-
-// slot holds one scheduled callback. Exactly one of fn / ctxFn is set:
-// fn for At/After, ctxFn (+arg) for AtCtx/AfterCtx. lane is set when the
-// event waits in (or heads) that lane rather than entering the heap on
-// its own (see Lane).
-type slot struct {
+// event is one scheduled callback. Exactly one of fn / ctxFn is set: fn
+// for At/After, ctxFn (+arg) for AtCtx/AfterCtx.
+type event struct {
 	fn    func()
 	ctxFn func(any)
 	arg   any
-	lane  *Lane
 }
 
-// eventQueue is a hand-rolled 4-ary min-heap over flat 16-byte keys.
-//
-// Compared to container/heap it avoids the interface{} boxing that costs
-// one heap allocation per Push, and the 4-ary layout halves tree depth
-// (fewer cache lines touched per sift). The heap property is the partial
-// order induced by qkey.before, so pops come out in exact (at, seq) order.
-type eventQueue struct {
-	items []qkey
+// bucket holds the events of one pending instant in scheduling order;
+// head indexes the next one to run. A retired bucket keeps its backing
+// array, so reusing it schedules without allocating.
+type bucket struct {
+	evs  []event
+	head int
 }
 
-func (q *eventQueue) len() int { return len(q.items) }
+// push appends ev. When the array is full and more than half of it has
+// already run, the live tail moves to the front instead of growing, so
+// an instant that keeps receiving work while it drains holds only its
+// pending events.
+func (b *bucket) push(ev event) {
+	if len(b.evs) == cap(b.evs) && b.head > len(b.evs)/2 {
+		n := copy(b.evs, b.evs[b.head:])
+		clear(b.evs[n:])
+		b.evs, b.head = b.evs[:n], 0
+	}
+	b.evs = append(b.evs, ev)
+}
 
-// push inserts k, keeping the heap ordered. The backing slice grows in
-// place (append); no per-event allocation occurs.
-func (q *eventQueue) push(k qkey) {
-	i := len(q.items)
-	q.items = append(q.items, k)
-	// Sift up: move the hole toward the root until k fits.
+// instant is one time-heap entry: a pending instant and the index of the
+// bucket that holds its events. It carries no pointers, so sifting it
+// needs no GC write barriers and the heap is never scanned.
+type instant struct {
+	at Time
+	b  int
+}
+
+// timeHeap is a 4-ary min-heap of distinct pending instants. The 4-ary
+// layout halves tree depth against a binary heap (fewer cache lines per
+// sift), and times are unique, so the order is plain at order.
+type timeHeap []instant
+
+func (h *timeHeap) push(x instant) {
+	i := len(*h)
+	*h = append(*h, x)
+	items := *h
+	// Sift up: move the hole toward the root until x fits.
 	for i > 0 {
 		p := (i - 1) / 4
-		if !k.before(q.items[p]) {
+		if x.at >= items[p].at {
 			break
 		}
-		q.items[i] = q.items[p]
+		items[i] = items[p]
 		i = p
 	}
-	q.items[i] = k
+	items[i] = x
 }
 
-// pop removes the minimum key. Caller must ensure the queue is non-empty.
-func (q *eventQueue) pop() qkey {
-	top := q.items[0]
-	n := len(q.items) - 1
-	last := q.items[n]
-	q.items = q.items[:n]
-	if n > 0 {
-		q.siftDown(last)
+// pop removes the earliest instant. Caller must ensure h is non-empty.
+func (h *timeHeap) pop() {
+	n := len(*h) - 1
+	x := (*h)[n]
+	*h = (*h)[:n]
+	items := *h
+	if n == 0 {
+		return
 	}
-	return top
-}
-
-// siftDown re-inserts k starting from the root, moving the hole toward
-// the leaves past any smaller child.
-func (q *eventQueue) siftDown(k qkey) {
-	items := q.items
-	n := len(items)
+	// Sift down: re-insert the last entry from the root, moving the hole
+	// toward the leaves past any earlier child.
 	i := 0
 	for {
 		first := 4*i + 1
@@ -104,46 +78,18 @@ func (q *eventQueue) siftDown(k qkey) {
 			break
 		}
 		min := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if items[c].before(items[min]) {
+		for c := first + 1; c < first+4 && c < n; c++ {
+			if items[c].at < items[min].at {
 				min = c
 			}
 		}
-		if !items[min].before(k) {
+		if items[min].at >= x.at {
 			break
 		}
 		items[i] = items[min]
 		i = min
 	}
-	items[i] = k
-}
-
-// Lane is a FIFO of events whose times never decrease — the completions
-// of a FIFO rate server, for example. Only the lane's head sits in the
-// engine's heap; the rest wait in the lane in order, and popping the head
-// moves the next one into the heap in the same sift. A lane therefore
-// costs the heap one entry however deep its backlog is.
-//
-// The zero value is an empty lane. A lane belongs to one engine. An idle
-// lane holds no storage: its buffer comes from and returns to a pool the
-// engine owns.
-type Lane struct {
-	buf  []qkey // ring buffer (power-of-two length) of keys behind the head
-	head int
-	n    int
-	tail Time // time of the latest event the lane holds
-	live bool // the lane's head is in the heap
-}
-
-func (l *Lane) popFront() qkey {
-	k := l.buf[l.head]
-	l.head = (l.head + 1) & (len(l.buf) - 1)
-	l.n--
-	return k
+	items[i] = x
 }
 
 // Engine is a deterministic discrete-event scheduler. The zero value is
@@ -153,19 +99,29 @@ func (l *Lane) popFront() qkey {
 // earlier timestamps first, FIFO among events scheduled for the same
 // instant — so a simulation's outcome is a pure function of its inputs,
 // independent of platform, map iteration order or wall-clock effects.
+//
+// The queue is a calendar of pending instants: a heap of distinct times,
+// each owning a FIFO bucket of that instant's callbacks. Scheduling order
+// is sequence order, so appending to the instant's FIFO yields exactly
+// (at, seq) order with no per-event sequence number, and heap work is
+// paid once per instant, not once per event.
 type Engine struct {
 	now    Time
-	q      eventQueue
-	seq    uint64
 	nSteps uint64
-	// slots holds every queued callback, indexed by the low bits of its
-	// key; free lists the vacant entries for reuse.
-	slots []slot
-	free  []uint32
-	// laned counts events waiting behind a lane head (not in q).
-	laned int
-	// lanePool recycles lane ring buffers so idle lanes hold none.
-	lanePool [][]qkey
+	// times holds each pending instant once; buckets[b] holds the events
+	// of the instant whose entry names b, and free lists retired buckets
+	// for reuse.
+	times   timeHeap
+	buckets []bucket
+	free    []int
+	// index maps each pending instant to its bucket. last/lastB cache
+	// the instant scheduled most recently (valid while lastOK), which
+	// most pushes target.
+	index   map[Time]int
+	last    Time
+	lastB   int
+	lastOK  bool
+	pending int
 	// tracer is the optional per-run span collector. It is nil by
 	// default; every instrumented layer checks the nil fast path, so a
 	// tracerless engine pays nothing beyond a pointer test.
@@ -198,16 +154,16 @@ func (e *Engine) Steps() uint64 { return e.nSteps }
 // event whose callback schedules new work — even at the current instant —
 // increases Pending until that work is itself executed: the engine never
 // runs a callback inline.
-func (e *Engine) Pending() int { return e.q.len() + e.laned }
+func (e *Engine) Pending() int { return e.pending }
 
 // NextAt returns the timestamp of the next queued event, or false when
 // the queue is empty. It lets a co-simulation driver lazily advance a
 // secondary engine exactly as far as its event horizon requires.
 func (e *Engine) NextAt() (Time, bool) {
-	if e.q.len() == 0 {
+	if len(e.times) == 0 {
 		return 0, false
 	}
-	return e.q.items[0].at, true
+	return e.times[0].at, true
 }
 
 // AdvanceTo moves the clock to t without executing anything. It panics
@@ -218,7 +174,7 @@ func (e *Engine) AdvanceTo(t Time) {
 	if t < e.now {
 		panic("des: AdvanceTo into the past")
 	}
-	if e.q.len() > 0 && e.q.items[0].at < t {
+	if len(e.times) > 0 && e.times[0].at < t {
 		panic("des: AdvanceTo over a pending event")
 	}
 	e.now = t
@@ -234,10 +190,7 @@ func (e *Engine) Perturbs() uint64 { return e.perturbs }
 // "now" in simulated time, but only after every event already queued for
 // the current instant (FIFO tie-breaking by scheduling order).
 func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		t = e.now
-	}
-	e.q.push(e.key(t, slot{fn: fn}))
+	e.schedule(t, event{fn: fn})
 }
 
 // AtCtx schedules fn(arg) to run at absolute time t, with the same
@@ -247,92 +200,40 @@ func (e *Engine) At(t Time, fn func()) {
 // the closure at the call site. At and AtCtx events share one sequence
 // and interleave accordingly.
 func (e *Engine) AtCtx(t Time, fn func(any), arg any) {
+	e.schedule(t, event{ctxFn: fn, arg: arg})
+}
+
+// schedule appends ev to the FIFO of instant t (clamped to now).
+func (e *Engine) schedule(t Time, ev event) {
 	if t < e.now {
 		t = e.now
 	}
-	e.q.push(e.key(t, slot{ctxFn: fn, arg: arg}))
+	if !e.lastOK || t != e.last {
+		e.last, e.lastB, e.lastOK = t, e.open(t), true
+	}
+	e.buckets[e.lastB].push(ev)
+	e.pending++
 }
 
-// LaneAt is At through lane l: fn runs at t (clamped to now) in the same
-// (at, seq) order At would give it. When t is not earlier than the
-// latest event l holds, the event waits in l behind its head instead of
-// entering the heap; otherwise it goes to the heap directly.
-func (e *Engine) LaneAt(l *Lane, t Time, fn func()) {
-	e.laneAt(l, t, slot{fn: fn})
-}
-
-// LaneAtCtx is AtCtx through lane l (see LaneAt).
-func (e *Engine) LaneAtCtx(l *Lane, t Time, fn func(any), arg any) {
-	e.laneAt(l, t, slot{ctxFn: fn, arg: arg})
-}
-
-func (e *Engine) laneAt(l *Lane, t Time, s slot) {
-	if t < e.now {
-		t = e.now
+// open returns the bucket of instant t, making t pending if it is not.
+func (e *Engine) open(t Time) int {
+	if b, ok := e.index[t]; ok {
+		return b
 	}
-	switch {
-	case !l.live:
-		// Empty lane: the event becomes its head, in the heap.
-		l.live, l.tail = true, t
-		s.lane = l
-		e.q.push(e.key(t, s))
-	case t >= l.tail:
-		l.tail = t
-		e.laned++
-		s.lane = l
-		k := e.key(t, s)
-		if l.n == len(l.buf) {
-			e.growLane(l)
-		}
-		l.buf[(l.head+l.n)&(len(l.buf)-1)] = k
-		l.n++
-	default:
-		// Earlier than the lane's tail: an ordinary heap event. The heap
-		// merges it with the lane's head in exact (at, seq) order.
-		e.q.push(e.key(t, s))
+	if e.index == nil {
+		e.index = make(map[Time]int)
 	}
-}
-
-// growLane gives l room for one more key: a pooled buffer when it has
-// none, else one twice the size with the backlog copied in order.
-func (e *Engine) growLane(l *Lane) {
-	if len(l.buf) == 0 {
-		if n := len(e.lanePool); n > 0 {
-			l.buf = e.lanePool[n-1]
-			e.lanePool[n-1] = nil
-			e.lanePool = e.lanePool[:n-1]
-		} else {
-			l.buf = make([]qkey, 8)
-		}
-		l.head = 0
-		return
-	}
-	buf := make([]qkey, 2*len(l.buf))
-	for i := 0; i < l.n; i++ {
-		buf[i] = l.buf[(l.head+i)&(len(l.buf)-1)]
-	}
-	l.buf, l.head = buf, 0
-}
-
-// key assigns the next sequence number and a slot for s.
-func (e *Engine) key(t Time, s slot) qkey {
-	if e.seq == maxSeq {
-		panic("des: event sequence exhausted")
-	}
-	e.seq++
-	var i uint32
+	var b int
 	if n := len(e.free); n > 0 {
-		i = e.free[n-1]
+		b = e.free[n-1]
 		e.free = e.free[:n-1]
-		e.slots[i] = s
 	} else {
-		if len(e.slots) > slotMask {
-			panic("des: too many pending events")
-		}
-		i = uint32(len(e.slots))
-		e.slots = append(e.slots, s)
+		b = len(e.buckets)
+		e.buckets = append(e.buckets, bucket{})
 	}
-	return qkey{at: t, ss: e.seq<<slotBits | uint64(i)}
+	e.index[t] = b
+	e.times.push(instant{at: t, b: b})
+	return b
 }
 
 // After schedules fn to run d after the current time. Negative delays are
@@ -360,38 +261,33 @@ func (e *Engine) AfterCtx(d Time, fn func(any), arg any) {
 // scheduled at the current instant runs on a later Step, after any other
 // events already queued for that instant.
 func (e *Engine) Step() bool {
-	if e.q.len() == 0 {
+	if len(e.times) == 0 {
 		return false
 	}
-	k := e.q.items[0]
-	i := k.slot()
-	s := e.slots[i]
-	// Vacate the slot so the table does not pin the callback or its
-	// argument past execution.
-	e.slots[i] = slot{}
-	e.free = append(e.free, i)
-	if l := s.lane; l != nil && l.n > 0 {
-		// The lane's next event replaces the head at the top of the
-		// heap, in one sift.
-		next := l.popFront()
-		e.laned--
-		e.q.siftDown(next)
-		if l.n == 0 {
-			e.lanePool = append(e.lanePool, l.buf)
-			l.buf = nil
+	top := e.times[0]
+	bk := &e.buckets[top.b]
+	ev := bk.evs[bk.head]
+	bk.head++
+	if bk.head == len(bk.evs) {
+		// The instant is drained: retire it before the callback runs, so
+		// work the callback schedules at now reopens it behind nothing.
+		// Clearing the array drops its callbacks and arguments.
+		clear(bk.evs)
+		bk.evs, bk.head = bk.evs[:0], 0
+		e.times.pop()
+		delete(e.index, top.at)
+		e.free = append(e.free, top.b)
+		if e.last == top.at {
+			e.lastOK = false
 		}
-	} else {
-		if l != nil {
-			l.live = false
-		}
-		e.q.pop()
 	}
-	e.now = k.at
+	e.pending--
+	e.now = top.at
 	e.nSteps++
-	if s.fn != nil {
-		s.fn()
+	if ev.fn != nil {
+		ev.fn()
 	} else {
-		s.ctxFn(s.arg)
+		ev.ctxFn(ev.arg)
 	}
 	return true
 }
@@ -410,7 +306,7 @@ func (e *Engine) Run() uint64 {
 // that executed callbacks schedule at or before the deadline are also
 // executed during the same call.
 func (e *Engine) RunUntil(deadline Time) {
-	for e.q.len() > 0 && e.q.items[0].at <= deadline {
+	for len(e.times) > 0 && e.times[0].at <= deadline {
 		e.Step()
 	}
 	if e.now < deadline {

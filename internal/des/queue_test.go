@@ -3,6 +3,7 @@ package des
 import (
 	"container/heap"
 	"math/rand"
+	"reflect"
 	"testing"
 	"unsafe"
 )
@@ -33,33 +34,38 @@ func (h *refHeap) Pop() any {
 	return e
 }
 
-// TestQueueKeySize pins the heap entry at 16 pointer-free bytes: the
-// sift loops move keys, and a wider or pointer-bearing key brings back
-// the copying and write-barrier cost the slot table removed.
-func TestQueueKeySize(t *testing.T) {
-	if n := unsafe.Sizeof(qkey{}); n != 16 {
-		t.Fatalf("qkey is %d bytes, want 16", n)
+// TestTimeHeapEntrySize pins the time-heap entry at 16 pointer-free
+// bytes: the sift loops move entries, and a wider or pointer-bearing
+// entry brings back copying and GC write-barrier cost.
+func TestTimeHeapEntrySize(t *testing.T) {
+	typ := reflect.TypeOf(instant{})
+	if n := unsafe.Sizeof(instant{}); n != 16 {
+		t.Fatalf("instant is %d bytes, want 16", n)
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		if k := typ.Field(i).Type.Kind(); k != reflect.Int64 && k != reflect.Int {
+			t.Fatalf("instant field %s is a %v, want a plain integer", typ.Field(i).Name, k)
+		}
 	}
 }
 
-// TestQueueMatchesReferenceHeap drives the engine with 20k random events
-// scheduled through At, AtCtx and LaneAt/LaneAtCtx on 8 lanes (in-order
-// lane pushes that wait behind the lane head, and out-of-order ones that
-// take the heap directly), interleaved with Steps. Timestamps collide
-// heavily so the seq tie-break is exercised. After every operation the
-// engine must agree with a container/heap reference on the executed
-// event's (at, seq), Pending() and NextAt().
+// TestQueueMatchesReferenceHeap drives the engine with 20k events
+// scheduled through At, AtCtx, After and AfterCtx, from outside and from
+// inside running callbacks, interleaved with Steps. Timestamps collide
+// heavily so FIFO order within an instant is exercised; some land in the
+// past and are clamped to now; callbacks schedule into the instant being
+// drained and, after its last event has run, into that same instant
+// again (retired and reopened). After every operation the engine must
+// agree with a container/heap reference on the executed event's
+// (at, seq), Pending() and NextAt().
 func TestQueueMatchesReferenceHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	e := NewEngine()
 	var ref refHeap
-	var lanes [8]Lane
 	var seq uint64
 	var ran refEvent
-	evs := make([]refEvent, 0, 20000)
-	record := func(a any) { ran = *a.(*refEvent) }
 	const n = 20000
-	pushed, popped, laned, fallback := 0, 0, 0, 0
+	pushed, popped, reopened := 0, 0, 0
 	check := func(op string) {
 		t.Helper()
 		if p := e.Pending(); p != ref.Len() {
@@ -70,46 +76,65 @@ func TestQueueMatchesReferenceHeap(t *testing.T) {
 			t.Fatalf("%s: NextAt() = (%d, %v), reference head %v", op, at, ok, ref)
 		}
 	}
+	var push func(op string, at Time)
+	// randomAt picks a time that collides heavily with pending work:
+	// the instant being drained, the past (clamped to now), or one of a
+	// few near-future instants.
+	randomAt := func() Time {
+		now := e.Now()
+		switch rng.Intn(4) {
+		case 0:
+			return now
+		case 1:
+			return now - Time(rng.Intn(8)) - 1
+		default:
+			return now + Time(rng.Intn(16))
+		}
+	}
+	// run is every event's callback: it records what ran and sometimes
+	// schedules more work from inside the callback. When it was the
+	// last event of its instant, that instant has been retired, and
+	// half of those pushes target it again.
+	run := func(ev *refEvent) {
+		ran = *ev
+		if pushed >= n || rng.Intn(4) != 0 {
+			return
+		}
+		if next, ok := e.NextAt(); (!ok || next != e.Now()) && rng.Intn(2) == 0 {
+			reopened++
+			push("push reopening a drained instant", e.Now())
+			return
+		}
+		push("push from callback", randomAt())
+	}
+	record := func(a any) { run(a.(*refEvent)) }
+	push = func(op string, at Time) {
+		now := e.Now()
+		seq++
+		ev := &refEvent{at: max(at, now), seq: seq}
+		switch rng.Intn(4) {
+		case 0:
+			e.At(at, func() { run(ev) })
+		case 1:
+			e.AtCtx(at, record, ev)
+		case 2:
+			e.After(at-now, func() { run(ev) })
+		case 3:
+			e.AfterCtx(at-now, record, ev)
+		}
+		heap.Push(&ref, *ev)
+		pushed++
+		check(op)
+	}
 	for popped < n {
 		if pushed < n && (ref.Len() == 0 || rng.Intn(3) != 0) {
-			now := e.Now()
-			at := now + Time(rng.Intn(64)) - 4 // a few land in the past
-			kind := rng.Intn(4)
-			l := &lanes[rng.Intn(len(lanes))]
-			if kind >= 2 && l.live && rng.Intn(4) != 0 {
-				// Mostly in lane order: at or after the lane's tail.
-				at = l.tail + Time(rng.Intn(8))
-			}
-			clamped := max(at, now)
-			seq++
-			evs = append(evs, refEvent{at: clamped, seq: seq})
-			ev := &evs[len(evs)-1]
-			if kind >= 2 {
-				if l.live && clamped < l.tail {
-					fallback++
-				} else {
-					laned++
-				}
-			}
-			switch kind {
-			case 0:
-				e.At(at, func() { ran = *ev })
-			case 1:
-				e.AtCtx(at, record, ev)
-			case 2:
-				e.LaneAt(l, at, func() { ran = *ev })
-			case 3:
-				e.LaneAtCtx(l, at, record, ev)
-			}
-			heap.Push(&ref, *ev)
-			pushed++
-			check("push")
+			push("push", randomAt())
 			continue
 		}
-		if !e.Step() {
-			t.Fatalf("pop %d: engine empty, reference holds %d", popped, ref.Len())
-		}
 		want := heap.Pop(&ref).(refEvent)
+		if !e.Step() {
+			t.Fatalf("pop %d: engine empty, reference holds %d", popped, ref.Len()+1)
+		}
 		if ran != want || e.Now() != want.at {
 			t.Fatalf("pop %d: engine ran (at=%d seq=%d) at now=%d, reference (at=%d seq=%d)",
 				popped, ran.at, ran.seq, e.Now(), want.at, want.seq)
@@ -120,32 +145,37 @@ func TestQueueMatchesReferenceHeap(t *testing.T) {
 	if e.Step() {
 		t.Fatal("engine ran an event the reference does not hold")
 	}
-	if laned == 0 || fallback == 0 {
-		t.Fatalf("lane paths not both exercised: %d lane appends, %d fallbacks", laned, fallback)
-	}
-	for i := range lanes {
-		if l := &lanes[i]; l.live || l.n != 0 || l.buf != nil {
-			t.Fatalf("lane %d not idle after drain: live=%v n=%d buf=%d", i, l.live, l.n, len(l.buf))
-		}
+	if reopened == 0 {
+		t.Fatal("no callback scheduled into a drained, retired instant")
 	}
 }
 
-// TestQueueSortedDrain pushes a large random batch and verifies a full
-// drain comes out in exact (at, seq) order.
+// TestQueueSortedDrain schedules a large random batch through the public
+// API and verifies a full drain runs it in exact (at, seq) order.
 func TestQueueSortedDrain(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var q eventQueue
-	for i := 0; i < 5000; i++ {
-		q.push(qkey{at: Time(rng.Intn(100)), ss: uint64(i+1) << slotBits})
-	}
-	prev := q.pop()
-	for q.len() > 0 {
-		cur := q.pop()
-		if cur.before(prev) {
-			t.Fatalf("out of order: (at=%d ss=%d) after (at=%d ss=%d)",
-				cur.at, cur.ss, prev.at, prev.ss)
+	e := NewEngine()
+	var got []refEvent
+	record := func(a any) {
+		ev := *a.(*refEvent)
+		if e.Now() != ev.at {
+			t.Fatalf("event for %d ran at %d", ev.at, e.Now())
 		}
-		prev = cur
+		got = append(got, ev)
+	}
+	const n = 5000
+	for i := 0; i < n; i++ {
+		at := Time(rng.Intn(100))
+		e.AtCtx(at, record, &refEvent{at: at, seq: uint64(i)})
+	}
+	if ran := e.Run(); ran != n {
+		t.Fatalf("ran %d events, want %d", ran, n)
+	}
+	for i := 1; i < len(got); i++ {
+		if (refHeap{got[i], got[i-1]}).Less(0, 1) {
+			t.Fatalf("out of order: (at=%d seq=%d) after (at=%d seq=%d)",
+				got[i].at, got[i].seq, got[i-1].at, got[i-1].seq)
+		}
 	}
 }
 
@@ -224,29 +254,59 @@ func TestEngineSameInstantScheduling(t *testing.T) {
 }
 
 // TestEngineZeroAllocScheduling asserts the engine core allocates nothing
-// per event once the queue, slot table and lane pool are warm: At with a
-// pre-existing callback, AtCtx with a pointer argument, and both lane
-// forms are free.
+// per event once its time heap, buckets and instant index are warm, on
+// three traffic shapes: At with a pre-existing callback and AtCtx with a
+// pointer argument over a few shared instants; a chain in which every
+// event opens and retires its own instant (churn on the index); and one
+// instant holding thousands of events (the bucket's array is reused).
 func TestEngineZeroAllocScheduling(t *testing.T) {
-	e := NewEngine()
 	n := 0
 	fn := func() { n++ }
 	ctxFn := func(a any) { *a.(*int)++ }
-	var lanes [2]Lane
-	batch := func() {
-		for i := 0; i < 64; i++ {
-			e.At(Time(i), fn)
-			e.AtCtx(Time(i), ctxFn, &n)
-			e.LaneAt(&lanes[0], Time(i), fn)
-			e.LaneAtCtx(&lanes[1], Time(i), ctxFn, &n)
+	// hop re-schedules itself one picosecond later until its counter
+	// runs out, so every hop opens and retires its own instant.
+	e := NewEngine()
+	var hop func(any)
+	hop = func(a any) {
+		if k := a.(*int); *k > 0 {
+			*k--
+			e.AfterCtx(1, hop, k)
 		}
-		e.Run()
 	}
-	// Warm the queue's backing slice, the slot table and the lane pool.
-	batch()
-	avg := testing.AllocsPerRun(100, batch)
-	if avg != 0 {
-		t.Fatalf("engine allocates %.2f allocs per warm schedule+run batch, want 0", avg)
+	hops := 0
+	cases := []struct {
+		name  string
+		batch func()
+	}{
+		{"shared-instants", func() {
+			for i := 0; i < 64; i++ {
+				e.At(e.Now()+Time(i%8), fn)
+				e.AtCtx(e.Now()+Time(i%5), ctxFn, &n)
+			}
+			e.Run()
+		}},
+		{"instant-per-event", func() {
+			for i := 0; i < 4; i++ {
+				e.AtCtx(e.Now()+Time(1+i*1000), ctxFn, &n) // far instants stay pending
+			}
+			hops = 256
+			e.AfterCtx(1, hop, &hops)
+			e.Run()
+		}},
+		{"crowded-instant", func() {
+			at := e.Now() + 1
+			for i := 0; i < 4096; i++ {
+				e.AtCtx(at, ctxFn, &n)
+			}
+			e.Run()
+		}},
+	}
+	for _, tc := range cases {
+		// Warm the time heap, the buckets and the instant index.
+		tc.batch()
+		if avg := testing.AllocsPerRun(100, tc.batch); avg != 0 {
+			t.Errorf("%s: engine allocates %.2f allocs per warm schedule+run batch, want 0", tc.name, avg)
+		}
 	}
 }
 
@@ -264,4 +324,34 @@ func BenchmarkEngineSchedule(b *testing.B) {
 		}
 		e.Run()
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(e.Steps()), "ns/event")
+}
+
+// BenchmarkEngineScheduleTied measures per-event cost on the traffic
+// shape of a symmetric torus: 16 nodes run in lockstep, so every instant
+// holds one event per node. Each step schedules the node's next step and
+// a side event (a link completion, say) at two instants all 16 nodes
+// share.
+func BenchmarkEngineScheduleTied(b *testing.B) {
+	e := NewEngine()
+	const nodes, steps = 16, 64
+	var left [nodes]int
+	side := func(any) {}
+	var step func(any)
+	step = func(a any) {
+		if k := a.(*int); *k > 0 {
+			*k--
+			e.AfterCtx(1, side, k)
+			e.AfterCtx(Time(2+*k%3), step, k)
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for n := range left {
+			left[n] = steps
+			e.AtCtx(e.Now()+1, step, &left[n])
+		}
+		e.Run()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(e.Steps()), "ns/event")
 }

@@ -121,6 +121,8 @@ type Network struct {
 	OnRecover func(attempts int)
 	drops     int64
 	reroutes  int64
+	// xfers holds delivered routed-transfer records for reuse.
+	xfers []*routedXfer
 }
 
 // linkIndex is the position of the (from, d, dir) link in Network.links.
@@ -274,32 +276,46 @@ func (n *Network) sendNeighborSlow(src NodeID, d Dim, dir int, bytes int64, deli
 	}
 	// Mesh boundary hop: walk the line to the far end (size-1 physical
 	// hops in the opposite direction).
-	steps := t.Size(d) - 1
-	path := make([]NodeID, steps)
+	x := n.newXfer(src, bytes, deliver)
 	cur := src
-	for i := 0; i < steps; i++ {
+	for i := 1; i < t.Size(d); i++ {
 		cur = t.Neighbor(cur, d, -dir)
-		path[i] = cur
+		x.path = append(x.path, cur)
 	}
-	x := &routedXfer{net: n, path: path, cur: src, bytes: bytes, deliver: deliver}
-	x.fwdDone = x.advance
 	x.send()
 }
 
-// routedXfer is the in-flight state of one SendRouted transfer. It is
-// allocated once per transfer and drives itself hop by hop through the
-// engine's callback-with-context scheduling, replacing the per-hop
-// closure chain the recursive formulation would allocate.
+// routedXfer is the in-flight state of one multi-hop transfer. It drives
+// itself hop by hop through the engine's callback-with-context
+// scheduling, replacing the per-hop closure chain the recursive
+// formulation would allocate. Records are recycled through the network
+// (see newXfer), so a warm fabric routes without allocating.
 type routedXfer struct {
 	net     *Network
-	path    []NodeID
+	path    []NodeID // hops after the source, dst last; reused
 	cur     NodeID
 	bytes   int64
 	i       int
 	deliver func()
 	// fwdDone re-enters advance after the Forward hook; built once per
-	// transfer (the hook wants a plain func()).
+	// record (the hook wants a plain func()).
 	fwdDone func()
+}
+
+// newXfer returns an idle transfer record from src with an empty path,
+// reusing a delivered one when there is one.
+func (n *Network) newXfer(src NodeID, bytes int64, deliver func()) *routedXfer {
+	var x *routedXfer
+	if k := len(n.xfers); k > 0 {
+		x = n.xfers[k-1]
+		n.xfers = n.xfers[:k-1]
+	} else {
+		// Room for the longest route, so a reused path never grows.
+		x = &routedXfer{net: n, path: make([]NodeID, 0, n.cfg.Topo.Diameter())}
+		x.fwdDone = x.advance
+	}
+	x.path, x.cur, x.bytes, x.i, x.deliver = x.path[:0], src, bytes, 0, deliver
+	return x
 }
 
 // routedServed is the static hop-completion callback (AtCtx form).
@@ -313,10 +329,14 @@ func (x *routedXfer) send() {
 }
 
 // served runs when the current hop's message has fully arrived: deliver at
-// the destination, or pay the store-and-forward cost and continue.
+// the destination (recycling the record first, so the delivery can
+// reuse it), or pay the store-and-forward cost and continue.
 func (x *routedXfer) served() {
 	if x.i == len(x.path)-1 {
-		x.deliver()
+		deliver := x.deliver
+		x.deliver = nil
+		x.net.xfers = append(x.net.xfers, x)
+		deliver()
 		return
 	}
 	if x.net.Forward != nil {
@@ -337,9 +357,8 @@ func (x *routedXfer) advance() {
 // intermediate endpoint (store-and-forward); deliver runs at dst.
 // src == dst delivers after zero network time.
 func (n *Network) SendRouted(src, dst NodeID, bytes int64, deliver func()) {
-	path := n.cfg.Topo.RouteXYZ(src, dst)
 	n.injected.Add(bytes)
-	if len(path) == 0 {
+	if src == dst {
 		n.eng.After(0, deliver)
 		return
 	}
@@ -347,8 +366,8 @@ func (n *Network) SendRouted(src, dst NodeID, bytes int64, deliver func()) {
 		n.sendRoutedF(src, dst, bytes, deliver, nil)
 		return
 	}
-	x := &routedXfer{net: n, path: path, cur: src, bytes: bytes, deliver: deliver}
-	x.fwdDone = x.advance
+	x := n.newXfer(src, bytes, deliver)
+	x.path = n.cfg.Topo.AppendRouteXYZ(x.path, src, dst)
 	x.send()
 }
 

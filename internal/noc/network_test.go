@@ -129,6 +129,49 @@ func TestSendRoutedWireBytes(t *testing.T) {
 	}
 }
 
+// TestSendRoutedRecyclesRecords checks that routed transfers reuse
+// delivered records: after a warm all-to-all round, further rounds
+// create no record and grow no path buffer, and a delivery may reuse
+// the record it arrived on.
+func TestSendRoutedRecyclesRecords(t *testing.T) {
+	eng := des.NewEngine()
+	n, _ := New(eng, testConfig(Torus3(4, 4, 2)))
+	n.Forward = func(_ NodeID, _ int64, next func()) { eng.After(des.Nanosecond, next) }
+	N := NodeID(n.Topo().N())
+	delivered := 0
+	// Each delivery to node 0 sends one more message across the fabric.
+	relay := func() { delivered++; n.SendRouted(0, N-1, 100, nil_) }
+	round := func() {
+		for src := NodeID(0); src < N; src++ {
+			for dst := NodeID(0); dst < N; dst++ {
+				if dst == 0 && src != 0 {
+					n.SendRouted(src, dst, 100, relay)
+				} else if src != dst {
+					n.SendRouted(src, dst, 100, nil_)
+				}
+			}
+		}
+		eng.Run()
+	}
+	round()
+	records := len(n.xfers)
+	for i := 0; i < 3; i++ {
+		round()
+	}
+	if want := 4 * (int(N) - 1); delivered != want {
+		t.Fatalf("relayed %d deliveries, want %d", delivered, want)
+	}
+	if len(n.xfers) != records {
+		t.Fatalf("%d transfer records after four rounds, %d after the first", len(n.xfers), records)
+	}
+	for _, x := range n.xfers {
+		if cap(x.path) != n.Topo().Diameter() || x.deliver != nil {
+			t.Fatalf("idle record: path cap %d (diameter %d), deliver set %v",
+				cap(x.path), n.Topo().Diameter(), x.deliver != nil)
+		}
+	}
+}
+
 func TestNetworkTrace(t *testing.T) {
 	eng := des.NewEngine()
 	n, _ := New(eng, testConfig(Torus3(4, 1, 1)))

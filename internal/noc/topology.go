@@ -234,7 +234,12 @@ func (t Topology) OffsetID(self NodeID, off int) NodeID {
 // dimensions go straight along the line. The returned path excludes src
 // and includes dst; it is empty when src == dst.
 func (t Topology) RouteXYZ(src, dst NodeID) []NodeID {
-	var path []NodeID
+	return t.AppendRouteXYZ(nil, src, dst)
+}
+
+// AppendRouteXYZ appends the RouteXYZ path from src to dst to path and
+// returns the extended slice, so a caller can reuse one buffer.
+func (t Topology) AppendRouteXYZ(path []NodeID, src, dst NodeID) []NodeID {
 	cur := src
 	for di := range t.Dims {
 		d := Dim(di)
@@ -263,6 +268,20 @@ func (t Topology) RouteXYZ(src, dst NodeID) []NodeID {
 		}
 	}
 	return path
+}
+
+// Diameter is the most hops a RouteXYZ path (or a mesh boundary hop)
+// takes: half of each ring, the whole of each line.
+func (t Topology) Diameter() int {
+	hops := 0
+	for _, ds := range t.Dims {
+		if ds.Wrap {
+			hops += ds.Size / 2
+		} else {
+			hops += ds.Size - 1
+		}
+	}
+	return hops
 }
 
 // NodeSymmetric reports whether every node sees an identical fabric: all

@@ -161,9 +161,16 @@ func TestRouteXYZReachesDst(t *testing.T) {
 
 func TestRouteXYZShortest(t *testing.T) {
 	// On each wrap dimension the route takes at most size/2 hops; on a
-	// mesh dimension at most size-1.
+	// mesh dimension at most size-1. Diameter is that bound, and the
+	// corner-to-corner route meets it.
 	tor := Topology{Dims: []DimSpec{{Size: 8, Wrap: true}, {Size: 4}, {Size: 2, Wrap: true}}}
 	maxHops := 8/2 + (4 - 1) + 2/2
+	if d := tor.Diameter(); d != maxHops {
+		t.Fatalf("Diameter() = %d, want %d", d, maxHops)
+	}
+	if n := len(tor.RouteXYZ(tor.ID(0, 0, 0), tor.ID(4, 3, 1))); n != maxHops {
+		t.Fatalf("corner route takes %d hops, want %d", n, maxHops)
+	}
 	f := func(s, d uint16) bool {
 		src := NodeID(int(s) % tor.N())
 		dst := NodeID(int(d) % tor.N())

@@ -53,11 +53,7 @@ type Server struct {
 
 	freeAt des.Time
 	busy   des.Time
-	// lane carries the server's completion events: FIFO service makes
-	// them monotone in time, so only the earliest sits in the engine's
-	// heap.
-	lane  des.Lane
-	Meter stats.Meter
+	Meter  stats.Meter
 	// Observers see every request's service interval.
 	Observers
 }
@@ -135,7 +131,7 @@ func (s *Server) reserve(n int64) des.Time {
 func (s *Server) Request(n int64, done func()) {
 	end := s.reserve(n)
 	if done != nil {
-		s.eng.LaneAt(&s.lane, end, done)
+		s.eng.At(end, done)
 	}
 }
 
@@ -152,7 +148,7 @@ func (s *Server) RequestAfter(n int64, extra des.Time, done func()) {
 	}
 	end := s.reserve(n)
 	if done != nil {
-		s.eng.LaneAt(&s.lane, end+extra, done)
+		s.eng.At(end+extra, done)
 	}
 }
 
@@ -165,7 +161,7 @@ func (s *Server) RequestAfterCtx(n int64, extra des.Time, fn func(any), arg any)
 		extra = 0
 	}
 	end := s.reserve(n)
-	s.eng.LaneAtCtx(&s.lane, end+extra, fn, arg)
+	s.eng.AtCtx(end+extra, fn, arg)
 }
 
 // String describes the server state for debugging.
