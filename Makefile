@@ -47,11 +47,14 @@ overhead-guard:
 # reference (same-instant, past-clamped and reopened-instant pushes
 # included), the 16-byte pointer-free time-heap entry, the engine's
 # zero-allocation scheduling (shared instants, an instant per event,
-# thousands of events in one instant), routed-transfer record reuse,
-# and the allocation budget of a warm all-reduce (ACE,
-# BaselineCommOpt), all-to-all and ResNet-50 iteration.
+# thousands of events in one instant), the gates' context-callback
+# acquisitions (one FIFO order with Acquire, zero allocations granted
+# or queued), routed-transfer record reuse, and the allocation budget
+# of a warm all-reduce (ACE, BaselineCommOpt), all-to-all (ACE,
+# BaselineCommOpt) and ResNet-50 iteration.
 hotpath-guard:
 	$(GO) test -run 'TestQueueMatchesReferenceHeap|TestQueueSortedDrain|TestTimeHeapEntrySize|TestEngineZeroAllocScheduling' -v ./internal/des
+	$(GO) test -run 'TestGateAcquireCtx' -v ./internal/resource
 	$(GO) test -run 'TestSendRoutedRecyclesRecords' -v ./internal/noc
 	$(GO) test -run TestHotPathAllocBudget -v .
 

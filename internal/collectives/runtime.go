@@ -179,8 +179,8 @@ func NewRuntime(eng *des.Engine, net *noc.Network, eps []core.Endpoint, cfg Conf
 		}
 		rt.scheds = append(rt.scheds, sc)
 	}
-	net.Forward = func(node noc.NodeID, bytes int64, next func()) {
-		rt.eps[node].Forward(bytes, next)
+	net.Forward = func(node noc.NodeID, bytes int64, fn func(any), arg any) {
+		rt.eps[node].Forward(bytes, fn, arg)
 	}
 	if cfg.Recovery != nil {
 		rt.rec = installRecovery(eng, net, *cfg.Recovery)
@@ -309,11 +309,29 @@ func (rt *Runtime) SendP2P(src, dst noc.NodeID, bytes int64, onDelivered func())
 	if rt.hyb != nil && rt.hyb.takeP2P(src, dst, bytes, onDelivered) {
 		return
 	}
-	rt.eps[src].Forward(bytes, func() {
-		rt.net.SendRouted(src, dst, bytes, func() {
-			rt.eps[dst].Forward(bytes, onDelivered)
-		})
-	})
+	x := &p2pXfer{rt: rt, src: src, dst: dst, bytes: bytes, done: onDelivered}
+	rt.eps[src].Forward(bytes, p2pSourced, x)
+}
+
+// p2pXfer is one point-to-point transfer in flight: the context of its
+// static source, routing and sink continuations.
+type p2pXfer struct {
+	rt       *Runtime
+	src, dst noc.NodeID
+	bytes    int64
+	done     func()
+}
+
+// p2pSourced routes the transfer once the source endpoint has sourced it.
+func p2pSourced(a any) {
+	x := a.(*p2pXfer)
+	x.rt.net.SendRoutedCtx(x.src, x.dst, x.bytes, p2pArrived, x)
+}
+
+// p2pArrived sinks the transfer at the destination endpoint.
+func p2pArrived(a any) {
+	x := a.(*p2pXfer)
+	x.rt.eps[x.dst].Forward(x.bytes, des.Call, x.done)
 }
 
 // inMsg is a buffered arrival for a node that has not issued (or whose
@@ -510,7 +528,7 @@ func (s *nodeSched) maybeAdmit() {
 		if s.rt.tracer != nil {
 			s.rt.tracer.Count(s.rt.collTracks[s.node], "inflight", int64(s.rt.eng.Now()), float64(s.inflight))
 		}
-		s.rt.eps[s.node].Admit(&e.chunk, e.startFn)
+		s.rt.eps[s.node].Admit(&e.chunk, chunkStart, e)
 	}
 }
 
@@ -526,7 +544,10 @@ func (s *nodeSched) chunkFinished() {
 }
 
 // ringRun is the per-direction state of a ring phase. A chunkExec embeds
-// one per direction and resets it at every phase start.
+// one per direction and resets it at every phase start. Its address is
+// the context argument of the direction's static send and receive
+// continuations (ringSourced, ringRecvd), so no hop or phase allocates a
+// callback.
 type ringRun struct {
 	exec         *chunkExec
 	dirIdx       int  // 0 -> +1, 1 -> -1
@@ -537,12 +558,6 @@ type ringRun struct {
 	queue        resource.FIFO[int64] // arrived, unprocessed message sizes
 	busy         bool
 	finished     bool
-
-	// Hot-path callbacks, built once per chunk and reused for every send
-	// and receive of every phase: they read the phase state when they
-	// run, so nothing is captured per hop or per phase.
-	onSourced func() // SourceSend completion: inject into the fabric
-	onRecvd   func() // SinkRecv completion: advance the receive pipeline
 }
 
 // ringDelivery is one ring message's delivery at the downstream
@@ -561,23 +576,20 @@ func deliverRing(a any) {
 	d.coll.deliver(d.dst, d.m)
 }
 
-// reset prepares the direction for phase s, keeping its callbacks and
-// receive buffer (empty: a direction finishes only once its last message
-// has been taken from the queue).
+// reset prepares the direction for phase s, keeping its receive buffer
+// (empty: a direction finishes only once its last message has been
+// taken from the queue).
 func (rr *ringRun) reset(s *PhaseShape) {
 	rr.up = s.DirIn[rr.dirIdx] != 0
 	rr.shape = s
 	rr.recvsDone, rr.sendsSourced = 0, 0
 	rr.busy, rr.finished = false, false
-	if rr.up && rr.onSourced == nil {
-		rr.onSourced = rr.sourced
-		rr.onRecvd = rr.recvd
-	}
 }
 
-// sourced injects the direction's next message into the fabric once the
-// endpoint has sourced it.
-func (rr *ringRun) sourced() {
+// ringSourced injects the direction's next message into the fabric once
+// the endpoint has sourced it (the SourceSend continuation).
+func ringSourced(a any) {
+	rr := a.(*ringRun)
 	e := rr.exec
 	s := rr.shape
 	e.rt().net.SendNeighborCtx(e.node, s.Dim, dirVal(rr.dirIdx), s.DirSeg[rr.dirIdx],
@@ -586,9 +598,10 @@ func (rr *ringRun) sourced() {
 	rr.maybeFinish()
 }
 
-// recvd advances the receive pipeline once the endpoint has sunk a
-// message.
-func (rr *ringRun) recvd() {
+// ringRecvd advances the receive pipeline once the endpoint has sunk a
+// message (the SinkRecv continuation).
+func ringRecvd(a any) {
+	rr := a.(*ringRun)
 	rr.busy = false
 	rr.recvsDone++
 	if rr.recvsDone < rr.shape.Steps {
@@ -601,14 +614,28 @@ func (rr *ringRun) recvd() {
 // a2aRun is the state of an all-to-all phase.
 type a2aRun struct {
 	exec         *chunkExec
-	peers        int
+	phase        int
+	seg          int64 // bytes per peer message
 	sendsSourced int
 	recvsDone    int
 	finished     bool
+	// sends holds one record per peer in visiting order, the context of
+	// that peer message's sourcing and delivery continuations. A record
+	// is written when the phase starts and never changed, because its
+	// message may still be in flight after the sender has moved on.
+	sends []a2aSend
+}
+
+// a2aSend is the all-to-all message of one phase to one peer.
+type a2aSend struct {
+	run *a2aRun
+	dst noc.NodeID
 }
 
 // chunkExec drives one chunk of one collective at one node through its
-// plan phases against the node's endpoint.
+// plan phases against the node's endpoint. It is the context argument
+// of the chunk's static admission, phase-start and drain continuations
+// (chunkStart, chunkStartPhase, chunkDrained).
 type chunkExec struct {
 	coll       *Collective
 	idx        int
@@ -621,17 +648,12 @@ type chunkExec struct {
 	dirs       [2]ringRun
 	dirsUp     int
 	a2a        *a2aRun
-	inbox      [][2][]int64
+	// inbox[phase][dirIdx] buffers arrivals for a phase the chunk has
+	// not started; nil until the chunk first has to buffer one.
+	inbox [][2][]int64
 	// deliveries holds the ring delivery records, two per phase
 	// (index 2*phase+dirIdx); allocated at the first ring phase.
 	deliveries []ringDelivery
-
-	// startFn, startPhaseFn and drainedFn are built once per chunk and
-	// reused for the admission, every phase transition and the
-	// terminal drain, avoiding a method-value allocation per use.
-	startFn      func()
-	startPhaseFn func()
-	drainedFn    func()
 }
 
 // chunkGeom is the phase geometry every chunk of one size shares.
@@ -639,6 +661,9 @@ type chunkGeom struct {
 	bytes    int64
 	shapes   []PhaseShape
 	resident []int64
+	// queueCap[d] is the most messages direction d receives in one ring
+	// phase: its receive queue never holds more.
+	queueCap [2]int
 }
 
 // geom returns the shared geometry of a chunk of the given size. A
@@ -650,7 +675,15 @@ func (c *Collective) geom(bytes int64) *chunkGeom {
 		}
 	}
 	shapes := Shapes(c.spec.Plan, bytes)
-	c.geoms = append(c.geoms, chunkGeom{bytes: bytes, shapes: shapes, resident: ResidentBytes(shapes)})
+	g := chunkGeom{bytes: bytes, shapes: shapes, resident: ResidentBytes(shapes)}
+	for _, s := range shapes {
+		for d := range g.queueCap {
+			if s.Kind != core.PhaseAllToAll && s.DirIn[d] != 0 {
+				g.queueCap[d] = max(g.queueCap[d], s.Steps)
+			}
+		}
+	}
+	c.geoms = append(c.geoms, g)
 	return &c.geoms[len(c.geoms)-1]
 }
 
@@ -661,25 +694,29 @@ func newChunkExec(c *Collective, idx int, node noc.NodeID, bytes int64) *chunkEx
 		idx:    idx,
 		node:   node,
 		shapes: g.shapes,
-		inbox:  make([][2][]int64, len(g.shapes)),
 	}
 	e.dirs[0] = ringRun{exec: e, dirIdx: 0}
 	e.dirs[1] = ringRun{exec: e, dirIdx: 1}
+	if n0, n1 := g.queueCap[0], g.queueCap[1]; n0+n1 > 0 {
+		// Both receive queues share one array, each in its own
+		// capacity-limited part.
+		buf := make([]int64, n0+n1)
+		e.dirs[0].queue.Reserve(buf[:n0:n0])
+		e.dirs[1].queue.Reserve(buf[n0:])
+	}
 	prio := int64(c.seq) - c.spec.PrioBias // LIFO: later issues are more urgent
 	if c.rt.cfg.FIFOSched {
 		prio = -int64(c.seq)
 	}
 	e.chunk = core.Chunk{Bytes: bytes, Resident: g.resident, Prio: prio}
-	e.startFn = e.start
-	e.startPhaseFn = e.startPhase
-	e.drainedFn = e.drained
 	return e
 }
 
-// drained completes the chunk at its node once the endpoint has drained
-// it, and drops it from its collective: live chunk state is bounded by
-// the chunks issued and not yet drained, not by the run.
-func (e *chunkExec) drained() {
+// chunkDrained completes the chunk at its node once the endpoint has
+// drained it, and drops it from its collective: live chunk state is
+// bounded by the chunks issued and not yet drained, not by the run.
+func chunkDrained(a any) {
+	e := a.(*chunkExec)
 	c := e.coll
 	c.execs[e.node][e.idx] = nil
 	c.chunkDoneAt(e.node)
@@ -688,11 +725,16 @@ func (e *chunkExec) drained() {
 
 func (e *chunkExec) rt() *Runtime { return e.coll.rt }
 
-// start runs after endpoint admission.
-func (e *chunkExec) start() {
+// chunkStart runs after endpoint admission.
+func chunkStart(a any) {
+	e := a.(*chunkExec)
 	e.started = true
 	e.startPhase()
 }
+
+// chunkStartPhase runs once the endpoint has moved the chunk into its
+// next phase.
+func chunkStartPhase(a any) { a.(*chunkExec).startPhase() }
 
 func (e *chunkExec) startPhase() {
 	e.phaseStart = e.rt().eng.Now()
@@ -728,13 +770,30 @@ func (e *chunkExec) startPhase() {
 	for d := range e.dirs {
 		if rr := &e.dirs[d]; rr.up {
 			rr.issueSend()
-			// Replay buffered arrivals for this phase.
-			for _, b := range e.inbox[e.phase][d] {
+			for _, b := range e.takeBuffered(e.phase, d) {
 				rr.arrive(b)
 			}
-			e.inbox[e.phase][d] = nil
 		}
 	}
+}
+
+// buffer holds an arrival for a phase the chunk has not reached yet.
+func (e *chunkExec) buffer(phase, dirIdx int, bytes int64) {
+	if e.inbox == nil {
+		e.inbox = make([][2][]int64, len(e.shapes))
+	}
+	e.inbox[phase][dirIdx] = append(e.inbox[phase][dirIdx], bytes)
+}
+
+// takeBuffered removes and returns the arrivals buffered for the
+// direction of a phase, for replay when the phase starts.
+func (e *chunkExec) takeBuffered(phase, dirIdx int) []int64 {
+	if e.inbox == nil {
+		return nil
+	}
+	b := e.inbox[phase][dirIdx]
+	e.inbox[phase][dirIdx] = nil
+	return b
 }
 
 // dirVal maps a direction index to a ring direction.
@@ -746,10 +805,10 @@ func dirVal(dirIdx int) int {
 }
 
 // issueSend pays the endpoint's sourcing cost for the direction's next
-// outgoing message; onSourced (prebuilt) injects it into the fabric.
+// outgoing message; ringSourced then injects it into the fabric.
 func (rr *ringRun) issueSend() {
 	e := rr.exec
-	e.rt().eps[e.node].SourceSend(&e.chunk, e.phase, rr.shape.Kind, rr.shape.DirSeg[rr.dirIdx], rr.onSourced)
+	e.rt().eps[e.node].SourceSend(&e.chunk, e.phase, rr.shape.Kind, rr.shape.DirSeg[rr.dirIdx], ringSourced, rr)
 }
 
 func (rr *ringRun) arrive(bytes int64) {
@@ -770,7 +829,7 @@ func (rr *ringRun) pump() {
 			e.coll.spec.Name, e.node, e.phase, rr.dirIdx))
 	}
 	reduce := rr.recvsDone < s.Reduces()
-	e.rt().eps[e.node].SinkRecv(&e.chunk, e.phase, s.Kind, bytes, reduce, rr.onRecvd)
+	e.rt().eps[e.node].SinkRecv(&e.chunk, e.phase, s.Kind, bytes, reduce, ringRecvd, rr)
 }
 
 // maybeFinish completes the direction once every receive has been
@@ -793,55 +852,59 @@ func (e *chunkExec) startA2A(s *PhaseShape) {
 		// downgrades such plans before they reach a mirrored shadow.
 		panic("collectives: all-to-all phase under a mirrored shadow")
 	}
-	n := e.rt().Nodes()
-	e.a2a = &a2aRun{exec: e, peers: n - 1}
 	rt := e.rt()
-	phase := e.phase
-	seg := s.DirSeg[0]
-	// Peers are visited in coordinate-offset order so every node's send
-	// sequence is the same pattern shifted by its own position
-	// (rotation-equivariant). This keeps all nodes' timelines identical,
-	// which the LIFO chunk scheduler relies on (see DESIGN.md).
-	for _, dst := range a2aOrder(rt.net.Topo(), e.node) {
-		dst := dst
-		rt.eps[e.node].SourceSend(&e.chunk, phase, s.Kind, seg, func() {
-			m := inMsg{chunk: e.idx, phase: phase, dirIdx: 0, bytes: seg}
-			rt.net.SendRouted(e.node, dst, seg, func() {
-				e.coll.deliver(dst, m)
-			})
-			e.a2a.sendsSourced++
-			e.a2a.maybeFinish()
-		})
+	t := rt.net.Topo()
+	n := t.N()
+	run := &a2aRun{exec: e, phase: e.phase, seg: s.DirSeg[0], sends: make([]a2aSend, n-1)}
+	e.a2a = run
+	// Peers are visited in lexicographic coordinate-offset order
+	// relative to this node (row-major offsets, dimension 0 fastest), so
+	// every node's send sequence is the same pattern shifted by its own
+	// position (rotation-equivariant). This keeps all nodes' timelines
+	// identical, which the LIFO chunk scheduler relies on (see
+	// DESIGN.md).
+	for off := 1; off < n; off++ {
+		snd := &run.sends[off-1]
+		*snd = a2aSend{run: run, dst: t.OffsetID(e.node, off)}
+		rt.eps[e.node].SourceSend(&e.chunk, run.phase, s.Kind, run.seg, a2aSourced, snd)
 	}
-	// Replay buffered arrivals.
-	for _, b := range e.inbox[phase][0] {
+	for _, b := range e.takeBuffered(run.phase, 0) {
 		e.a2aArrive(b)
 	}
-	e.inbox[phase][0] = nil
 }
 
-// a2aOrder lists every node other than self in lexicographic coordinate-
-// offset order relative to self (row-major offsets, dimension 0 fastest —
-// the same enumeration for every node, shifted by its own position).
-func a2aOrder(t noc.Topology, self noc.NodeID) []noc.NodeID {
-	n := t.N()
-	order := make([]noc.NodeID, 0, n-1)
-	for off := 1; off < n; off++ {
-		order = append(order, t.OffsetID(self, off))
-	}
-	return order
+// a2aSourced routes one peer message once the endpoint has sourced it.
+func a2aSourced(a any) {
+	snd := a.(*a2aSend)
+	run := snd.run
+	e := run.exec
+	e.rt().net.SendRoutedCtx(e.node, snd.dst, run.seg, a2aDelivered, snd)
+	run.sendsSourced++
+	run.maybeFinish()
+}
+
+// a2aDelivered hands one peer message to its destination.
+func a2aDelivered(a any) {
+	snd := a.(*a2aSend)
+	run := snd.run
+	e := run.exec
+	e.coll.deliver(snd.dst, inMsg{chunk: e.idx, phase: run.phase, dirIdx: 0, bytes: run.seg})
 }
 
 func (e *chunkExec) a2aArrive(bytes int64) {
 	s := &e.shapes[e.phase]
-	e.rt().eps[e.node].SinkRecv(&e.chunk, e.phase, s.Kind, bytes, false, func() {
-		e.a2a.recvsDone++
-		e.a2a.maybeFinish()
-	})
+	e.rt().eps[e.node].SinkRecv(&e.chunk, e.phase, s.Kind, bytes, false, a2aRecvd, e.a2a)
+}
+
+// a2aRecvd counts one sunk peer message.
+func a2aRecvd(a any) {
+	run := a.(*a2aRun)
+	run.recvsDone++
+	run.maybeFinish()
 }
 
 func (a *a2aRun) maybeFinish() {
-	if !a.finished && a.sendsSourced == a.peers && a.recvsDone == a.peers {
+	if peers := len(a.sends); !a.finished && a.sendsSourced == peers && a.recvsDone == peers {
 		a.finished = true
 		a.exec.phaseDone()
 	}
@@ -849,7 +912,7 @@ func (a *a2aRun) maybeFinish() {
 
 func (e *chunkExec) onArrival(phase, dirIdx int, bytes int64) {
 	if !e.started || phase != e.phase {
-		e.inbox[phase][dirIdx] = append(e.inbox[phase][dirIdx], bytes)
+		e.buffer(phase, dirIdx, bytes)
 		return
 	}
 	if e.shapes[phase].Kind == core.PhaseAllToAll {
@@ -857,7 +920,7 @@ func (e *chunkExec) onArrival(phase, dirIdx int, bytes int64) {
 			// Phase-transition gap: the chunk has logically advanced
 			// to this phase but the endpoint's NextPhase is still in
 			// flight. Buffer; startPhase replays the inbox.
-			e.inbox[phase][dirIdx] = append(e.inbox[phase][dirIdx], bytes)
+			e.buffer(phase, dirIdx, bytes)
 			return
 		}
 		e.a2aArrive(bytes)
@@ -866,7 +929,7 @@ func (e *chunkExec) onArrival(phase, dirIdx int, bytes int64) {
 	rr := &e.dirs[dirIdx]
 	if !rr.up {
 		// Same phase-transition gap as above.
-		e.inbox[phase][dirIdx] = append(e.inbox[phase][dirIdx], bytes)
+		e.buffer(phase, dirIdx, bytes)
 		return
 	}
 	rr.arrive(bytes)
@@ -884,10 +947,10 @@ func (e *chunkExec) phaseDone() {
 	}
 	e.phase++
 	if e.phase < len(e.shapes) {
-		rt.eps[e.node].NextPhase(&e.chunk, e.phase, e.startPhaseFn)
+		rt.eps[e.node].NextPhase(&e.chunk, e.phase, chunkStartPhase, e)
 		return
 	}
-	rt.eps[e.node].Drain(&e.chunk, e.drainedFn)
+	rt.eps[e.node].Drain(&e.chunk, chunkDrained, e)
 }
 
 // DebugState reports unfinished collectives and per-node scheduler state

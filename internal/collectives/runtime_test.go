@@ -1,6 +1,7 @@
 package collectives
 
 import (
+	"strings"
 	"testing"
 
 	"acesim/internal/core"
@@ -399,5 +400,45 @@ func TestRuntimeMeshStaggeredNoDeadlock(t *testing.T) {
 	if done != s.rt.Nodes() {
 		t.Fatalf("chained mesh collectives finished on %d/%d nodes (deadlock):\n%s",
 			done, s.rt.Nodes(), s.rt.DebugState())
+	}
+}
+
+// TestRuntimeDebugState pins the deadlock diagnostic the runtime and
+// chaos tests print on failure. On a 2x2 torus whose node 3 never
+// issues, nodes 0 and 1 finish the first-dimension reduce-scatter and
+// send their first all-reduce messages to node 2, which is still stuck
+// in phase 0 waiting for node 3: node 2's chunk buffers them in its
+// inbox, while node 0's chunk never buffers anything.
+func TestRuntimeDebugState(t *testing.T) {
+	torus := noc.Torus3(2, 2, 1)
+	s := buildSys(t, torus, "ideal", DefaultConfig())
+	spec := arSpec(torus, 64<<10) // one chunk
+	var coll *Collective
+	for i := 0; i < 3; i++ {
+		coll = s.rt.Issue(noc.NodeID(i), spec, func() { t.Fatal("stalled collective completed") })
+	}
+	s.eng.Run()
+	if coll.Chunks() != 1 {
+		t.Fatalf("%d chunks, want 1", coll.Chunks())
+	}
+	if e := coll.execs[0][0]; e.inbox != nil {
+		t.Fatalf("node 0's chunk buffered arrivals: %v", e.inbox)
+	}
+	if e := coll.execs[2][0]; e.inbox == nil || e.phase != 0 {
+		t.Fatalf("node 2's chunk: phase %d inbox %v, want phase 0 with buffered arrivals", e.phase, e.inbox)
+	}
+	got := s.rt.DebugState()
+	t.Log("\n" + got)
+	for _, want := range []string{
+		`coll 0 "ar" bytes=65536 chunks=1:`,
+		"node 3: not issued",
+		"node 0: left=1 [c0 run ph1 ",
+		"node 2: left=1 [c0 run ph0 ",
+		" inbox[1][0]=1 inbox[1][1]=1]",
+		"sched 2: inflight=1 pending=0 issued=1",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("DebugState lacks %q", want)
+		}
 	}
 }

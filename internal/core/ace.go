@@ -91,22 +91,20 @@ func (c ACEConfig) MinPartitionBytes() int64 {
 	return m
 }
 
-// aceChunkState is ACE-private per-chunk bookkeeping. It also carries
-// the chunk's admission, phase-change and drain continuations, built
-// once per chunk, so moving a chunk through the engine allocates nothing
-// per phase.
+// aceChunkState is ACE-private per-chunk bookkeeping. It is the context
+// argument of the static admission, phase-change and drain callbacks
+// (aceOnFSM and the rest), so moving a chunk through the engine
+// allocates nothing per phase.
 type aceChunkState struct {
 	a     *ACE
 	c     *Chunk
 	phase int   // current partition index the chunk occupies
 	held  int64 // bytes reserved in that partition
 	// p and pi are the phase and partition a pending Admit or NextPhase
-	// moves to; fn is the caller's continuation of the pending step.
+	// moves to; fn(arg) is the caller's continuation of the pending step.
 	p, pi int
-	fn    func()
-
-	fsmGranted, partGranted, dmaDone func()
-	drainGranted, drainDone          func()
+	fn    func(any)
+	arg   any
 }
 
 // ACE is the Accelerator Collectives Engine endpoint. Chunks enter through
@@ -169,10 +167,7 @@ func (a *ACE) Active() int { return a.active }
 
 func (a *ACE) st(c *Chunk) *aceChunkState {
 	if c.state == nil {
-		st := &aceChunkState{a: a, c: c}
-		st.fsmGranted, st.partGranted, st.dmaDone = st.onFSM, st.onPart, st.onDMA
-		st.drainGranted, st.drainDone = st.onDrainPart, st.onDrainBus
-		c.state = st
+		c.state = &aceChunkState{a: a, c: c}
 	}
 	return c.state.(*aceChunkState)
 }
@@ -198,29 +193,29 @@ func (a *ACE) phaseIndex(p int) int {
 
 // Admit implements Endpoint: FSM slot, phase-0 partition space, TX DMA
 // (HBM read -> NPU-AFI bus -> SRAM write).
-func (a *ACE) Admit(c *Chunk, fn func()) {
+func (a *ACE) Admit(c *Chunk, fn func(any), arg any) {
 	st := a.st(c)
-	st.p, st.pi, st.fn = 0, 0, fn
-	a.fsms[0].Acquire(st.fsmGranted)
+	st.p, st.pi, st.fn, st.arg = 0, 0, fn, arg
+	a.fsms[0].AcquireCtx(aceOnFSM, st)
 }
 
 // NextPhase implements Endpoint: acquire the next phase's FSM and
 // partition, then release the previous ones and pay the internal SRAM
 // move. Forward progress is guaranteed because the terminal partition
 // drains unconditionally.
-func (a *ACE) NextPhase(c *Chunk, p int, fn func()) {
+func (a *ACE) NextPhase(c *Chunk, p int, fn func(any), arg any) {
 	pi := a.phaseIndex(p)
 	st := a.st(c)
 	prev := st.phase
-	st.p, st.pi, st.fn = p, pi, fn
+	st.p, st.pi, st.fn, st.arg = p, pi, fn, arg
 	if pi == prev {
 		// Clamped plan: the chunk stays in this partition; grow the
 		// reservation if the new phase is larger (all-gather).
 		if grow := c.Resident[p] - st.held; grow > 0 {
-			a.parts[pi].Acquire(grow, st.partGranted)
+			a.parts[pi].AcquireCtx(grow, aceOnPart, st)
 			return
 		}
-		a.eng.After(0, fn)
+		a.eng.AfterCtx(0, fn, arg)
 		return
 	}
 	// Release the previous phase's FSM context and partition reservation
@@ -232,16 +227,18 @@ func (a *ACE) NextPhase(c *Chunk, p int, fn func()) {
 	a.fsms[prev].Release()
 	a.parts[prev].Release(st.held)
 	st.held = 0
-	a.fsms[pi].Acquire(st.fsmGranted)
+	a.fsms[pi].AcquireCtx(aceOnFSM, st)
 }
 
-// onFSM queues for the pending phase's partition space.
-func (st *aceChunkState) onFSM() {
-	st.a.parts[st.pi].Acquire(st.c.Resident[st.p], st.partGranted)
+// aceOnFSM queues the chunk for the pending phase's partition space.
+func aceOnFSM(x any) {
+	st := x.(*aceChunkState)
+	st.a.parts[st.pi].AcquireCtx(st.c.Resident[st.p], aceOnPart, st)
 }
 
-// onPart moves the chunk into the pending phase's partition.
-func (st *aceChunkState) onPart() {
+// aceOnPart moves the chunk into the pending phase's partition.
+func aceOnPart(x any) {
+	st := x.(*aceChunkState)
 	a, c := st.a, st.c
 	st.phase, st.held = st.pi, c.Resident[st.p]
 	if st.p == 0 {
@@ -249,49 +246,52 @@ func (st *aceChunkState) onPart() {
 		// crossbar (Table IV's switch & interconnect) and do not contend
 		// with the collective ports; HBM and the bus serialize it.
 		a.markActive(+1)
-		a.node.CommMem.Request(c.Bytes, st.dmaDone)
+		a.node.CommMem.RequestAfterCtx(c.Bytes, 0, aceOnDMA, st)
 		return
 	}
 	// Phase hand-off is an FSM pointer update, not a copy (Section IV-F:
 	// the chunk context moves between FSM queues); no SRAM port time is
 	// charged.
-	a.eng.After(0, st.fn)
+	a.eng.AfterCtx(0, st.fn, st.arg)
 }
 
-func (st *aceChunkState) onDMA() {
-	st.a.node.BusTX.Request(st.c.Bytes, st.fn)
+// aceOnDMA moves the admitted chunk's TX DMA across the bus.
+func aceOnDMA(x any) {
+	st := x.(*aceChunkState)
+	st.a.node.BusTX.RequestAfterCtx(st.c.Bytes, 0, st.fn, st.arg)
 }
 
 // SourceSend implements Endpoint: outgoing messages stream from SRAM
 // straight into the AFI port buffers — no HBM, no bus, no SMs.
-func (a *ACE) SourceSend(c *Chunk, p int, kind PhaseKind, bytes int64, fn func()) {
-	a.sramR.Request(bytes, fn)
+func (a *ACE) SourceSend(c *Chunk, p int, kind PhaseKind, bytes int64, fn func(any), arg any) {
+	a.sramR.RequestAfterCtx(bytes, 0, fn, arg)
 }
 
 // SinkRecv implements Endpoint: received messages are written into the
 // chunk's partition; reductions additionally stream through the ALUs.
-func (a *ACE) SinkRecv(c *Chunk, p int, kind PhaseKind, bytes int64, reduce bool, fn func()) {
+func (a *ACE) SinkRecv(c *Chunk, p int, kind PhaseKind, bytes int64, reduce bool, fn func(any), arg any) {
 	if reduce {
-		a.both(a.alu, a.sramW, bytes, fn)
+		a.both(a.alu, a.sramW, bytes, fn, arg)
 		return
 	}
-	a.sramW.Request(bytes, fn)
+	a.sramW.RequestAfterCtx(bytes, 0, fn, arg)
 }
 
 // Forward implements Endpoint: relayed traffic is absorbed and re-emitted
 // by the SRAM without touching HBM (Section V, "its SRAM absorbs packets
 // and forwards the ones that have different destinations").
-func (a *ACE) Forward(bytes int64, fn func()) {
-	a.both(a.sramW, a.sramR, bytes, fn)
+func (a *ACE) Forward(bytes int64, fn func(any), arg any) {
+	a.both(a.sramW, a.sramR, bytes, fn, arg)
 }
 
-// join2 runs fn once both arms of a two-server request have completed.
+// join2 runs fn(arg) once both arms of a two-server request have completed.
 // Records are recycled through the owning ACE's free list, so a reduce
 // or forward allocates nothing once the pool is warm.
 type join2 struct {
 	a    *ACE
 	left int
-	fn   func()
+	fn   func(any)
+	arg  any
 }
 
 // joinArm is the static completion callback of one join2 arm.
@@ -301,14 +301,15 @@ func joinArm(x any) {
 	if j.left > 0 {
 		return
 	}
-	fn := j.fn
-	j.fn = nil
+	fn, arg := j.fn, j.arg
+	j.fn, j.arg = nil, nil
 	j.a.joins = append(j.a.joins, j)
-	fn()
+	fn(arg)
 }
 
-// both requests bytes on x, then on y, and runs fn when both are served.
-func (a *ACE) both(x, y *resource.Server, bytes int64, fn func()) {
+// both requests bytes on x, then on y, and runs fn(arg) when both are
+// served.
+func (a *ACE) both(x, y *resource.Server, bytes int64, fn func(any), arg any) {
 	var j *join2
 	if n := len(a.joins); n > 0 {
 		j = a.joins[n-1]
@@ -316,35 +317,40 @@ func (a *ACE) both(x, y *resource.Server, bytes int64, fn func()) {
 	} else {
 		j = &join2{a: a}
 	}
-	j.left, j.fn = 2, fn
+	j.left, j.fn, j.arg = 2, fn, arg
 	x.RequestAfterCtx(bytes, 0, joinArm, j)
 	y.RequestAfterCtx(bytes, 0, joinArm, j)
 }
 
 // Drain implements Endpoint: results move into the terminal partition,
 // the phase resources are released, and the RX DMA writes back to HBM.
-func (a *ACE) Drain(c *Chunk, fn func()) {
+func (a *ACE) Drain(c *Chunk, fn func(any), arg any) {
 	st := a.st(c)
-	st.fn = fn
-	a.parts[a.cfg.Phases].Acquire(c.Resident[len(c.Resident)-1], st.drainGranted)
+	st.fn, st.arg = fn, arg
+	a.parts[a.cfg.Phases].AcquireCtx(c.Resident[len(c.Resident)-1], aceOnDrainPart, st)
 }
 
-func (st *aceChunkState) onDrainPart() {
+// aceOnDrainPart releases the chunk's phase resources once the terminal
+// partition holds its results, and starts the RX DMA.
+func aceOnDrainPart(x any) {
+	st := x.(*aceChunkState)
 	a := st.a
 	a.fsms[st.phase].Release()
 	a.parts[st.phase].Release(st.held)
 	// As with the TX DMA, the RX DMA's SRAM reads go through the banked
 	// crossbar; the bus serializes the transfer.
-	a.node.BusRX.Request(st.c.Resident[len(st.c.Resident)-1], st.drainDone)
+	a.node.BusRX.RequestAfterCtx(st.c.Resident[len(st.c.Resident)-1], 0, aceOnDrainBus, st)
 }
 
-func (st *aceChunkState) onDrainBus() {
+// aceOnDrainBus completes the drain once the RX DMA has crossed the bus.
+func aceOnDrainBus(x any) {
+	st := x.(*aceChunkState)
 	a := st.a
 	out := st.c.Resident[len(st.c.Resident)-1]
 	a.node.WriteMeter.Add(out)
 	a.parts[a.cfg.Phases].Release(out)
 	a.markActive(-1)
-	st.fn()
+	st.fn(st.arg)
 }
 
 var _ Endpoint = (*ACE)(nil)

@@ -44,34 +44,34 @@ func NewBaseline(eng *des.Engine, node *npu.Node, cfg BaselineConfig) *Baseline 
 }
 
 // Admit implements Endpoint.
-func (b *Baseline) Admit(c *Chunk, fn func()) { b.window.Acquire(fn) }
+func (b *Baseline) Admit(c *Chunk, fn func(any), arg any) { b.window.AcquireCtx(fn, arg) }
 
 // NextPhase implements Endpoint. Data lives in HBM between phases, so a
 // phase transition is free; per-phase costs are paid on sends/receives.
-func (b *Baseline) NextPhase(c *Chunk, p int, fn func()) { b.eng.After(0, fn) }
+func (b *Baseline) NextPhase(c *Chunk, p int, fn func(any), arg any) { b.eng.AfterCtx(0, fn, arg) }
 
 // SourceSend implements Endpoint: one HBM read plus the bus crossing.
-func (b *Baseline) SourceSend(c *Chunk, p int, kind PhaseKind, bytes int64, fn func()) {
-	b.stages(bytes, -1, fn, b.node.CommMem, b.node.BusTX)
+func (b *Baseline) SourceSend(c *Chunk, p int, kind PhaseKind, bytes int64, fn func(any), arg any) {
+	b.stages(bytes, -1, fn, arg, b.node.CommMem, b.node.BusTX)
 }
 
 // SinkRecv implements Endpoint: the message crosses the bus and is written
 // to HBM (write metered); a reduction reads the local operand (one more
 // HBM read, which together with the per-send read reproduces the paper's
 // 2x RS / 1x AG read accounting).
-func (b *Baseline) SinkRecv(c *Chunk, p int, kind PhaseKind, bytes int64, reduce bool, fn func()) {
+func (b *Baseline) SinkRecv(c *Chunk, p int, kind PhaseKind, bytes int64, reduce bool, fn func(any), arg any) {
 	if reduce {
-		b.stages(bytes, 0, fn, b.node.BusRX, b.node.CommMem)
+		b.stages(bytes, 0, fn, arg, b.node.BusRX, b.node.CommMem)
 		return
 	}
-	b.stages(bytes, 0, fn, b.node.BusRX)
+	b.stages(bytes, 0, fn, arg, b.node.BusRX)
 }
 
 // Forward implements Endpoint: multi-hop traffic is staged through HBM at
 // every intermediate node (the paper's NVLink neighbor-only observation):
 // bus in, write, read back, bus out.
-func (b *Baseline) Forward(bytes int64, fn func()) {
-	b.stages(bytes, 0, fn, b.node.BusRX, b.node.CommMem, b.node.BusTX)
+func (b *Baseline) Forward(bytes int64, fn func(any), arg any) {
+	b.stages(bytes, 0, fn, arg, b.node.BusRX, b.node.CommMem, b.node.BusTX)
 }
 
 // stageRun carries one transfer through a sequence of servers, one after
@@ -86,12 +86,13 @@ type stageRun struct {
 	// write is the stage after whose service the bytes land in HBM (the
 	// write is metered then); -1 for none.
 	write int
-	fn    func()
+	fn    func(any)
+	arg   any
 }
 
 // stages requests bytes on each server in turn, metering an HBM write
-// after stage write (-1: none), and runs fn after the last one.
-func (b *Baseline) stages(bytes int64, write int, fn func(), srv ...*resource.Server) {
+// after stage write (-1: none), and runs fn(arg) after the last one.
+func (b *Baseline) stages(bytes int64, write int, fn func(any), arg any, srv ...*resource.Server) {
 	var r *stageRun
 	if n := len(b.runs); n > 0 {
 		r = b.runs[n-1]
@@ -100,7 +101,7 @@ func (b *Baseline) stages(bytes int64, write int, fn func(), srv ...*resource.Se
 		r = &stageRun{b: b}
 	}
 	r.n = copy(r.srv[:], srv)
-	r.i, r.bytes, r.write, r.fn = 0, bytes, write, fn
+	r.i, r.bytes, r.write, r.fn, r.arg = 0, bytes, write, fn, arg
 	r.srv[0].RequestAfterCtx(bytes, 0, stageDone, r)
 }
 
@@ -115,17 +116,17 @@ func stageDone(x any) {
 		r.srv[r.i].RequestAfterCtx(r.bytes, 0, stageDone, r)
 		return
 	}
-	fn := r.fn
-	r.fn = nil
+	fn, arg := r.fn, r.arg
+	r.fn, r.arg = nil, nil
 	r.b.runs = append(r.b.runs, r)
-	fn()
+	fn(arg)
 }
 
 // Drain implements Endpoint: final results were already written on their
 // last receive; only the pipeline slot is released.
-func (b *Baseline) Drain(c *Chunk, fn func()) {
+func (b *Baseline) Drain(c *Chunk, fn func(any), arg any) {
 	b.window.Release()
-	b.eng.After(0, fn)
+	b.eng.AfterCtx(0, fn, arg)
 }
 
 var _ Endpoint = (*Baseline)(nil)

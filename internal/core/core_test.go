@@ -29,7 +29,7 @@ func TestJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	var at []des.Time
-	a.both(a.alu, a.sramW, 1<<20, func() { at = append(at, eng.Now()) })
+	a.both(a.alu, a.sramW, 1<<20, des.Call, func() { at = append(at, eng.Now()) })
 	eng.Run()
 	want := a.alu.FreeAt()
 	if w := a.sramW.FreeAt(); w > want {
@@ -38,10 +38,10 @@ func TestJoin(t *testing.T) {
 	if len(at) != 1 || at[0] != want {
 		t.Fatalf("join fired at %v, want once at %v", at, want)
 	}
-	if len(a.joins) != 1 || a.joins[0].fn != nil {
+	if len(a.joins) != 1 || a.joins[0].fn != nil || a.joins[0].arg != nil {
 		t.Fatalf("join record not recycled: pool %d", len(a.joins))
 	}
-	a.both(a.sramW, a.sramR, 1<<20, func() { at = append(at, eng.Now()) })
+	a.both(a.sramW, a.sramR, 1<<20, des.Call, func() { at = append(at, eng.Now()) })
 	if len(a.joins) != 0 {
 		t.Fatal("pooled join record not reused")
 	}
@@ -71,8 +71,8 @@ func TestBaselineSendCost(t *testing.T) {
 	b := NewBaseline(eng, node, DefaultBaselineConfig())
 	c := &Chunk{Bytes: 1e6, Resident: []int64{1e6, 1e6}}
 	var done des.Time
-	b.Admit(c, func() {
-		b.SourceSend(c, 0, PhaseReduceScatter, 1e6, func() { done = eng.Now() })
+	b.Admit(c, des.Call, func() {
+		b.SourceSend(c, 0, PhaseReduceScatter, 1e6, des.Call, func() { done = eng.Now() })
 	})
 	eng.Run()
 	// One read at 100 GB/s (10us) then bus at 500 GB/s (2us).
@@ -91,12 +91,12 @@ func TestBaselineRecvReduceCost(t *testing.T) {
 	b := NewBaseline(eng, node, DefaultBaselineConfig())
 	c := &Chunk{Bytes: 1e6, Resident: []int64{1e6, 1e6}}
 	var reduceDone, copyDone des.Time
-	b.SinkRecv(c, 0, PhaseReduceScatter, 1e6, true, func() { reduceDone = eng.Now() })
+	b.SinkRecv(c, 0, PhaseReduceScatter, 1e6, true, des.Call, func() { reduceDone = eng.Now() })
 	eng.Run()
 	eng2 := des.NewEngine()
 	node2 := testNode(t, eng2, 100, 80, true)
 	b2 := NewBaseline(eng2, node2, DefaultBaselineConfig())
-	b2.SinkRecv(c, 0, PhaseAllGather, 1e6, false, func() { copyDone = eng2.Now() })
+	b2.SinkRecv(c, 0, PhaseAllGather, 1e6, false, des.Call, func() { copyDone = eng2.Now() })
 	eng2.Run()
 	// Reduce adds one local-operand read over the plain store.
 	if reduceDone-copyDone != des.ByteDur(1e6, 100) {
@@ -122,7 +122,7 @@ func TestBaselineForward(t *testing.T) {
 	node := testNode(t, eng, 128, 2, true)
 	b := NewBaseline(eng, node, DefaultBaselineConfig())
 	var done des.Time
-	b.Forward(1e6, func() { done = eng.Now() })
+	b.Forward(1e6, des.Call, func() { done = eng.Now() })
 	eng.Run()
 	want := des.ByteDur(1e6, 500) + des.ByteDur(1e6, 128) + des.ByteDur(1e6, 500)
 	if done != want {
@@ -141,14 +141,14 @@ func TestBaselineWindow(t *testing.T) {
 	mk := func() *Chunk { return &Chunk{Bytes: 100, Resident: []int64{100, 100}} }
 	chunks := []*Chunk{mk(), mk(), mk()}
 	for _, c := range chunks {
-		b.Admit(c, func() { admitted++ })
+		b.Admit(c, des.Call, func() { admitted++ })
 	}
 	eng.Run()
 	if admitted != 2 {
 		t.Fatalf("admitted %d, want 2 (window)", admitted)
 	}
 	done := false
-	b.Drain(chunks[0], func() { done = true })
+	b.Drain(chunks[0], des.Call, func() { done = true })
 	eng.Run()
 	if !done || admitted != 3 {
 		t.Fatalf("drain did not open the window: admitted=%d", admitted)
@@ -209,11 +209,11 @@ func TestACELifecycleMemoryTraffic(t *testing.T) {
 	a, node := newTestACE(t, eng, DefaultACEConfig(2))
 	c := &Chunk{Bytes: 64 << 10, Resident: []int64{64 << 10, 16 << 10, 16 << 10}}
 	finished := false
-	a.Admit(c, func() {
-		a.SourceSend(c, 0, PhaseReduceScatter, 16<<10, func() {
-			a.SinkRecv(c, 0, PhaseReduceScatter, 16<<10, true, func() {
-				a.NextPhase(c, 1, func() {
-					a.Drain(c, func() { finished = true })
+	a.Admit(c, des.Call, func() {
+		a.SourceSend(c, 0, PhaseReduceScatter, 16<<10, des.Call, func() {
+			a.SinkRecv(c, 0, PhaseReduceScatter, 16<<10, true, des.Call, func() {
+				a.NextPhase(c, 1, des.Call, func() {
+					a.Drain(c, des.Call, func() { finished = true })
 				})
 			})
 		})
@@ -253,7 +253,7 @@ func TestACEPartitionBackpressure(t *testing.T) {
 	mk := func() *Chunk { return &Chunk{Bytes: 48 << 10, Resident: []int64{48 << 10, 48 << 10}} }
 	admitted := 0
 	for i := 0; i < 3; i++ {
-		a.Admit(mk(), func() { admitted++ })
+		a.Admit(mk(), des.Call, func() { admitted++ })
 	}
 	eng.Run()
 	// Partition 0 is 64 KiB: only one 48 KiB chunk fits at a time.
@@ -270,7 +270,7 @@ func TestACEFSMBackpressure(t *testing.T) {
 	a, _ := newTestACE(t, eng, cfg)
 	admitted := 0
 	for i := 0; i < 5; i++ {
-		a.Admit(&Chunk{Bytes: 1 << 10, Resident: []int64{1 << 10, 1 << 10}}, func() { admitted++ })
+		a.Admit(&Chunk{Bytes: 1 << 10, Resident: []int64{1 << 10, 1 << 10}}, des.Call, func() { admitted++ })
 	}
 	eng.Run()
 	if admitted != 2 {
@@ -289,11 +289,11 @@ func TestACEPipelineProgress(t *testing.T) {
 	finished := 0
 	for i := 0; i < chunks; i++ {
 		c := &Chunk{Bytes: 16 << 10, Resident: []int64{16 << 10, 4 << 10, 4 << 10, 16 << 10, 16 << 10}}
-		a.Admit(c, func() {
-			a.NextPhase(c, 1, func() {
-				a.NextPhase(c, 2, func() {
-					a.NextPhase(c, 3, func() {
-						a.Drain(c, func() { finished++ })
+		a.Admit(c, des.Call, func() {
+			a.NextPhase(c, 1, des.Call, func() {
+				a.NextPhase(c, 2, des.Call, func() {
+					a.NextPhase(c, 3, des.Call, func() {
+						a.Drain(c, des.Call, func() { finished++ })
 					})
 				})
 			})
@@ -311,7 +311,7 @@ func TestACEBusyTrace(t *testing.T) {
 	tr := stats.NewTrace(des.Microsecond)
 	a.Observe(func(start, end des.Time, _ int64) { tr.AddBusy(start, end, 1) })
 	c := &Chunk{Bytes: 128 << 10, Resident: []int64{128 << 10, 128 << 10}}
-	a.Admit(c, func() { a.Drain(c, func() {}) })
+	a.Admit(c, des.Call, func() { a.Drain(c, des.Call, func() {}) })
 	eng.Run()
 	if tr.Len() == 0 {
 		t.Fatal("busy trace recorded nothing")
@@ -326,11 +326,11 @@ func TestACEClampedPhases(t *testing.T) {
 	a, _ := newTestACE(t, eng, cfg)
 	c := &Chunk{Bytes: 8 << 10, Resident: []int64{8 << 10, 2 << 10, 2 << 10, 8 << 10, 8 << 10}}
 	done := false
-	a.Admit(c, func() {
-		a.NextPhase(c, 1, func() {
-			a.NextPhase(c, 2, func() {
-				a.NextPhase(c, 3, func() {
-					a.Drain(c, func() { done = true })
+	a.Admit(c, des.Call, func() {
+		a.NextPhase(c, 1, des.Call, func() {
+			a.NextPhase(c, 2, des.Call, func() {
+				a.NextPhase(c, 3, des.Call, func() {
+					a.Drain(c, des.Call, func() { done = true })
 				})
 			})
 		})
@@ -351,10 +351,10 @@ func TestIdealEndpointIsCheap(t *testing.T) {
 	id := NewIdeal(eng, 1.245)
 	c := &Chunk{Bytes: 1 << 30, Resident: []int64{1 << 30, 1 << 30}}
 	var done des.Time
-	id.Admit(c, func() {
-		id.SourceSend(c, 0, PhaseAllReduce, 1<<30, func() {
-			id.SinkRecv(c, 0, PhaseAllReduce, 1<<30, true, func() {
-				id.Drain(c, func() { done = eng.Now() })
+	id.Admit(c, des.Call, func() {
+		id.SourceSend(c, 0, PhaseAllReduce, 1<<30, des.Call, func() {
+			id.SinkRecv(c, 0, PhaseAllReduce, 1<<30, true, des.Call, func() {
+				id.Drain(c, des.Call, func() { done = eng.Now() })
 			})
 		})
 	})

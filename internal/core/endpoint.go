@@ -76,34 +76,39 @@ type Chunk struct {
 func (c *Chunk) Phases() int { return len(c.Resident) - 1 }
 
 // Endpoint models the cost of collective processing at one NPU.
-// Every method completes asynchronously by calling fn exactly once, on the
-// simulation engine; implementations must tolerate being driven by many
-// chunks concurrently.
+// Every method calls fn(arg) exactly once, on the simulation engine,
+// when the step is done. A step that waits on nothing may call it
+// before returning (the Baseline's Admit with a free window slot). The
+// continuation is in the engine's callback-with-context form
+// (des.Engine.AtCtx), so a static fn with a pointer arg moves a chunk
+// through the endpoint without allocating; des.Call adapts a plain
+// func(). Implementations must tolerate being driven by many chunks
+// concurrently.
 type Endpoint interface {
 	// Admit grants the chunk entry (phase-0 buffer space, an FSM slot,
-	// the initial TX DMA for ACE). fn runs when phase 0 may start.
-	Admit(c *Chunk, fn func())
+	// the initial TX DMA for ACE). fn(arg) runs when phase 0 may start.
+	Admit(c *Chunk, fn func(any), arg any)
 
 	// NextPhase moves the chunk from phase p-1 into phase p.
-	NextPhase(c *Chunk, p int, fn func())
+	NextPhase(c *Chunk, p int, fn func(any), arg any)
 
 	// SourceSend pays the cost of sourcing bytes for one outgoing message
-	// of phase p. fn runs when the message may be injected into the
+	// of phase p. fn(arg) runs when the message may be injected into the
 	// fabric.
-	SourceSend(c *Chunk, p int, kind PhaseKind, bytes int64, fn func())
+	SourceSend(c *Chunk, p int, kind PhaseKind, bytes int64, fn func(any), arg any)
 
 	// SinkRecv pays the cost of accepting one fully received message of
 	// phase p. reduce reports whether the message is combined with local
 	// data (reduction) or only stored.
-	SinkRecv(c *Chunk, p int, kind PhaseKind, bytes int64, reduce bool, fn func())
+	SinkRecv(c *Chunk, p int, kind PhaseKind, bytes int64, reduce bool, fn func(any), arg any)
 
 	// Forward pays the store-and-forward cost of relaying bytes through
 	// this endpoint (intermediate hop of a routed transfer).
-	Forward(bytes int64, fn func())
+	Forward(bytes int64, fn func(any), arg any)
 
 	// Drain completes the chunk: final results are moved to HBM and all
 	// endpoint resources are released.
-	Drain(c *Chunk, fn func())
+	Drain(c *Chunk, fn func(any), arg any)
 }
 
 // cycle returns the duration of one clock cycle at freqGHz.

@@ -17,25 +17,25 @@ func NewIdeal(eng *des.Engine, freqGHz float64) *Ideal {
 }
 
 // Admit implements Endpoint.
-func (i *Ideal) Admit(c *Chunk, fn func()) { i.eng.After(i.tic, fn) }
+func (i *Ideal) Admit(c *Chunk, fn func(any), arg any) { i.eng.AfterCtx(i.tic, fn, arg) }
 
 // NextPhase implements Endpoint.
-func (i *Ideal) NextPhase(c *Chunk, p int, fn func()) { i.eng.After(i.tic, fn) }
+func (i *Ideal) NextPhase(c *Chunk, p int, fn func(any), arg any) { i.eng.AfterCtx(i.tic, fn, arg) }
 
 // SourceSend implements Endpoint.
-func (i *Ideal) SourceSend(c *Chunk, p int, kind PhaseKind, bytes int64, fn func()) {
-	i.eng.After(i.tic, fn)
+func (i *Ideal) SourceSend(c *Chunk, p int, kind PhaseKind, bytes int64, fn func(any), arg any) {
+	i.eng.AfterCtx(i.tic, fn, arg)
 }
 
 // SinkRecv implements Endpoint.
-func (i *Ideal) SinkRecv(c *Chunk, p int, kind PhaseKind, bytes int64, reduce bool, fn func()) {
-	i.eng.After(i.tic, fn)
+func (i *Ideal) SinkRecv(c *Chunk, p int, kind PhaseKind, bytes int64, reduce bool, fn func(any), arg any) {
+	i.eng.AfterCtx(i.tic, fn, arg)
 }
 
 // Forward implements Endpoint.
-func (i *Ideal) Forward(bytes int64, fn func()) { i.eng.After(i.tic, fn) }
+func (i *Ideal) Forward(bytes int64, fn func(any), arg any) { i.eng.AfterCtx(i.tic, fn, arg) }
 
 // Drain implements Endpoint.
-func (i *Ideal) Drain(c *Chunk, fn func()) { i.eng.After(i.tic, fn) }
+func (i *Ideal) Drain(c *Chunk, fn func(any), arg any) { i.eng.AfterCtx(i.tic, fn, arg) }
 
 var _ Endpoint = (*Ideal)(nil)

@@ -255,6 +255,11 @@ func (e *Engine) AfterCtx(d Time, fn func(any), arg any) {
 	e.AtCtx(e.now+d, fn, arg)
 }
 
+// Call adapts a plain func() to the callback-with-context form:
+// Call(fn) runs fn. The func() forms of the context APIs built on the
+// engine (gates, network sends) pass their callback through it.
+func Call(fn any) { fn.(func())() }
+
 // Step executes the single next event and reports whether one was
 // executed. The clock advances to the event's timestamp before its
 // callback runs. Work the callback schedules is only queued — even work

@@ -56,8 +56,8 @@ func (l *Link) Server() *resource.Server { return l.srv }
 
 // Forwarder is the endpoint hook charged at every intermediate hop of a
 // routed transfer (store-and-forward through the endpoint). It must call
-// next() when the forwarding cost has been paid.
-type Forwarder func(node NodeID, bytes int64, next func())
+// fn(arg) once, on the engine, when the forwarding cost has been paid.
+type Forwarder func(node NodeID, bytes int64, fn func(any), arg any)
 
 // Config configures a torus/mesh network.
 type Config struct {
@@ -241,20 +241,18 @@ func (n *Network) TotalWireBytes() int64 {
 // traffic). That multi-hop closure is exactly why ring collectives on a
 // mesh expose more communication than on a torus of the same size.
 func (n *Network) SendNeighbor(src NodeID, d Dim, dir int, bytes int64, deliver func()) {
-	n.SendNeighborCtx(src, d, dir, bytes, callFunc, deliver)
+	n.SendNeighborCtx(src, d, dir, bytes, des.Call, deliver)
 }
-
-// callFunc adapts a plain func() to the callback-with-context form.
-func callFunc(a any) { a.(func())() }
 
 // SendNeighborCtx is SendNeighbor with delivery in the engine's
 // callback-with-context form: fn(arg) runs at the destination. A direct
-// hop on a fault-free fabric schedules it with no allocation; the
-// fault-aware path and a mesh boundary hop wrap it in a closure.
+// hop on a fault-free fabric and a mesh boundary hop on a warm fabric
+// schedule it with no allocation; the fault-aware path wraps it in a
+// closure.
 func (n *Network) SendNeighborCtx(src NodeID, d Dim, dir int, bytes int64, fn func(any), arg any) {
 	n.injected.Add(bytes)
 	if n.faultsOn || !n.cfg.Topo.HasLink(src, d, dir) {
-		n.sendNeighborSlow(src, d, dir, bytes, func() { fn(arg) })
+		n.sendNeighborSlow(src, d, dir, bytes, fn, arg)
 		return
 	}
 	// One scheduled event covers serialization (FIFO at the link's
@@ -265,9 +263,9 @@ func (n *Network) SendNeighborCtx(src NodeID, d Dim, dir int, bytes int64, fn fu
 
 // sendNeighborSlow is the neighbor hop with no direct fault-free link:
 // the fault-aware path, or a mesh boundary hop routed across the line.
-func (n *Network) sendNeighborSlow(src NodeID, d Dim, dir int, bytes int64, deliver func()) {
+func (n *Network) sendNeighborSlow(src NodeID, d Dim, dir int, bytes int64, fn func(any), arg any) {
 	if n.faultsOn {
-		n.sendNeighborF(src, d, dir, bytes, deliver, nil)
+		n.sendNeighborF(src, d, dir, bytes, func() { fn(arg) }, nil)
 		return
 	}
 	t := n.cfg.Topo
@@ -276,7 +274,7 @@ func (n *Network) sendNeighborSlow(src NodeID, d Dim, dir int, bytes int64, deli
 	}
 	// Mesh boundary hop: walk the line to the far end (size-1 physical
 	// hops in the opposite direction).
-	x := n.newXfer(src, bytes, deliver)
+	x := n.newXfer(src, bytes, fn, arg)
 	cur := src
 	for i := 1; i < t.Size(d); i++ {
 		cur = t.Neighbor(cur, d, -dir)
@@ -291,20 +289,19 @@ func (n *Network) sendNeighborSlow(src NodeID, d Dim, dir int, bytes int64, deli
 // formulation would allocate. Records are recycled through the network
 // (see newXfer), so a warm fabric routes without allocating.
 type routedXfer struct {
-	net     *Network
-	path    []NodeID // hops after the source, dst last; reused
-	cur     NodeID
-	bytes   int64
-	i       int
-	deliver func()
-	// fwdDone re-enters advance after the Forward hook; built once per
-	// record (the hook wants a plain func()).
-	fwdDone func()
+	net   *Network
+	path  []NodeID // hops after the source, dst last; reused
+	cur   NodeID
+	bytes int64
+	i     int
+	// fn(arg) runs at the destination.
+	fn  func(any)
+	arg any
 }
 
 // newXfer returns an idle transfer record from src with an empty path,
 // reusing a delivered one when there is one.
-func (n *Network) newXfer(src NodeID, bytes int64, deliver func()) *routedXfer {
+func (n *Network) newXfer(src NodeID, bytes int64, fn func(any), arg any) *routedXfer {
 	var x *routedXfer
 	if k := len(n.xfers); k > 0 {
 		x = n.xfers[k-1]
@@ -312,9 +309,8 @@ func (n *Network) newXfer(src NodeID, bytes int64, deliver func()) *routedXfer {
 	} else {
 		// Room for the longest route, so a reused path never grows.
 		x = &routedXfer{net: n, path: make([]NodeID, 0, n.cfg.Topo.Diameter())}
-		x.fwdDone = x.advance
 	}
-	x.path, x.cur, x.bytes, x.i, x.deliver = x.path[:0], src, bytes, 0, deliver
+	x.path, x.cur, x.bytes, x.i, x.fn, x.arg = x.path[:0], src, bytes, 0, fn, arg
 	return x
 }
 
@@ -333,21 +329,23 @@ func (x *routedXfer) send() {
 // reuse it), or pay the store-and-forward cost and continue.
 func (x *routedXfer) served() {
 	if x.i == len(x.path)-1 {
-		deliver := x.deliver
-		x.deliver = nil
+		fn, arg := x.fn, x.arg
+		x.fn, x.arg = nil, nil
 		x.net.xfers = append(x.net.xfers, x)
-		deliver()
+		fn(arg)
 		return
 	}
 	if x.net.Forward != nil {
-		x.net.Forward(x.cur, x.bytes, x.fwdDone)
+		x.net.Forward(x.cur, x.bytes, routedAdvance, x)
 		return
 	}
-	x.advance()
+	routedAdvance(x)
 }
 
-// advance moves to the next hop.
-func (x *routedXfer) advance() {
+// routedAdvance moves the transfer to its next hop (the static
+// continuation of the Forward hook).
+func routedAdvance(a any) {
+	x := a.(*routedXfer)
 	x.i++
 	x.send()
 }
@@ -357,16 +355,24 @@ func (x *routedXfer) advance() {
 // intermediate endpoint (store-and-forward); deliver runs at dst.
 // src == dst delivers after zero network time.
 func (n *Network) SendRouted(src, dst NodeID, bytes int64, deliver func()) {
+	n.SendRoutedCtx(src, dst, bytes, des.Call, deliver)
+}
+
+// SendRoutedCtx is SendRouted with delivery in the engine's
+// callback-with-context form: fn(arg) runs at dst. On a fault-free
+// fabric with a warm record pool it allocates nothing; the fault-aware
+// path wraps the callback in a closure.
+func (n *Network) SendRoutedCtx(src, dst NodeID, bytes int64, fn func(any), arg any) {
 	n.injected.Add(bytes)
 	if src == dst {
-		n.eng.After(0, deliver)
+		n.eng.AfterCtx(0, fn, arg)
 		return
 	}
 	if n.faultsOn {
-		n.sendRoutedF(src, dst, bytes, deliver, nil)
+		n.sendRoutedF(src, dst, bytes, func() { fn(arg) }, nil)
 		return
 	}
-	x := n.newXfer(src, bytes, deliver)
+	x := n.newXfer(src, bytes, fn, arg)
 	x.path = n.cfg.Topo.AppendRouteXYZ(x.path, src, dst)
 	x.send()
 }
@@ -585,7 +591,7 @@ func (n *Network) routeF(src NodeID, path []NodeID, fx *fxfer) {
 			}
 			advance := func() { i++; step() }
 			if n.Forward != nil {
-				n.Forward(cur, fx.bytes, advance)
+				n.Forward(cur, fx.bytes, des.Call, advance)
 				return
 			}
 			advance()

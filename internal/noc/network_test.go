@@ -85,9 +85,9 @@ func TestSendRoutedForwardHook(t *testing.T) {
 	eng := des.NewEngine()
 	n, _ := New(eng, testConfig(Torus3(4, 1, 1)))
 	var fwdNodes []NodeID
-	n.Forward = func(node NodeID, bytes int64, next func()) {
+	n.Forward = func(node NodeID, bytes int64, fn func(any), arg any) {
 		fwdNodes = append(fwdNodes, node)
-		eng.After(des.Nanosecond, next)
+		eng.AfterCtx(des.Nanosecond, fn, arg)
 	}
 	delivered := false
 	n.SendRouted(0, 2, 1000, func() { delivered = true }) // 0 -> 1 -> 2
@@ -136,7 +136,7 @@ func TestSendRoutedWireBytes(t *testing.T) {
 func TestSendRoutedRecyclesRecords(t *testing.T) {
 	eng := des.NewEngine()
 	n, _ := New(eng, testConfig(Torus3(4, 4, 2)))
-	n.Forward = func(_ NodeID, _ int64, next func()) { eng.After(des.Nanosecond, next) }
+	n.Forward = func(_ NodeID, _ int64, fn func(any), arg any) { eng.AfterCtx(des.Nanosecond, fn, arg) }
 	N := NodeID(n.Topo().N())
 	delivered := 0
 	// Each delivery to node 0 sends one more message across the fabric.
@@ -165,9 +165,9 @@ func TestSendRoutedRecyclesRecords(t *testing.T) {
 		t.Fatalf("%d transfer records after four rounds, %d after the first", len(n.xfers), records)
 	}
 	for _, x := range n.xfers {
-		if cap(x.path) != n.Topo().Diameter() || x.deliver != nil {
-			t.Fatalf("idle record: path cap %d (diameter %d), deliver set %v",
-				cap(x.path), n.Topo().Diameter(), x.deliver != nil)
+		if cap(x.path) != n.Topo().Diameter() || x.fn != nil || x.arg != nil {
+			t.Fatalf("idle record: path cap %d (diameter %d), delivery set %v",
+				cap(x.path), n.Topo().Diameter(), x.fn != nil || x.arg != nil)
 		}
 	}
 }
@@ -278,9 +278,9 @@ func TestSendNeighborMeshBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fwdNodes []NodeID
-	n.Forward = func(node NodeID, bytes int64, next func()) {
+	n.Forward = func(node NodeID, bytes int64, fn func(any), arg any) {
 		fwdNodes = append(fwdNodes, node)
-		next()
+		fn(arg)
 	}
 	var arrive des.Time
 	n.SendNeighbor(3, 0, +1, 1e6, func() { arrive = eng.Now() })

@@ -169,10 +169,16 @@ func (s *Server) String() string {
 	return fmt.Sprintf("server(%s %vGB/s busy=%v)", s.name, s.rate, s.busy)
 }
 
+// call is a callback in the engine's callback-with-context form: fn(arg).
+type call struct {
+	fn  func(any)
+	arg any
+}
+
 // byteWaiter is one queued ByteGate acquisition.
 type byteWaiter struct {
-	n  int64
-	fn func()
+	n int64
+	call
 }
 
 // FIFO is a queue reused through a head index: popped slots are zeroed
@@ -187,6 +193,17 @@ type FIFO[T any] struct {
 
 // Len returns the number of queued values.
 func (q *FIFO[T]) Len() int { return len(q.items) - q.head }
+
+// Reserve makes buf's array the backing store of an empty queue: it
+// holds cap(buf) values before the queue has to grow. Several queues
+// can share one allocation by reserving disjoint, capacity-limited
+// slices of it.
+func (q *FIFO[T]) Reserve(buf []T) {
+	if q.Len() > 0 {
+		panic("resource: Reserve on a non-empty FIFO")
+	}
+	q.items, q.head = buf[:0], 0
+}
 
 // Push appends v at the tail.
 func (q *FIFO[T]) Push(v T) {
@@ -267,15 +284,21 @@ func (g *ByteGate) Waiting() int { return g.q.Len() }
 // Acquire reserves n bytes, calling fn once the reservation is granted.
 // Requests larger than the whole capacity are granted when the gate is
 // completely empty (they would otherwise deadlock).
-func (g *ByteGate) Acquire(n int64, fn func()) {
+func (g *ByteGate) Acquire(n int64, fn func()) { g.AcquireCtx(n, des.Call, fn) }
+
+// AcquireCtx is Acquire in the engine's callback-with-context form:
+// fn(arg) runs once the reservation is granted. With a static fn and a
+// pointer arg the call allocates nothing, granted at once or queued on a
+// queue whose array has room.
+func (g *ByteGate) AcquireCtx(n int64, fn func(any), arg any) {
 	if n < 0 {
 		n = 0
 	}
 	if g.q.Len() == 0 && g.fits(n) {
-		g.grant(n, fn)
+		g.grant(n, call{fn, arg})
 		return
 	}
-	g.q.Push(byteWaiter{n, fn})
+	g.q.Push(byteWaiter{n, call{fn, arg}})
 	g.drain()
 }
 
@@ -299,18 +322,18 @@ func (g *ByteGate) fits(n int64) bool {
 	return g.used+n <= g.capacity
 }
 
-func (g *ByteGate) grant(n int64, fn func()) {
+func (g *ByteGate) grant(n int64, c call) {
 	g.used += n
 	if g.used > g.maxUsed {
 		g.maxUsed = g.used
 	}
-	fn()
+	c.fn(c.arg)
 }
 
 func (g *ByteGate) drain() {
 	for g.q.Len() > 0 && g.fits(g.q.Front().n) {
 		w := g.q.Pop()
-		g.grant(w.n, w.fn)
+		g.grant(w.n, w.call)
 	}
 }
 
@@ -319,7 +342,7 @@ type SlotGate struct {
 	name    string
 	cap     int
 	used    int
-	q       FIFO[func()]
+	q       FIFO[call]
 	maxUsed int
 }
 
@@ -342,12 +365,18 @@ func (g *SlotGate) MaxUsed() int { return g.maxUsed }
 func (g *SlotGate) Waiting() int { return g.q.Len() }
 
 // Acquire takes one slot, calling fn when granted.
-func (g *SlotGate) Acquire(fn func()) {
+func (g *SlotGate) Acquire(fn func()) { g.AcquireCtx(des.Call, fn) }
+
+// AcquireCtx is Acquire in the engine's callback-with-context form:
+// fn(arg) runs when the slot is granted. With a static fn and a pointer
+// arg the call allocates nothing, granted at once or queued on a queue
+// whose array has room.
+func (g *SlotGate) AcquireCtx(fn func(any), arg any) {
 	if g.q.Len() == 0 && g.free() {
-		g.grant(fn)
+		g.grant(call{fn, arg})
 		return
 	}
-	g.q.Push(fn)
+	g.q.Push(call{fn, arg})
 	g.drain()
 }
 
@@ -362,12 +391,12 @@ func (g *SlotGate) Release() {
 
 func (g *SlotGate) free() bool { return g.cap <= 0 || g.used < g.cap }
 
-func (g *SlotGate) grant(fn func()) {
+func (g *SlotGate) grant(c call) {
 	g.used++
 	if g.used > g.maxUsed {
 		g.maxUsed = g.used
 	}
-	fn()
+	c.fn(c.arg)
 }
 
 func (g *SlotGate) drain() {

@@ -444,3 +444,96 @@ func TestFIFOInsertAndReuse(t *testing.T) {
 		t.Fatalf("front %d after compaction, want 2", *q.Front())
 	}
 }
+
+// TestGateAcquireCtx pins the callback-with-context form that Acquire
+// wraps on both gates: mixed Acquire and AcquireCtx waiters share one
+// FIFO order (an oversized holder and an acquisition made from inside a
+// grant callback included), and AcquireCtx with a static function and a
+// pointer argument allocates nothing, granted at once or queued on a
+// warm queue.
+func TestGateAcquireCtx(t *testing.T) {
+	type grantee struct {
+		got  *[]string
+		name string
+	}
+	record := func(a any) { g := a.(*grantee); *g.got = append(*g.got, g.name) }
+
+	t.Run("byte", func(t *testing.T) {
+		g := NewByteGate("sram", 100)
+		var got []string
+		ctx := func(name string) *grantee { return &grantee{&got, name} }
+		g.AcquireCtx(250, record, ctx("big")) // oversized: admitted into the empty gate
+		g.Acquire(60, func() {
+			got = append(got, "A")
+			g.AcquireCtx(5, record, ctx("D")) // fits, but B and C are older
+		})
+		g.AcquireCtx(50, record, ctx("B"))
+		g.Acquire(10, func() { got = append(got, "C") })
+		if g.Waiting() != 3 {
+			t.Fatalf("%d waiting behind the oversized holder, want 3", g.Waiting())
+		}
+		g.Release(250) // A; then B does not fit, and blocks C and D
+		assertOrder(t, got, "big", "A")
+		if g.Waiting() != 3 || g.Used() != 60 {
+			t.Fatalf("waiting %d used %d after A, want 3 and 60", g.Waiting(), g.Used())
+		}
+		g.Release(60)
+		assertOrder(t, got, "big", "A", "B", "C", "D")
+		if g.Used() != 65 || g.Waiting() != 0 {
+			t.Fatalf("used %d waiting %d, want 65 and 0", g.Used(), g.Waiting())
+		}
+	})
+	t.Run("slot", func(t *testing.T) {
+		g := NewSlotGate("fsm", 1)
+		var got []string
+		ctx := func(name string) *grantee { return &grantee{&got, name} }
+		g.AcquireCtx(record, ctx("A"))
+		g.Acquire(func() {
+			got = append(got, "B")
+			g.AcquireCtx(record, ctx("D")) // queues behind C
+		})
+		g.AcquireCtx(record, ctx("C"))
+		for range 3 {
+			g.Release()
+		}
+		assertOrder(t, got, "A", "B", "C", "D")
+		if g.Used() != 1 || g.Waiting() != 0 {
+			t.Fatalf("used %d waiting %d, want 1 and 0", g.Used(), g.Waiting())
+		}
+	})
+	t.Run("allocs", func(t *testing.T) {
+		bg := NewByteGate("sram", 100)
+		sg := NewSlotGate("fsm", 1)
+		n := 0
+		count := func(a any) { *a.(*int)++ }
+		granted := func() {
+			bg.AcquireCtx(10, count, &n)
+			bg.Release(10)
+			sg.AcquireCtx(count, &n)
+			sg.Release()
+		}
+		queued := func() {
+			bg.AcquireCtx(100, count, &n)
+			bg.AcquireCtx(100, count, &n) // waits for the first
+			bg.Release(100)
+			bg.Release(100)
+			sg.AcquireCtx(count, &n)
+			sg.AcquireCtx(count, &n) // waits for the first
+			sg.Release()
+			sg.Release()
+		}
+		queued() // warm both queues' arrays
+		for _, tc := range []struct {
+			name string
+			run  func()
+		}{{"granted", granted}, {"queued", queued}} {
+			if avg := testing.AllocsPerRun(100, tc.run); avg != 0 {
+				t.Errorf("%s: AcquireCtx allocates %.1f per run, want 0", tc.name, avg)
+			}
+		}
+		// The warm-up, then AllocsPerRun's own warm-up plus 100 runs.
+		if want := 4 + 101*(2+4); n != want {
+			t.Fatalf("%d grants, want %d", n, want)
+		}
+	})
+}
