@@ -78,8 +78,10 @@ chaos-smoke:
 	$(GO) run ./cmd/acesim scenario run examples/scenarios/link_failure.json
 
 # Figures smoke: the paper figures the CLI runs from its embedded
-# bundled scenario files (examples/scenarios), all but the multi-minute
-# fig11 and fig12 grids. Each run evaluates its files' assertions, so a
+# bundled scenario files (examples/scenarios), all but the training
+# grids fig9a, fig9b, fig10, fig11 and fig12 (`make goldens` pins fig9a
+# in full and the 16-NPU slices of fig9b and fig10). Each run evaluates
+# its files' assertions, so a
 # file that no longer loads or a figure that moved out of its asserted
 # range fails the target. interference traces every multijob.json unit
 # (~1 GB peak RSS).
@@ -91,11 +93,12 @@ figures-smoke:
 	$(GO) run ./cmd/acesim interference
 
 # Golden gate: the full-size runner goldens (every bundled figure's JSON
-# results, byte for byte), the fig4 trace digest, the multijob trace's
-# workers 1-vs-8 byte equality and its peak-heap budget. `go test
-# -short` skips all of them, so this target runs them in full mode.
+# results, byte for byte), the 16-NPU slices of fig9b and fig10, the
+# fig4 trace digest, the multijob trace's workers 1-vs-8 byte equality
+# and its peak-heap budget. `go test -short` skips all of them, so this
+# target runs them in full mode.
 goldens:
-	$(GO) test -run 'TestScenarioGoldens|TestFig4TraceGolden|TestTraceWorkerDeterminism|TestMultijobTracePeakHeap' ./internal/scenario/runner
+	$(GO) test -run 'TestScenarioGoldens|TestFig9bFig10SliceGoldens|TestFig4TraceGolden|TestTraceWorkerDeterminism|TestMultijobTracePeakHeap' ./internal/scenario/runner
 
 # Hybrid-engine smoke: the fast path's golden-equality gates (hybrid ==
 # DES to the picosecond on collectives, Fig 4, training and the p2p

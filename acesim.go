@@ -284,6 +284,5 @@ type InterferenceResult = exper.InterferenceResult
 // resources); shared placements contend for compute, endpoints and
 // links. See EXPERIMENTS.md ("Interference and isolation methodology").
 func RunInterference(spec Spec, jobs []InterferenceJob) (InterferenceResult, error) {
-	res, _, err := exper.Interference(spec, jobs)
-	return res, err
+	return exper.Interference(spec, jobs)
 }

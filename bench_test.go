@@ -89,44 +89,34 @@ func BenchmarkFig6(b *testing.B) {
 
 // BenchmarkFig9a regenerates two points of the ACE design-space sweep.
 func BenchmarkFig9a(b *testing.B) {
-	models := []*workload.Model{workload.ResNet50(workload.ResNet50Batch)}
-	var perf float64
-	for i := 0; i < b.N; i++ {
-		pts, _, err := exper.Fig9a(benchTorus, models, []int64{1 << 20, 4 << 20}, []int{16})
-		if err != nil {
-			b.Fatal(err)
-		}
-		perf = pts[0].Perf
-	}
-	b.ReportMetric(perf, "perf@1MB")
+	res := benchBundled(b, "fig9a.json", func(sc *scenario.Scenario) {
+		keepPoints(sc, func(o scenario.Overrides) bool {
+			return *o.ACEFSMs == 16 && (*o.ACESRAMBytes == 1<<20 || *o.ACESRAMBytes == 4<<20)
+		})
+		ref := 1 // the 4 MiB point among the two kept
+		sc.Relative[0].Overrides = &ref
+		sc.Jobs[0].Workloads = []string{"resnet50"}
+	})
+	b.ReportMetric(res.Units[0].Metrics["norm_perf"], "perf@1MB")
 }
 
 // BenchmarkFig9b regenerates the ACE utilization measurement.
 func BenchmarkFig9b(b *testing.B) {
-	models := []*workload.Model{workload.ResNet50(workload.ResNet50Batch)}
-	var bwd float64
-	for i := 0; i < b.N; i++ {
-		rows, _, err := exper.Fig9b(benchTorus, models)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bwd = rows[0].BwdUtil
-	}
-	b.ReportMetric(bwd, "bwd-util")
+	res := benchBundled(b, "fig9b.json", func(sc *scenario.Scenario) {
+		sc.Platform.Toruses = []string{benchTorus.String()}
+		sc.Jobs[0].Workloads = []string{"resnet50"}
+	})
+	b.ReportMetric(res.Units[0].Metrics["ace_util_bwd"], "bwd-util")
 }
 
 // BenchmarkFig10 regenerates one compute/network utilization timeline.
 func BenchmarkFig10(b *testing.B) {
-	models := []*workload.Model{workload.ResNet50(workload.ResNet50Batch)}
-	var util float64
-	for i := 0; i < b.N; i++ {
-		traces, _, err := exper.Fig10(benchTorus, models, []system.Preset{system.ACE})
-		if err != nil {
-			b.Fatal(err)
-		}
-		util = traces[0].Row.MeanCmpUtil
-	}
-	b.ReportMetric(util, "compute-util")
+	res := benchBundled(b, "fig10.json", func(sc *scenario.Scenario) {
+		sc.Platform.Toruses = []string{benchTorus.String()}
+		sc.Platform.Presets = []string{"ACE"}
+		sc.Jobs[0].Workloads = []string{"resnet50"}
+	})
+	b.ReportMetric(res.Units[0].Metrics["compute_util"], "compute-util")
 }
 
 // BenchmarkFig11 regenerates one size column of the scalability study

@@ -16,25 +16,20 @@
 // Experiments: fig4 fig5 fig6 fig9a fig9b fig10 fig11 fig12 table4 table5
 // table6 analytic ablation interference all
 //
-// fig4, fig5, fig6, fig11 and fig12 run the bundled scenario file of
-// the same name (embedded in the binary) and print it the way `scenario
-// run` does; ablation runs ablation_forwarding.json, ablation_switch.json
-// and ablation_scheduling.json, and interference runs multijob.json
-// with tracing on. The bundled figures take no flags: to change one,
+// fig4, fig5, fig6, fig9a, fig9b, fig10, fig11 and fig12 run the
+// bundled scenario file of the same name (embedded in the binary) and
+// print it the way `scenario run` does; ablation runs
+// ablation_forwarding.json, ablation_switch.json and
+// ablation_scheduling.json, and interference runs multijob.json with
+// tracing on. Experiments take no flags: to change a bundled figure,
 // edit a copy of its file and run that with `acesim scenario run`.
-//
-// Experiment flags (an experiment rejects a flag it does not read):
-//
-//	-size SHAPE   fabric topology of fig9b, fig10 and table5 (default
-//	              4x8x4; sizes joined by "x", "m" suffix = mesh dimension)
-//	-quick        shrink fig9a, fig9b, fig10 and analytic for a fast pass
-//	              (small sizes, fewer points)
-//	-csv dir      write Fig 10 utilization timelines as CSV files into dir
 //
 // Scenario flags:
 //
-//	-workers N    parallel work units (default GOMAXPROCS)
-//	-format f     run output format: text, json or csv (default text)
+//	-workers N       parallel work units (default GOMAXPROCS)
+//	-format f        run output format: text, json or csv (default text)
+//	-power-csv path  windowed power timeline (enabled "power" block)
+//	-util-csv path   1 us utilization timelines (enabled "utilization" block)
 //
 // Bundled scenarios live under examples/scenarios/.
 package main
@@ -47,8 +42,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"slices"
 	"strings"
 	"syscall"
 
@@ -62,7 +55,6 @@ import (
 	scrunner "acesim/internal/scenario/runner"
 	"acesim/internal/system"
 	"acesim/internal/trace"
-	"acesim/internal/workload"
 )
 
 // errUsage marks a command-line mistake. main prints the error plus the
@@ -140,33 +132,19 @@ func runCtx(ctx context.Context, args []string) error {
 	if cmd == "serve" {
 		return runServe(ctx, args[1:])
 	}
-	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
-	sizeStr := fs.String("size", "4x8x4", "fabric topology for single-size experiments (sizes joined by \"x\", \"m\" suffix = mesh dim)")
-	quick := fs.Bool("quick", false, "shrink sweeps for a fast pass")
-	csvDir := fs.String("csv", "", "write Fig 10 timelines as CSV into this directory")
-	if err := parseFlags(fs, args[1:]); err != nil {
-		return err
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("%s: %w: unexpected argument %q", cmd, errUsage, fs.Arg(0))
-	}
-	// Method expressions take the runner as an argument, so every
-	// experiment sees the flags parsed below, also under `all`.
-	all := map[string]func(runner) error{
-		"fig9a": runner.fig9a, "fig9b": runner.fig9b, "fig10": runner.fig10,
-		"table4": runner.table4, "table5": runner.table5, "table6": runner.table6,
-		"analytic": runner.analytic,
+	all := map[string]func() error{
+		"table4": table4, "table5": table5, "table6": table6, "analytic": analytic,
 	}
 	for name := range bundledFigures {
-		all[name] = func(runner) error { return runBundled(ctx, name) }
+		all[name] = func() error { return runBundled(ctx, name) }
 	}
-	all["all"] = func(r runner) error {
+	all["all"] = func() error {
 		for _, name := range []string{
 			"table5", "table6", "table4", "analytic", "fig4", "fig5", "fig6",
 			"fig9a", "fig9b", "fig10", "fig11", "fig12", "ablation",
 			"interference",
 		} {
-			if err := all[name](r); err != nil {
+			if err := all[name](); err != nil {
 				return fmt.Errorf("%s: %w", name, err)
 			}
 		}
@@ -177,46 +155,16 @@ func runCtx(ctx context.Context, args []string) error {
 		usage()
 		return fmt.Errorf("unknown experiment %q", cmd)
 	}
-	if err := unreadFlags(fs, cmd); err != nil {
-		return err
-	}
-	size, err := parseTorus(*sizeStr)
-	if err != nil {
-		return err
-	}
-	return fn(runner{size: size, quick: *quick, csvDir: *csvDir})
-}
-
-// flagReaders names the experiments that read each experiment flag.
-// Any other experiment rejects the flag; `all` passes each flag to its
-// readers and runs the rest unchanged.
-var flagReaders = map[string][]string{
-	"size":  {"fig9b", "fig10", "table5"},
-	"quick": {"fig9a", "fig9b", "fig10", "analytic"},
-	"csv":   {"fig10"},
-}
-
-// unreadFlags fails with errUsage when a flag is set that cmd does not
-// read. A bundled figure names the files to edit instead.
-func unreadFlags(fs *flag.FlagSet, cmd string) error {
-	if cmd == "all" {
-		return nil
-	}
-	var set []string
-	fs.Visit(func(f *flag.Flag) {
-		if !slices.Contains(flagReaders[f.Name], cmd) {
-			set = append(set, "-"+f.Name)
+	// Experiments take no flags or arguments; a bundled figure names the
+	// files to edit instead.
+	if len(args) > 1 {
+		if fig, ok := bundledFigures[cmd]; ok {
+			return fmt.Errorf("%s: %w: %s does not apply to a bundled figure; edit a copy of examples/scenarios/%s and run it with `acesim scenario run`",
+				cmd, errUsage, args[1], strings.Join(fig.files, ", "))
 		}
-	})
-	if len(set) == 0 {
-		return nil
+		return fmt.Errorf("%s: %w: %s does not apply to %s (experiments take no flags)", cmd, errUsage, args[1], cmd)
 	}
-	flags := strings.Join(set, " ")
-	if fig, ok := bundledFigures[cmd]; ok {
-		return fmt.Errorf("%s: %w: %s does not apply to a bundled figure; edit a copy of examples/scenarios/%s and run it with `acesim scenario run`",
-			cmd, errUsage, flags, strings.Join(fig.files, ", "))
-	}
-	return fmt.Errorf("%s: %w: %s does not apply to %s", cmd, errUsage, flags, cmd)
+	return fn()
 }
 
 // bundledFigure is an experiment that runs bundled scenario files, in
@@ -227,12 +175,14 @@ type bundledFigure struct {
 }
 
 // bundledFigures maps the experiments that run bundled scenario files to
-// those files. They always run at the files' full size: no experiment
-// flag applies to them, even under `all`.
+// those files. They always run at the files' full size.
 var bundledFigures = map[string]bundledFigure{
 	"fig4":         {files: []string{"fig4.json"}},
 	"fig5":         {files: []string{"fig5.json"}},
 	"fig6":         {files: []string{"fig6.json"}},
+	"fig9a":        {files: []string{"fig9a.json"}},
+	"fig9b":        {files: []string{"fig9b.json"}},
+	"fig10":        {files: []string{"fig10.json"}},
 	"fig11":        {files: []string{"fig11.json"}},
 	"fig12":        {files: []string{"fig12.json"}},
 	"ablation":     {files: []string{"ablation_forwarding.json", "ablation_switch.json", "ablation_scheduling.json"}},
@@ -259,8 +209,8 @@ func runBundled(ctx context.Context, cmd string) error {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: acesim <experiment> [-size SHAPE] [-quick] [-csv dir]
-       acesim scenario run|validate|list [-workers N] [-format text|json|csv] [-power-csv path] <file>...
+	fmt.Fprintln(os.Stderr, `usage: acesim <experiment>
+       acesim scenario run|validate|list [-workers N] [-format text|json|csv] [-power-csv path] [-util-csv path] <file>...
        acesim graph run [-size SHAPE] [-preset P] [-engine des|hybrid|analytic] [-power] <graph.json>...
        acesim graph convert -workload W [-size SHAPE] [-iterations N] [pipeline/loop flags] [-out path]
        acesim graph validate <graph.json>...
@@ -270,9 +220,8 @@ func usage() {
        acesim serve [-addr :8080] [-workers N] [-queue UNITS] [-smoke scenario.json] [-stress [stress flags]]
 experiments: fig4 fig5 fig6 fig9a fig9b fig10 fig11 fig12
              table4 table5 table6 analytic ablation interference all
--size: fig9b fig10 table5; -quick: fig9a fig9b fig10 analytic; -csv: fig10.
-The other experiments take no flags; the bundled figures fig4 fig5 fig6
-fig11 fig12 ablation interference run files under examples/scenarios/.`)
+Experiments take no flags; every figure and the ablation and
+interference studies run files under examples/scenarios/.`)
 }
 
 func parseTorus(s string) (noc.Topology, error) {
@@ -294,6 +243,7 @@ func runScenario(ctx context.Context, args []string) error {
 	workers := fs.Int("workers", 0, "parallel work units (default GOMAXPROCS)")
 	format := fs.String("format", "text", "run output format: text, json or csv")
 	powerCSV := fs.String("power-csv", "", `write the windowed power timeline as CSV (scenario run with an enabled "power" block)`)
+	utilCSV := fs.String("util-csv", "", `write the utilization timelines as CSV (scenario run with an enabled "utilization" block)`)
 	if err := parseFlags(fs, args[1:]); err != nil {
 		return err
 	}
@@ -364,8 +314,8 @@ func runScenario(ctx context.Context, args []string) error {
 		default:
 			return fmt.Errorf("scenario run: unknown -format %q (want text, json or csv)", *format)
 		}
-		if *powerCSV != "" && len(files) > 1 {
-			return fmt.Errorf("scenario run: %w: -power-csv takes a single scenario file, got %d", errUsage, len(files))
+		if (*powerCSV != "" || *utilCSV != "") && len(files) > 1 {
+			return fmt.Errorf("scenario run: %w: -power-csv and -util-csv take a single scenario file, got %d", errUsage, len(files))
 		}
 		var failed []string
 		for _, path := range files {
@@ -373,7 +323,7 @@ func runScenario(ctx context.Context, args []string) error {
 			if err != nil {
 				return err
 			}
-			fails, err := runScenarioFile(ctx, sc, runOpts{workers: *workers, format: *format, powerCSV: *powerCSV})
+			fails, err := runScenarioFile(ctx, sc, runOpts{workers: *workers, format: *format, powerCSV: *powerCSV, utilCSV: *utilCSV})
 			if err != nil {
 				return err
 			}
@@ -390,6 +340,7 @@ type runOpts struct {
 	workers  int
 	format   string // text, json or csv
 	powerCSV string // windowed power timeline CSV path
+	utilCSV  string // utilization timeline CSV path
 	// trace runs every unit with the span collector, adding the trace
 	// table. chrome, when set, also writes the validated Chrome
 	// trace-event JSON there; traceCSV writes the per-unit trace
@@ -445,7 +396,7 @@ func runScenarioFile(ctx context.Context, sc *scenario.Scenario, o runOpts) ([]s
 	for _, c := range []struct {
 		path  string
 		write func(io.Writer) error
-	}{{o.powerCSV, res.WritePowerCSV}, {o.traceCSV, res.WriteTraceCSV}} {
+	}{{o.powerCSV, res.WritePowerCSV}, {o.utilCSV, res.WriteUtilCSV}, {o.traceCSV, res.WriteTraceCSV}} {
 		if c.path == "" {
 			continue
 		}
@@ -499,26 +450,6 @@ func platformEngine(sc *scenario.Scenario) collectives.Engine {
 	return eng
 }
 
-type runner struct {
-	size   noc.Topology
-	quick  bool
-	csvDir string
-}
-
-func (r runner) models() []*workload.Model {
-	if r.quick {
-		return []*workload.Model{workload.ResNet50(workload.ResNet50Batch), workload.DLRM(workload.DLRMBatch)}
-	}
-	return workload.All()
-}
-
-func (r runner) trainSize() noc.Topology {
-	if r.quick {
-		return noc.Torus3(4, 2, 2)
-	}
-	return r.size
-}
-
 func show(tab *report.Table, err error) error {
 	if err != nil {
 		return err
@@ -530,76 +461,19 @@ func show(tab *report.Table, err error) error {
 	return nil
 }
 
-func (r runner) fig9a() error {
-	srams, fsms := exper.Fig9aDefaults()
-	t := noc.Torus3(4, 2, 2) // design sweep on the 16-NPU platform
-	models := r.models()
-	if r.quick {
-		srams = []int64{1 << 20, 4 << 20}
-		fsms = []int{4, 16}
-		models = models[:1]
-	}
-	_, tab, err := exper.Fig9a(t, models, srams, fsms)
-	return show(tab, err)
+// table4 prints the Table IV report at the paper's design point.
+func table4() error { return show(exper.Table4(hwmodel.DefaultConfig()), nil) }
+
+// table5 prints the platform parameters, which are the same at every
+// fabric size.
+func table5() error {
+	return show(exper.Table5(system.NewSpec(noc.Torus3(4, 8, 4), system.ACE)), nil)
 }
 
-func (r runner) fig9b() error {
-	_, tab, err := exper.Fig9b(r.trainSize(), r.models())
-	return show(tab, err)
-}
+func table6() error { return show(exper.Table6(), nil) }
 
-func (r runner) fig10() error {
-	presets := []system.Preset{system.BaselineCommOpt, system.BaselineCompOpt, system.ACE, system.Ideal}
-	traces, tab, err := exper.Fig10(r.trainSize(), r.models(), presets)
-	if err != nil {
-		return err
-	}
-	if r.csvDir != "" {
-		if err := os.MkdirAll(r.csvDir, 0o755); err != nil {
-			return err
-		}
-		for _, tr := range traces {
-			name := fmt.Sprintf("fig10_%s_%s.csv",
-				strings.ToLower(strings.ReplaceAll(tr.Row.Workload, "-", "")), tr.Row.Preset)
-			path := filepath.Join(r.csvDir, name)
-			// A full disk or yanked volume surfaces here, not as a
-			// silent "wrote N timelines": every write error — including
-			// the buffered ones Close reports — fails the command.
-			if err := writeFile(path, func(w io.Writer) error {
-				_, err := fmt.Fprintln(w, "time_us,net_util,compute_util")
-				for b := 0; err == nil && b < len(tr.NetUtil); b++ {
-					_, err = fmt.Fprintf(w, "%d,%.4f,%.4f\n", b, tr.NetUtil[b], tr.CmpUtil[b])
-				}
-				return err
-			}); err != nil {
-				return fmt.Errorf("writing %s: %w", path, err)
-			}
-		}
-		fmt.Printf("wrote %d timelines to %s\n", len(traces), r.csvDir)
-	}
-	return show(tab, nil)
-}
-
-func (r runner) table4() error {
-	return show(Table4(), nil)
-}
-
-// Table4 builds the Table IV report at the paper's design point.
-func Table4() *report.Table { return exper.Table4(hwmodel.DefaultConfig()) }
-
-func (r runner) table5() error {
-	return show(exper.Table5(system.NewSpec(r.size, system.ACE)), nil)
-}
-
-func (r runner) table6() error {
-	return show(exper.Table6(), nil)
-}
-
-func (r runner) analytic() error {
+func analytic() error {
 	toruses := []noc.Topology{noc.Torus3(4, 2, 2), noc.Torus3(4, 4, 4), noc.Torus3(4, 8, 4)}
-	if r.quick {
-		toruses = toruses[:2]
-	}
 	_, tab, err := exper.AnalyticVIA(toruses, 4<<20)
 	return show(tab, err)
 }

@@ -96,7 +96,7 @@ func TestRunDispatch(t *testing.T) {
 	}{
 		{"no args", nil, "missing experiment"},
 		{"unknown experiment", []string{"fig99"}, `unknown experiment "fig99"`},
-		{"bad size", []string{"table5", "-size", "4xZ"}, "bad -size"},
+		{"bad size", []string{"table5", "-size", "4xZ"}, "-size does not apply to table5 (experiments take no flags)"},
 		{"table4", []string{"table4"}, ""},
 		{"table5", []string{"table5"}, ""},
 		{"table6", []string{"table6"}, ""},
@@ -104,7 +104,7 @@ func TestRunDispatch(t *testing.T) {
 		{"scenario bad sub", []string{"scenario", "explode", "x.json"}, "unknown scenario subcommand"},
 		{"scenario no file", []string{"scenario", "validate"}, "missing scenario file"},
 		// Bundled figures run their embedded scenario file at full size;
-		// the sizing flags name the file to edit instead.
+		// any flag names the file to edit instead.
 		{"bundled figure", []string{"fig4"}, ""},
 		{"bundled figure quick", []string{"fig5", "-quick"}, "-quick does not apply to a bundled figure; edit a copy of examples/scenarios/fig5.json"},
 		{"bundled figure size", []string{"fig6", "-size", "4x2x2"}, "-size does not apply to a bundled figure; edit a copy of examples/scenarios/fig6.json"},
@@ -113,12 +113,10 @@ func TestRunDispatch(t *testing.T) {
 		{"ablation quick", []string{"ablation", "-quick"},
 			"-quick does not apply to a bundled figure; edit a copy of examples/scenarios/ablation_forwarding.json, ablation_switch.json, ablation_scheduling.json"},
 		{"interference quick", []string{"interference", "-quick"}, "-quick does not apply to a bundled figure; edit a copy of examples/scenarios/multijob.json"},
-		// Other experiments reject the flags they do not read.
+		{"fig9b size", []string{"fig9b", "-size", "1"}, "-size does not apply to a bundled figure; edit a copy of examples/scenarios/fig9b.json"},
+		{"fig10 size", []string{"fig10", "-size", "1"}, "-size does not apply to a bundled figure; edit a copy of examples/scenarios/fig10.json"},
+		// The other experiments take no flags either.
 		{"table6 size", []string{"table6", "-size", "8x8x8"}, "-size does not apply to table6"},
-		// -size reaches the experiments that read it: a one-NPU fabric
-		// fails in the training run, not as an empty topology.
-		{"fig9b size", []string{"fig9b", "-size", "1"}, "1 ranks (collectives need at least 2)"},
-		{"fig10 size", []string{"fig10", "-size", "1"}, "1 ranks (collectives need at least 2)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -210,6 +208,30 @@ func TestScenarioRunCommand(t *testing.T) {
 	err := silence(t, func() error { return run([]string{"scenario", "run", failing}) })
 	if err == nil || !strings.Contains(err.Error(), "assertion failure") {
 		t.Fatalf("run failing = %v, want assertion failure", err)
+	}
+
+	// -util-csv writes the utilization timelines of a scenario with the
+	// block, and fails on one without it.
+	util := writeScenario(t, "util.json", `{
+	  "name": "util",
+	  "platform": {"toruses": ["4x2x2"], "presets": ["Ideal"], "fast_granularity": true},
+	  "jobs": [{"kind": "training", "workloads": ["dlrm"], "iterations": 1}],
+	  "utilization": {"enabled": true}
+	}`)
+	csv := filepath.Join(t.TempDir(), "util.csv")
+	if err := silence(t, func() error { return run([]string{"scenario", "run", "-util-csv", csv, util}) }); err != nil {
+		t.Fatalf("run -util-csv: %v", err)
+	}
+	if b, err := os.ReadFile(csv); err != nil || !strings.HasPrefix(string(b), "unit,time_us,net_util,compute_util\nu0,0,") {
+		t.Fatalf("util CSV: %v, %.80q", err, b)
+	}
+	err = silence(t, func() error { return run([]string{"scenario", "run", "-util-csv", csv, ok}) })
+	if err == nil || !strings.Contains(err.Error(), `"utilization" block`) {
+		t.Fatalf("run -util-csv without the block = %v", err)
+	}
+	err = silence(t, func() error { return run([]string{"scenario", "run", "-util-csv", csv, util, ok}) })
+	if !errors.Is(err, errUsage) {
+		t.Fatalf("run -util-csv on two files = %v, want errUsage", err)
 	}
 }
 
@@ -331,8 +353,7 @@ func TestFlagErrorsExitUsage(t *testing.T) {
 		{"ablation", "-size", "4x2x2"},
 		{"interference", "-quick"},
 		{"interference", "-csv", "x"},
-		// Experiment flags reach only their readers: -size fig9b, fig10
-		// and table5; -quick fig9a, fig9b, fig10 and analytic; -csv fig10.
+		// No experiment takes a flag.
 		{"table4", "-quick", "-csv", "x"},
 		{"table6", "-size", "8x8x8"},
 		{"table5", "-quick"},

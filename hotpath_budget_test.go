@@ -2,13 +2,19 @@
 // schedule through static context callbacks (fn(arg) with a pointer to
 // the chunk, direction, peer-send or pooled record state) and pooled
 // records, not per-hop, per-message or per-phase closures or method
-// values. What is left per chunk is its state: the chunk record and its
-// receive queues, the ring delivery records, the all-to-all peer-send
-// records and the ACE's per-chunk bookkeeping. This test pins the
-// allocations of a warm run of each workload below at their measured
-// count plus 5%, so a closure that creeps back into the chunk pipeline,
-// an endpoint, a gate, the routed-transfer path or the event queue
-// fails here by name.
+// values. This test pins the allocations of one run of each workload
+// below at their measured count plus 5%, so a closure that creeps back
+// into the chunk pipeline, an endpoint, a gate, the routed-transfer path
+// or the event queue fails here by name.
+//
+// Every run builds a fresh system, so no run inherits the pools of
+// another: each count covers the build, the per-chunk state (chunk
+// records and receive queues, ring delivery records, all-to-all
+// peer-send records, the ACE's per-chunk bookkeeping) and the growth of
+// the system's own pools — routed-transfer records, ACE joins, Baseline
+// staged records and the engine's calendar buckets — up to the number
+// of transfers in flight at once. A budget therefore moves with peak
+// concurrency as well as with per-chunk allocation.
 package acesim_test
 
 import (
@@ -42,9 +48,9 @@ func TestHotPathAllocBudget(t *testing.T) {
 	cases := []struct {
 		name string
 		run  func() (uint64, error)
-		// measured is the allocation count of one warm run; the
-		// budget is measured + 5%. PERF.md records the counts of the
-		// closure and method-value pipelines these replaced.
+		// measured is the allocation count of one run; the budget is
+		// measured + 5%. PERF.md records the counts of the closure and
+		// method-value pipelines these replaced.
 		measured uint64
 	}{
 		{"allreduce-8MB/ACE", collective(system.ACE, collectives.AllReduce, 8<<20), 5696},
@@ -59,8 +65,9 @@ func TestHotPathAllocBudget(t *testing.T) {
 		{"resnet50-1iter/ACE", iteration, 48731},
 	}
 	for _, tc := range cases {
-		// Warm-up: populate lazy runtime state so the measured run sees
-		// steady-state allocation behavior.
+		// The first, unmeasured run can only initialize process-wide
+		// lazy state; it does not warm the per-system pools, which the
+		// measured run builds afresh.
 		if _, err := tc.run(); err != nil {
 			t.Fatal(err)
 		}

@@ -355,19 +355,6 @@ func aceOnDrainBus(x any) {
 
 var _ Endpoint = (*ACE)(nil)
 
-// Debug summarizes internal server and gate occupancy for diagnostics.
-func (a *ACE) Debug() string {
-	s := fmt.Sprintf("alu busy=%v sramR busy=%v sramW busy=%v active=%d",
-		a.alu.BusyTime(), a.sramR.BusyTime(), a.sramW.BusyTime(), a.active)
-	for i, g := range a.fsms {
-		s += fmt.Sprintf(" fsm%d(u=%d,w=%d)", i, g.Used(), g.Waiting())
-	}
-	for i, g := range a.parts {
-		s += fmt.Sprintf(" part%d(u=%d/%d,w=%d)", i, g.Used(), g.Capacity(), g.Waiting())
-	}
-	return s
-}
-
 // FlushBusy reports the currently open occupancy interval (if any) up
 // to the present, so observers are complete when Fig 9b reads
 // utilization at the end of a run.

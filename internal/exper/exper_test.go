@@ -8,7 +8,6 @@ import (
 	"acesim/internal/hwmodel"
 	"acesim/internal/noc"
 	"acesim/internal/system"
-	"acesim/internal/workload"
 )
 
 var torus16 = noc.Torus3(4, 2, 2)
@@ -24,25 +23,6 @@ func TestRunCollectiveBasics(t *testing.T) {
 	// 4x2x2 hierarchical AR injects 2 bytes per payload byte.
 	if got, want := res.InjectedNode, int64(2*16<<20); got != want {
 		t.Fatalf("injected/node = %d, want %d", got, want)
-	}
-}
-
-func TestFig9bUtilization(t *testing.T) {
-	rows, _, err := Fig9b(torus16, []*workload.Model{workload.ResNet50(workload.ResNet50Batch)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rows[0]
-	// Data-parallel: no forward communication except cross-iteration
-	// waits; backprop keeps ACE busy. The paper's 96.4% is a 128-NPU
-	// number; at 16 NPUs the collectives drain quickly between layers,
-	// so only the ordering and a floor are asserted here (the cmd
-	// harness reports the 4x8x4 values).
-	if r.BwdUtil < 0.15 {
-		t.Fatalf("bwd utilization %.2f too low", r.BwdUtil)
-	}
-	if r.FwdUtil >= r.BwdUtil {
-		t.Fatalf("fwd utilization (%.2f) should be below bwd (%.2f)", r.FwdUtil, r.BwdUtil)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"acesim/internal/des"
 	"acesim/internal/noc"
 	"acesim/internal/power"
-	"acesim/internal/report"
 	"acesim/internal/system"
 	"acesim/internal/training"
 	"acesim/internal/workload"
@@ -99,9 +98,9 @@ func (r InterferenceResult) MinSlowdown() float64 {
 // placement. Isolation mode should measure ~1.0x per job (partitions
 // share nothing); shared mode reproduces the Section III interference
 // trend at fabric scale.
-func Interference(spec system.Spec, jobs []InterferenceJob) (InterferenceResult, *report.Table, error) {
+func Interference(spec system.Spec, jobs []InterferenceJob) (InterferenceResult, error) {
 	if len(jobs) == 0 {
-		return InterferenceResult{}, nil, fmt.Errorf("exper: interference with no jobs")
+		return InterferenceResult{}, fmt.Errorf("exper: interference with no jobs")
 	}
 	placements := make([]system.JobPlacement, len(jobs))
 	for i, j := range jobs {
@@ -135,18 +134,18 @@ func Interference(spec system.Spec, jobs []InterferenceJob) (InterferenceResult,
 		}
 		m, err := system.BuildMulti(soloSpec, placements[i:i+1])
 		if err != nil {
-			return InterferenceResult{}, nil, err
+			return InterferenceResult{}, err
 		}
 		sj := jobs[i]
 		sj.StartAt = 0
 		runs, err := startJobs(m, []InterferenceJob{sj})
 		if err != nil {
-			return InterferenceResult{}, nil, err
+			return InterferenceResult{}, err
 		}
 		m.Eng.Run()
 		t, _, err := runs[0].finish()
 		if err != nil {
-			return InterferenceResult{}, nil, fmt.Errorf("exper: solo %s: %w", placements[i].Name, err)
+			return InterferenceResult{}, fmt.Errorf("exper: solo %s: %w", placements[i].Name, err)
 		}
 		solos[i] = t
 		soloCache[key] = t
@@ -155,21 +154,19 @@ func Interference(spec system.Spec, jobs []InterferenceJob) (InterferenceResult,
 	// Co-run: all jobs on one timeline.
 	m, err := system.BuildMulti(spec, placements)
 	if err != nil {
-		return InterferenceResult{}, nil, err
+		return InterferenceResult{}, err
 	}
 	runs, err := startJobs(m, jobs)
 	if err != nil {
-		return InterferenceResult{}, nil, err
+		return InterferenceResult{}, err
 	}
 	m.Eng.Run()
 
 	res := InterferenceResult{Recovery: multiRecovery(m), Power: multiPower(m), Hybrid: multiHybrid(m)}
-	tab := report.New(fmt.Sprintf("interference: %d jobs on %s %s", len(jobs), spec.Topo, spec.Preset),
-		"job", "placement", "kind", "solo us", "co-run us", "slowdown")
 	for i, run := range runs {
 		co, tres, err := run.finish()
 		if err != nil {
-			return InterferenceResult{}, nil, fmt.Errorf("exper: co-run %s: %w", placements[i].Name, err)
+			return InterferenceResult{}, fmt.Errorf("exper: co-run %s: %w", placements[i].Name, err)
 		}
 		jr := InterferenceJobResult{
 			Name:      placements[i].Name,
@@ -184,9 +181,8 @@ func Interference(spec system.Spec, jobs []InterferenceJob) (InterferenceResult,
 			jr.Placement = "shared"
 		}
 		res.Jobs = append(res.Jobs, jr)
-		tab.Add(jr.Name, jr.Placement, jr.Kind, jr.Solo.Micros(), jr.Co.Micros(), jr.Slowdown)
 	}
-	return res, tab, nil
+	return res, nil
 }
 
 // soloKey identifies a job's solo timeline: the placement shape (origin

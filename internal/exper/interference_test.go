@@ -20,7 +20,7 @@ func TestInterferenceIsolation(t *testing.T) {
 	partA := &noc.Partition{Full: full, Shape: noc.Torus3(4, 1, 2)}
 	partB := &noc.Partition{Full: full, Shape: noc.Torus3(4, 1, 2), Origin: []int{0, 1, 0}}
 	m := workload.ResNet50(workload.ResNet50Batch)
-	res, _, err := Interference(spec, []InterferenceJob{
+	res, err := Interference(spec, []InterferenceJob{
 		{Name: "a", Part: partA, Model: m},
 		{Name: "b", Part: partB, Model: m},
 	})
@@ -51,7 +51,7 @@ func TestInterferenceSharedFabric(t *testing.T) {
 
 	// Stream vs stream: both contend for every link; the slowdown is
 	// nearly 2x (measured ~1.7x, pipelining hides some of it).
-	res, _, err := Interference(spec, []InterferenceJob{
+	res, err := Interference(spec, []InterferenceJob{
 		{Name: "s1", Stream: StreamSpec{Kind: collectives.AllReduce, Bytes: 16 << 20, Count: 16}},
 		{Name: "s2", Stream: StreamSpec{Kind: collectives.AllReduce, Bytes: 16 << 20, Count: 16}},
 	})
@@ -70,7 +70,7 @@ func TestInterferenceSharedFabric(t *testing.T) {
 	// Training vs standing stream: both directions of interference are
 	// visible, the stream's more than the well-overlapped training job's.
 	m := workload.ResNet50(workload.ResNet50Batch)
-	res, _, err = Interference(spec, []InterferenceJob{
+	res, err = Interference(spec, []InterferenceJob{
 		{Name: "train", Model: m},
 		{Name: "noise", Stream: StreamSpec{Kind: collectives.AllReduce, Bytes: 32 << 20, Count: 32}},
 	})
@@ -100,7 +100,7 @@ func TestInterferenceSharedFabric(t *testing.T) {
 func TestTwoIdenticalJobsSharedFabric(t *testing.T) {
 	spec := system.NewSpec(noc.Torus3(4, 2, 2), system.ACE)
 	m := workload.ResNet50(workload.ResNet50Batch)
-	res, _, err := Interference(spec, []InterferenceJob{
+	res, err := Interference(spec, []InterferenceJob{
 		{Name: "a", Model: m},
 		{Name: "b", Model: m},
 	})
@@ -131,7 +131,7 @@ func TestInterferenceDeterminism(t *testing.T) {
 	spec := system.NewSpec(noc.Torus3(4, 2, 2), system.ACE)
 	m := workload.ResNet50(workload.ResNet50Batch)
 	run := func() InterferenceResult {
-		res, _, err := Interference(spec, []InterferenceJob{
+		res, err := Interference(spec, []InterferenceJob{
 			{Name: "train", Model: m},
 			{Name: "noise", Stream: StreamSpec{Kind: collectives.AllReduce, Bytes: 4 << 20, Count: 4}},
 		})
@@ -154,25 +154,25 @@ func TestInterferenceValidation(t *testing.T) {
 	m := workload.ResNet50(workload.ResNet50Batch)
 	part := &noc.Partition{Full: full, Shape: noc.Torus3(4, 1, 2)}
 	// Mixed shared + partitioned placements.
-	if _, _, err := Interference(spec, []InterferenceJob{
+	if _, err := Interference(spec, []InterferenceJob{
 		{Name: "a", Model: m},
 		{Name: "b", Part: part, Model: m},
 	}); err == nil {
 		t.Fatal("mixed placements accepted")
 	}
 	// Overlapping partitions.
-	if _, _, err := Interference(spec, []InterferenceJob{
+	if _, err := Interference(spec, []InterferenceJob{
 		{Name: "a", Part: part, Model: m},
 		{Name: "b", Part: part, Model: m},
 	}); err == nil {
 		t.Fatal("overlapping partitions accepted")
 	}
 	// Stream without a payload.
-	if _, _, err := Interference(spec, []InterferenceJob{{Name: "s"}}); err == nil {
+	if _, err := Interference(spec, []InterferenceJob{{Name: "s"}}); err == nil {
 		t.Fatal("empty stream accepted")
 	}
 	// No jobs.
-	if _, _, err := Interference(spec, nil); err == nil {
+	if _, err := Interference(spec, nil); err == nil {
 		t.Fatal("empty job list accepted")
 	}
 }

@@ -151,7 +151,7 @@ func TestPowerMultiJob(t *testing.T) {
 	}
 	for name, jobs := range cases {
 		spec := poweredSpec(full, system.ACE)
-		res, _, err := Interference(spec, jobs)
+		res, err := Interference(spec, jobs)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -394,9 +394,6 @@ func (n *Network) SendRoutedCtx(src, dst NodeID, bytes int64, fn func(any), arg 
 // Irreversible for the run; call before issuing traffic.
 func (n *Network) EnableFaults() { n.faultsOn = true }
 
-// FaultsEnabled reports whether the fault-aware paths are active.
-func (n *Network) FaultsEnabled() bool { return n.faultsOn }
-
 // Drops returns the number of transfer drops so far (a transfer dropped k
 // times counts k).
 func (n *Network) Drops() int64 { return n.drops }

@@ -190,60 +190,6 @@ func TestNetworkTrace(t *testing.T) {
 	}
 }
 
-func TestSwitchBasics(t *testing.T) {
-	eng := des.NewEngine()
-	sw, err := NewSwitch(eng, SwitchConfig{N: 8, PortGBps: 150, LatCycles: 100, Efficiency: 1, FreqGHz: 1.245})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var arrive des.Time
-	sw.Send(0, 5, 150e3, func() { arrive = eng.Now() }) // 1us egress + 1us ingress + latency
-	eng.Run()
-	want := 2*des.ByteDur(150e3, 150) + des.Cycles(100, 1.245)
-	if arrive != want {
-		t.Fatalf("arrive = %v, want %v", arrive, want)
-	}
-	if sw.N() != 8 || sw.NumPorts() != 16 {
-		t.Fatal("switch shape wrong")
-	}
-}
-
-func TestSwitchEgressContention(t *testing.T) {
-	eng := des.NewEngine()
-	sw, _ := NewSwitch(eng, SwitchConfig{N: 4, PortGBps: 100, FreqGHz: 1, Efficiency: 1})
-	var done []des.Time
-	// Two messages from node 0 to different destinations share the egress.
-	sw.Send(0, 1, 100e3, func() { done = append(done, eng.Now()) })
-	sw.Send(0, 2, 100e3, func() { done = append(done, eng.Now()) })
-	eng.Run()
-	if len(done) != 2 {
-		t.Fatal("messages lost")
-	}
-	if done[1]-done[0] != des.ByteDur(100e3, 100) {
-		t.Fatalf("no egress serialization: %v", done)
-	}
-}
-
-func TestSwitchRing(t *testing.T) {
-	eng := des.NewEngine()
-	sw, _ := NewSwitch(eng, SwitchConfig{N: 4, PortGBps: 100, FreqGHz: 1, Efficiency: 1})
-	got := -1
-	sw.SendNeighbor(3, DimLocal, +1, 10, func() { got = 0 })
-	eng.Run()
-	if got != 0 {
-		t.Fatal("wraparound neighbor send failed")
-	}
-	if sw.EgressBusy(3) == 0 {
-		t.Fatal("egress busy not recorded")
-	}
-}
-
-func TestSwitchInvalid(t *testing.T) {
-	if _, err := NewSwitch(des.NewEngine(), SwitchConfig{N: 1}); err == nil {
-		t.Fatal("want error for N < 2")
-	}
-}
-
 func TestNetworkMeshLinkCount(t *testing.T) {
 	eng := des.NewEngine()
 	// 4-ring x 3-line: 12 nodes. Ring dim: 2 links per node = 24. Mesh

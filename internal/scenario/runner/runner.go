@@ -53,6 +53,15 @@ type UnitResult struct {
 	// Hybrid reports the fast path's engagement and refusal reasons
 	// (zero-valued for microbench units, which bypass the runtime).
 	Hybrid collectives.HybridStats
+	// Util is the unit's utilization timeline (nil unless the scenario
+	// has an enabled "utilization" block and the unit is training).
+	Util *Utilization
+}
+
+// Utilization is a training unit's timeline in 1 us buckets: the
+// fraction of every link busy and node 0's compute occupancy (Fig 10).
+type Utilization struct {
+	Net, Compute []float64
 }
 
 // AssertionOutcome records how one assertion fared against the results.
@@ -190,7 +199,7 @@ func runOne(u scenario.Unit, alone map[int64]float64, traced bool) (UnitResult, 
 		// tracks (no-op when untraced).
 		aux.pr.Sampler.EmitCounters(tr, aux.pr.Makespan)
 	}
-	return UnitResult{Unit: u, Metrics: m, Trace: tr, Power: aux.pr, Hybrid: aux.hyb}, nil
+	return UnitResult{Unit: u, Metrics: m, Trace: tr, Power: aux.pr, Hybrid: aux.hyb, Util: aux.util}, nil
 }
 
 // RunOne executes a single expanded work unit on a freshly built
@@ -221,11 +230,16 @@ func AddRelative(rel []scenario.Relative, units []UnitResult) {
 	for _, r := range rel {
 		// A unit's point on every expansion axis but the selected one.
 		key := func(u scenario.Unit) string {
-			var other any = u.Job
-			if r.Job != nil {
-				other = u.Preset
+			job, preset, over := any(u.Job), any(u.Preset), any(u.OverridePoint)
+			switch {
+			case r.Job != nil:
+				job = nil
+			case r.Overrides != nil:
+				over = nil
+			default:
+				preset = nil
 			}
-			return fmt.Sprintf("%v|%v|%s|%d|%s|%v", other, u.Topo.Dims, u.Overrides, u.Bytes, u.Workload, u.Kernel)
+			return fmt.Sprintf("%v|%v|%v|%v|%d|%s|%v", job, preset, over, u.Topo.Dims, u.Bytes, u.Workload, u.Kernel)
 		}
 		// The smallest reference value per point gives the smallest
 		// ratio: division by a positive value is monotone.
@@ -233,7 +247,8 @@ func AddRelative(rel []scenario.Relative, units []UnitResult) {
 		for _, ur := range units {
 			u := ur.Unit
 			v, ok := ur.Metrics[r.Metric]
-			isRef := r.Job != nil && u.Job == *r.Job || slices.Contains(r.Presets, u.Preset.String())
+			isRef := r.Job != nil && u.Job == *r.Job || r.Overrides != nil && u.OverridePoint == *r.Overrides ||
+				slices.Contains(r.Presets, u.Preset.String())
 			if b, seen := best[key(u)]; ok && isRef && (!seen || v < b) {
 				best[key(u)] = v
 			}
@@ -378,6 +393,9 @@ func buildSpec(u scenario.Unit) system.Spec {
 	}
 	spec.Engine = u.Engine
 	spec.Power = u.Power.Config(u.Preset)
+	if u.Utilization {
+		spec.TraceBucket = des.Microsecond
+	}
 	return spec
 }
 
@@ -447,7 +465,7 @@ func runUnit(u scenario.Unit, alone map[int64]float64, tr *trace.Tracer) (map[st
 	// The twin exists only for its primary duration metric; don't pay
 	// for a second energy accounting pass.
 	clean := u
-	clean.Events, clean.Recovery, clean.Power = nil, nil, nil
+	clean.Events, clean.Recovery, clean.Power, clean.Utilization = nil, nil, nil, false
 	cm, _, err := execUnit(clean, alone, nil)
 	if err != nil {
 		return nil, aux, fmt.Errorf("fault-free twin: %w", err)
@@ -459,11 +477,13 @@ func runUnit(u scenario.Unit, alone map[int64]float64, tr *trace.Tracer) (map[st
 }
 
 // unitAux bundles the side reports of one unit execution: fault
-// recovery, energy accounting, and fast-path engagement.
+// recovery, energy accounting, fast-path engagement and the utilization
+// timeline.
 type unitAux struct {
-	rec collectives.RecoveryStats
-	pr  *exper.PowerReport
-	hyb collectives.HybridStats
+	rec  collectives.RecoveryStats
+	pr   *exper.PowerReport
+	hyb  collectives.HybridStats
+	util *Utilization
 }
 
 // execUnit runs one work unit on a freshly built system. alone carries
@@ -495,7 +515,7 @@ func execUnit(u scenario.Unit, alone map[int64]float64, tr *trace.Tracer) (map[s
 			tc.Iterations = u.Iterations
 		}
 		tc.DLRMOptimized = u.DLRMOptimized
-		res, _, err := exper.RunTraining(tracedSpec(u, tr), m, tc)
+		res, s, err := exper.RunTraining(tracedSpec(u, tr), m, tc)
 		if err != nil {
 			return nil, none, err
 		}
@@ -503,13 +523,18 @@ func execUnit(u scenario.Unit, alone map[int64]float64, tr *trace.Tracer) (map[s
 		if res.IterTime > 0 {
 			frac = float64(res.ExposedComm) / float64(res.IterTime)
 		}
-		return map[string]float64{
+		out := map[string]float64{
 			"iter_time_us":      res.IterTime.Micros(),
 			"compute_us":        res.TotalCompute.Micros(),
 			"exposed_us":        res.ExposedComm.Micros(),
 			"exposed_comm_frac": frac,
 			"collectives":       float64(res.Collectives),
-		}, unitAux{rec: res.Recovery, pr: res.Power, hyb: res.Hybrid}, nil
+		}
+		aux := unitAux{rec: res.Recovery, pr: res.Power, hyb: res.Hybrid}
+		if u.Utilization {
+			aux.util = addUtilization(out, res, s)
+		}
+		return out, aux, nil
 	case scenario.KindMicrobench:
 		var k exper.Fig4Kernel
 		if u.Kernel.GEMMN > 0 {
@@ -536,6 +561,56 @@ func execUnit(u scenario.Unit, alone map[int64]float64, tr *trace.Tracer) (map[s
 		return execGraph(u, tr)
 	}
 	return nil, none, fmt.Errorf("unknown unit kind %q", u.Kind)
+}
+
+// addUtilization folds a training unit's 1 us utilization buckets into
+// its metrics and returns the timeline. net_util and compute_util are
+// the Fig 10 means of link and node-0 compute utilization over the first
+// ⌊iter/bucket⌋+1 buckets. On ACE units ace_util_fwd and ace_util_bwd are
+// the Fig 9b split: the fraction of forward and backward pass time
+// during which node 0's engine has at least one chunk assigned.
+func addUtilization(m map[string]float64, res exper.TrainResult, s *system.System) *Utilization {
+	bucket := s.Spec.TraceBucket
+	buckets := int(res.IterTime/bucket) + 1
+	tl := &Utilization{}
+	links := float64(s.Net.NumLinks())
+	for b := 0; b < buckets; b++ {
+		tl.Net = append(tl.Net, s.LinkUtil.Utilization(b, links))
+		tl.Compute = append(tl.Compute, s.ComputeUtil[0].Utilization(b, 1))
+	}
+	m["net_util"] = mean(tl.Net)
+	m["compute_util"] = mean(tl.Compute)
+	if len(s.ACEs) == 0 {
+		return tl
+	}
+	s.ACEs[0].FlushBusy()
+	util := func(ws []training.Window) float64 {
+		var busy, total float64
+		for _, w := range ws {
+			from := int(w.Start / bucket)
+			to := int(w.End/bucket) + 1
+			busy += s.ACEUtil[0].Mean(from, to, 1) * float64(to-from)
+			total += float64(to - from)
+		}
+		if total == 0 {
+			return 0
+		}
+		return busy / total
+	}
+	m["ace_util_fwd"] = util(res.FwdWindows)
+	m["ace_util_bwd"] = util(res.BwdWindows)
+	return tl
+}
+
+func mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	var s float64
+	for _, x := range xs {
+		s += x
+	}
+	return s / float64(len(xs))
 }
 
 // execGraph resolves the unit's graph — a JSON file or a pipeline
@@ -628,7 +703,7 @@ func execMultiJob(u scenario.Unit, tr *trace.Tracer) (map[string]float64, unitAu
 		}
 		jobs[i] = job
 	}
-	res, _, err := exper.Interference(spec, jobs)
+	res, err := exper.Interference(spec, jobs)
 	if err != nil {
 		return nil, none, err
 	}
@@ -691,12 +766,19 @@ func (r *Results) Tables() []*report.Table {
 		}
 		return append(c, rest...)
 	}
-	// Each relative entry adds a column to its metric's kind table; a
-	// unit without a reference shows "-".
-	relative := map[scenario.JobKind][]string{}
+	// The utilization metrics, then each relative entry, add a column
+	// to their kind's table; a unit without the metric (a non-ACE unit's
+	// ACE split, a unit without a reference) shows "-".
+	extra := map[scenario.JobKind][]string{}
+	if slices.ContainsFunc(r.Units, func(ur UnitResult) bool { return ur.Util != nil }) {
+		extra[scenario.KindTraining] = []string{"net_util", "compute_util"}
+		if slices.ContainsFunc(r.Units, func(ur UnitResult) bool { _, ok := ur.Metrics["ace_util_fwd"]; return ok }) {
+			extra[scenario.KindTraining] = append(extra[scenario.KindTraining], "ace_util_fwd", "ace_util_bwd")
+		}
+	}
 	for _, rel := range r.Relative {
 		k := scenario.Metrics[rel.Metric]
-		relative[k] = append(relative[k], rel.Name)
+		extra[k] = append(extra[k], rel.Name)
 	}
 	byKind := map[scenario.JobKind]*report.Table{}
 	get := func(k scenario.JobKind) *report.Table {
@@ -721,13 +803,13 @@ func (r *Results) Tables() []*report.Table {
 			t = report.New(r.Name+": graphs (span / busiest-rank compute)",
 				cols("graph", "span us", "compute us", "exposed us", "exposed frac")...)
 		}
-		t.Headers = append(t.Headers, relative[k]...)
+		t.Headers = append(t.Headers, extra[k]...)
 		byKind[k] = t
 		tabs = append(tabs, t)
 		return t
 	}
 	add := func(k scenario.JobKind, m map[string]float64, row ...any) {
-		for _, name := range relative[k] {
+		for _, name := range extra[k] {
 			if v, ok := m[name]; ok {
 				row = append(row, v)
 			} else {
@@ -964,6 +1046,29 @@ func (r *Results) WritePowerCSV(w io.Writer) error {
 			if _, err := fmt.Fprintf(w, "u%d,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f\n",
 				ur.Unit.Index, (des.Time(b) * s.Window).Micros(),
 				cw, hw, fw, s.StaticW, cw+hw+fw+s.StaticW); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// WriteUtilCSV renders every training unit's utilization timeline as
+// one combined CSV (units in expansion order, so the output is
+// byte-identical for any worker count).
+func (r *Results) WriteUtilCSV(w io.Writer) error {
+	if !slices.ContainsFunc(r.Units, func(ur UnitResult) bool { return ur.Util != nil }) {
+		return fmt.Errorf("runner: results carry no utilization timeline (enable the scenario's \"utilization\" block)")
+	}
+	if _, err := fmt.Fprintln(w, "unit,time_us,net_util,compute_util"); err != nil {
+		return err
+	}
+	for _, ur := range r.Units {
+		if ur.Util == nil {
+			continue
+		}
+		for b, net := range ur.Util.Net {
+			if _, err := fmt.Fprintf(w, "u%d,%d,%.4f,%.4f\n", ur.Unit.Index, b, net, ur.Util.Compute[b]); err != nil {
 				return err
 			}
 		}

@@ -47,6 +47,10 @@ type Scenario struct {
 	// the windowed power timeline can then be exported as CSV or as
 	// Chrome-trace counter tracks via `acesim trace`.
 	Power *PowerSpec `json:"power,omitempty"`
+	// Utilization, when enabled, records 1 us utilization buckets on
+	// every training unit and adds the utilization metrics (see
+	// UtilizationMetrics); `scenario run -util-csv` writes the timelines.
+	Utilization *UtilizationSpec `json:"utilization,omitempty"`
 	// Events is the timed fault/dynamics track applied to every unit of
 	// the scenario: link failure/restore/degradation, NPU stragglers,
 	// checkpoint stalls and job departures, each at a fixed simulation
@@ -412,14 +416,15 @@ func (a Assertion) String() string {
 
 // Relative is one metric taken relative to another unit of the same
 // scenario: Name = reference Metric / unit Metric, where the reference
-// matches the unit on every expansion axis but the selected preset or
-// job. Over several presets the smallest ratio (the speedup over the
-// best of them) wins.
+// matches the unit on every expansion axis but the selected preset, job
+// or override point (an index into platform.overrides). Over several
+// presets the smallest ratio (the speedup over the best of them) wins.
 type Relative struct {
-	Name    string   `json:"name"`
-	Metric  string   `json:"metric"` // a kind metric (see Metrics)
-	Presets []string `json:"presets,omitempty"`
-	Job     *int     `json:"job,omitempty"`
+	Name      string   `json:"name"`
+	Metric    string   `json:"metric"` // a kind metric (see Metrics)
+	Presets   []string `json:"presets,omitempty"`
+	Job       *int     `json:"job,omitempty"`
+	Overrides *int     `json:"overrides,omitempty"`
 }
 
 // TraceSpec is the scenario "trace" block.
@@ -433,6 +438,26 @@ type TraceSpec struct {
 
 // TraceEnabled reports whether the scenario asks for tracing.
 func (s *Scenario) TraceEnabled() bool { return s.Trace != nil && s.Trace.Enabled }
+
+// UtilizationSpec is the scenario "utilization" block.
+type UtilizationSpec struct {
+	// Enabled records 1 us utilization buckets on every training unit.
+	Enabled bool `json:"enabled"`
+}
+
+// UtilizationEnabled reports whether the scenario asks for utilization
+// timelines.
+func (s *Scenario) UtilizationEnabled() bool { return s.Utilization != nil && s.Utilization.Enabled }
+
+// UtilizationMetrics lists the training metrics the "utilization" block
+// adds: net_util and compute_util (Fig 10) on every training unit,
+// ace_util_fwd and ace_util_bwd (Fig 9b) on ACE units only.
+var UtilizationMetrics = map[string]bool{
+	"net_util":     true,
+	"compute_util": true,
+	"ace_util_fwd": true,
+	"ace_util_bwd": true,
+}
 
 // PowerSpec is the scenario "power" block: it enables energy
 // accounting on every unit, with Table-VI-style per-preset default
@@ -609,6 +634,11 @@ var Metrics = map[string]JobKind{
 	"exposed_us":        KindTraining,
 	"exposed_comm_frac": KindTraining,
 	"collectives":       KindTraining,
+	// training metrics of the "utilization" block (UtilizationMetrics)
+	"net_util":     KindTraining,
+	"compute_util": KindTraining,
+	"ace_util_fwd": KindTraining,
+	"ace_util_bwd": KindTraining,
 	// microbench metrics
 	"alone_us":   KindMicrobench,
 	"overlap_us": KindMicrobench,
@@ -639,11 +669,13 @@ type Unit struct {
 	Kind JobKind
 
 	// Platform point (every kind but microbench); Overrides is nil when
-	// the platform has no override points.
+	// the platform has no override points, OverridePoint its index into
+	// platform.overrides.
 	Topo            noc.Topology
 	Preset          system.Preset
 	FastGranularity bool
 	Overrides       *Overrides
+	OverridePoint   int
 	// Engine is the platform's parsed execution engine (zero value: DES).
 	Engine collectives.Engine
 
@@ -655,6 +687,9 @@ type Unit struct {
 	Workload      string
 	Iterations    int
 	DLRMOptimized bool
+	// Utilization records 1 us utilization buckets (training units of a
+	// scenario with an enabled "utilization" block).
+	Utilization bool
 
 	// Microbench unit.
 	Kernel Kernel
@@ -966,6 +1001,18 @@ func (s *Scenario) Expand() ([]Unit, error) {
 			units[i].Power = s.Power
 		}
 	}
+	if s.UtilizationEnabled() {
+		n := 0
+		for i := range units {
+			if units[i].Kind == KindTraining {
+				units[i].Utilization = true
+				n++
+			}
+		}
+		if n == 0 {
+			return nil, fmt.Errorf("scenario %s: utilization: no training job (the buckets are recorded on training units)", s.Name)
+		}
+	}
 	relative, err := s.validateRelative(units)
 	if err == nil {
 		err = s.validateAssertions(units, relative)
@@ -1118,10 +1165,10 @@ func (s *Scenario) platformGrid() ([]noc.Topology, []Unit, error) {
 	}
 	points := make([]Unit, 0, len(toruses)*len(overs)*len(presets))
 	for _, t := range toruses {
-		for _, o := range overs {
+		for oi, o := range overs {
 			for _, pr := range presets {
 				points = append(points, Unit{
-					Topo: t, Preset: pr, Overrides: o,
+					Topo: t, Preset: pr, Overrides: o, OverridePoint: oi,
 					FastGranularity: p.FastGranularity,
 					Engine:          engine,
 				})
@@ -1156,8 +1203,18 @@ func (j Job) payloads() ([]int64, error) {
 // of each entry by name.
 func (s *Scenario) validateRelative(units []Unit) (map[string]JobKind, error) {
 	kinds := map[string]JobKind{}
+	points := 0
+	if s.Platform != nil {
+		points = len(s.Platform.Overrides)
+	}
 	for i, r := range s.Relative {
 		kind, ok := Metrics[r.Metric]
+		selectors := 0
+		for _, set := range []bool{len(r.Presets) > 0, r.Job != nil, r.Overrides != nil} {
+			if set {
+				selectors++
+			}
+		}
 		var err error
 		switch {
 		case r.Name == "" || Metrics[r.Name] != "" || kinds[r.Name] != "" || TraceMetrics[r.Name] || FaultMetrics[r.Name] ||
@@ -1165,12 +1222,16 @@ func (s *Scenario) validateRelative(units []Unit) (map[string]JobKind, error) {
 			err = errors.New("needs a name no other metric has")
 		case !ok:
 			err = fmt.Errorf("unknown metric %q (want a kind metric)", r.Metric)
-		case (len(r.Presets) > 0) == (r.Job != nil):
-			err = errors.New("needs exactly one of presets or job")
+		case UtilizationMetrics[r.Metric] && !s.UtilizationEnabled():
+			err = fmt.Errorf("metric %q requires \"utilization\": {\"enabled\": true}", r.Metric)
+		case selectors != 1:
+			err = errors.New("needs exactly one of presets or job or overrides")
 		case r.Job != nil && !slices.ContainsFunc(units, Assertion{Kind: kind, Job: r.Job}.Selector()):
 			err = fmt.Errorf("job %d runs no %s units", *r.Job, kind)
+		case r.Overrides != nil && (*r.Overrides < 0 || *r.Overrides >= points):
+			err = fmt.Errorf("override point %d out of range [0,%d)", *r.Overrides, points)
 		case r.Job == nil && kind == KindMicrobench:
-			err = errors.New("microbench units have no preset; select a job")
+			err = errors.New("microbench units have no preset or override point; select a job")
 		}
 		for _, p := range r.Presets {
 			if err == nil && !slices.ContainsFunc(units, Assertion{Kind: kind, Preset: p}.Selector()) {
@@ -1228,6 +1289,9 @@ func (s *Scenario) validateAssertions(units []Unit, relative map[string]JobKind)
 			if a.Kind != "" && a.Kind != kind {
 				return fmt.Errorf("assertion %d: metric %q belongs to %s jobs, not %s",
 					i, a.Metric, kind, a.Kind)
+			}
+			if UtilizationMetrics[a.Metric] && !s.UtilizationEnabled() {
+				return fmt.Errorf("assertion %d: metric %q requires \"utilization\": {\"enabled\": true}", i, a.Metric)
 			}
 			// A kind metric can only match units of its kind.
 			a.Kind = kind

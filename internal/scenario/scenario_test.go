@@ -494,12 +494,12 @@ func TestParseTopologyField(t *testing.T) {
 	}
 }
 
-// relativeGrid is a 4x2x2 platform with two presets, a collective job
-// (0), a training job (1) and a microbench job (2); each case appends
-// its own relative block and assertions.
+// relativeGrid is a 4x2x2 platform with two presets and two override
+// points, a collective job (0), a training job (1) and a microbench job
+// (2); each case appends its own relative block and assertions.
 const relativeGrid = `{
   "name": "x",
-  "platform": {"toruses": ["4x2x2"], "presets": ["BaselineCommOpt", "ACE"]},
+  "platform": {"toruses": ["4x2x2"], "presets": ["BaselineCommOpt", "ACE"], "overrides": [{"ace_fsms": 4}, {"ace_fsms": 16}]},
   "jobs": [
     {"kind": "collective", "payloads_mb": [1]},
     {"kind": "training", "workloads": ["dlrm"]},
@@ -513,6 +513,7 @@ func TestValidateRelative(t *testing.T) {
 		{"presets", `"relative": [{"name": "vs_comm", "metric": "duration_us", "presets": ["BaselineCommOpt"]}],
 		  "assertions": [{"metric": "vs_comm", "op": ">", "value": 0, "preset": "ACE"}]`, ""},
 		{"job", `"relative": [{"name": "vs_first", "metric": "slowdown", "job": 2}]`, ""},
+		{"overrides", `"relative": [{"name": "vs_16", "metric": "iter_time_us", "overrides": 1}]`, ""},
 		{"missing name", `"relative": [{"metric": "duration_us", "job": 0}]`, "needs a name"},
 		{"unknown metric", `"relative": [{"name": "r", "metric": "latency", "job": 0}]`, "unknown metric"},
 		{"not a kind metric", `"relative": [{"name": "r", "metric": "overlap_frac", "job": 0}]`, "unknown metric"},
@@ -521,6 +522,12 @@ func TestValidateRelative(t *testing.T) {
 		{"duplicate name", `"relative": [{"name": "r", "metric": "duration_us", "job": 0}, {"name": "r", "metric": "iter_time_us", "job": 1}]`, "needs a name no other metric has"},
 		{"no selector", `"relative": [{"name": "r", "metric": "duration_us"}]`, "exactly one of presets or job"},
 		{"two selectors", `"relative": [{"name": "r", "metric": "duration_us", "presets": ["ACE"], "job": 0}]`, "exactly one of presets or job"},
+		{"overrides and presets", `"relative": [{"name": "r", "metric": "duration_us", "overrides": 0, "presets": ["ACE"]}]`,
+			"exactly one of presets or job or overrides"},
+		{"overrides and job", `"relative": [{"name": "r", "metric": "duration_us", "overrides": 0, "job": 0}]`,
+			"exactly one of presets or job or overrides"},
+		{"overrides past the end", `"relative": [{"name": "r", "metric": "duration_us", "overrides": 2}]`, "override point 2 out of range [0,2)"},
+		{"negative overrides", `"relative": [{"name": "r", "metric": "duration_us", "overrides": -1}]`, "override point -1 out of range [0,2)"},
 		{"unknown preset", `"relative": [{"name": "r", "metric": "duration_us", "presets": ["Turbo"]}]`, `no collective unit runs preset "Turbo"`},
 		{"preset outside grid", `"relative": [{"name": "r", "metric": "duration_us", "presets": ["Ideal"]}]`, `no collective unit runs preset "Ideal"`},
 		{"job out of range", `"relative": [{"name": "r", "metric": "duration_us", "job": 3}]`, "job 3 runs no collective units"},
@@ -544,6 +551,55 @@ func TestValidateRelative(t *testing.T) {
 				t.Fatalf("error %v does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestValidateUtilization checks the utilization block: it needs a
+// training job, marks only training units, and its metrics need it.
+func TestValidateUtilization(t *testing.T) {
+	cases := []struct {
+		name, rest, want string // want empty: validates
+	}{
+		{"training units", `"utilization": {"enabled": true},
+		  "assertions": [{"metric": "net_util", "op": ">", "value": 0}, {"metric": "ace_util_bwd", "op": ">", "value": 0, "preset": "ACE"}]`, ""},
+		{"metric without the block", `"assertions": [{"metric": "net_util", "op": ">", "value": 0}]`, `metric "net_util" requires "utilization"`},
+		{"disabled block", `"utilization": {"enabled": false}, "assertions": [{"metric": "compute_util", "op": ">", "value": 0}]`,
+			`metric "compute_util" requires "utilization"`},
+		{"metric of another kind", `"utilization": {"enabled": true}, "assertions": [{"metric": "net_util", "op": ">", "value": 0, "kind": "collective"}]`,
+			"belongs to training"},
+		{"relative without the block", `"relative": [{"name": "r", "metric": "compute_util", "presets": ["ACE"]}]`, `metric "compute_util" requires "utilization"`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := parse(t, relativeGrid+",\n"+tc.rest+"}").Validate()
+			if tc.want == "" {
+				if err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v does not mention %q", err, tc.want)
+			}
+		})
+	}
+	units, err := parse(t, relativeGrid+`, "utilization": {"enabled": true}}`).Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range units {
+		if u.Utilization != (u.Kind == KindTraining) {
+			t.Errorf("unit %d (%s): Utilization %v", u.Index, u.Kind, u.Utilization)
+		}
+	}
+	err = parse(t, `{
+	  "name": "x",
+	  "platform": {"toruses": ["4x2x2"]},
+	  "jobs": [{"kind": "collective", "payloads_mb": [1]}],
+	  "utilization": {"enabled": true}
+	}`).Validate()
+	if err == nil || !strings.Contains(err.Error(), "utilization: no training job") {
+		t.Fatalf("block without a training job = %v", err)
 	}
 }
 

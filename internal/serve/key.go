@@ -65,6 +65,7 @@ type unitKey struct {
 	Workload   string `json:"workload,omitempty"`
 	Iterations int    `json:"iterations,omitempty"`
 	DLRMOpt    bool   `json:"dlrm_optimized,omitempty"`
+	Util       bool   `json:"utilization,omitempty"`
 
 	GEMMN    int `json:"gemm_n,omitempty"`
 	EmbBatch int `json:"emb_batch,omitempty"`
@@ -131,6 +132,7 @@ func UnitKey(u scenario.Unit, traced bool, version string) (string, error) {
 		k.Workload = u.Workload
 		k.Iterations = u.Iterations
 		k.DLRMOpt = u.DLRMOptimized
+		k.Util = u.Utilization
 	case scenario.KindMicrobench:
 		k.Bytes = u.Bytes
 		k.GEMMN = u.Kernel.GEMMN

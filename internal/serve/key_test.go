@@ -71,7 +71,8 @@ func TestUnitKeyCanonicalization(t *testing.T) {
 }
 
 // TestUnitKeyDiscriminates: any semantic difference — engine, tracing,
-// power accounting, preset, code version — must change the hash.
+// power accounting, utilization buckets, preset, code version — must
+// change the hash.
 func TestUnitKeyDiscriminates(t *testing.T) {
 	doc := func(engine, preset, powerBlock string) string {
 		return `{
@@ -95,6 +96,20 @@ func TestUnitKeyDiscriminates(t *testing.T) {
 			t.Errorf("%s and %s collide", name, prev)
 		}
 		seen[name] = key
+	}
+	// The utilization block records buckets on training units only.
+	train := func(block string) string {
+		return `{
+		  "name": "probe",
+		  "platform": {"toruses": ["4x2x2"], "presets": ["ACE"]},
+		  "jobs": [{"kind": "training", "workloads": ["dlrm"]}]` + block + `
+		}`
+	}
+	if keysOf(t, train(`, "utilization": {"enabled": true}`), false)[0] == keysOf(t, train(""), false)[0] {
+		t.Error("utilization difference did not change the hash")
+	}
+	if keysOf(t, train(`, "utilization": {"enabled": false}`), false)[0] != keysOf(t, train(""), false)[0] {
+		t.Error("a disabled utilization block changed the hash")
 	}
 	units := expand(t, doc("analytic", "ACE", ""))
 	vA, err := UnitKey(units[0], false, "vA")

@@ -69,9 +69,6 @@ func (m *Multi) OnDepart(job string, fn func()) {
 	m.departFns[job] = fn
 }
 
-// Departed reports whether the named job has departed.
-func (m *Multi) Departed(job string) bool { return m.departed[job] }
-
 func (m *Multi) depart(job string) {
 	if m.departed == nil {
 		m.departed = make(map[string]bool)
