@@ -10,7 +10,7 @@ GO ?= go
 # below the measured 70.3% so regressions fail again.
 COVER_MIN ?= 70.0
 
-.PHONY: build test test-short test-race bench lint vet fuzz-smoke fmt cover cover-check trace-smoke overhead-guard hotpath-guard chaos-smoke hybrid-smoke power-smoke serve-smoke serve-stress perfbench-check figures-smoke goldens
+.PHONY: build test test-short test-race bench lint vet fuzz-smoke fmt cover cover-check trace-smoke overhead-guard hotpath-guard chaos-smoke hybrid-smoke power-smoke serve-smoke serve-stress perfbench-check perfbench-smoke figures-smoke goldens
 
 build:
 	$(GO) build ./...
@@ -37,9 +37,9 @@ trace-smoke:
 	$(GO) run ./cmd/acesim graph convert -workload resnet50 -iterations 1 -out /tmp/acesim-rn50-graph.json
 	$(GO) run ./cmd/acesim trace -out /tmp/acesim-rn50-trace.json /tmp/acesim-rn50-graph.json
 
-# Tracing overhead gate: with tracing disabled, the fig4 perf units must
-# match the pre-trace-layer BENCH_2026-07-28.json baseline — same event
-# count, no additional allocations.
+# Tracing overhead gate: with tracing disabled, the fig4 units must match
+# the frozen pin BENCH_2026-07-28.json, recorded before the trace layer
+# existed: same event count, no additional allocations.
 overhead-guard:
 	$(GO) test -run TestTracingDisabledOverheadGuard -v .
 
@@ -47,13 +47,14 @@ overhead-guard:
 # reference (same-instant, past-clamped and reopened-instant pushes
 # included), the 16-byte pointer-free time-heap entry, the engine's
 # zero-allocation scheduling (shared instants, an instant per event,
-# thousands of events in one instant), the gates' context-callback
+# thousands of events in one instant), the bound on the event slots
+# retired calendar buckets keep, the gates' context-callback
 # acquisitions (one FIFO order with Acquire, zero allocations granted
 # or queued), routed-transfer record reuse, and the allocation budget
 # of a warm all-reduce (ACE, BaselineCommOpt), all-to-all (ACE,
 # BaselineCommOpt) and ResNet-50 iteration.
 hotpath-guard:
-	$(GO) test -run 'TestQueueMatchesReferenceHeap|TestQueueSortedDrain|TestTimeHeapEntrySize|TestEngineZeroAllocScheduling' -v ./internal/des
+	$(GO) test -run 'TestQueueMatchesReferenceHeap|TestQueueSortedDrain|TestTimeHeapEntrySize|TestEngineZeroAllocScheduling|TestCalendarCapacityBounded' -v ./internal/des
 	$(GO) test -run 'TestGateAcquireCtx' -v ./internal/resource
 	$(GO) test -run 'TestSendRoutedRecyclesRecords' -v ./internal/noc
 	$(GO) test -run TestHotPathAllocBudget -v .
@@ -136,6 +137,15 @@ serve-stress:
 # internal API change that would break the benchmark.
 perfbench-check:
 	cd perfbench && $(GO) vet . && $(GO) test .
+
+# Benchmark smoke: one short pass of each BENCHMARK.json workload, plus
+# observed-sweep's traced per-layer pass. perfbench checks every output
+# and exits non-zero when a check fails; it never gates on speed.
+perfbench-smoke:
+	bash perfbench/run.sh --workload des-sweep --seed 1 --seconds 1 --trace 0
+	bash perfbench/run.sh --workload hybrid-sweep --seed 1 --seconds 1 --trace 0
+	bash perfbench/run.sh --workload observed-sweep --seed 1 --seconds 1 --trace 0
+	bash perfbench/run.sh --workload observed-sweep --seed 1 --seconds 1 --trace 1
 
 # Per-package coverage summary plus the total (short mode: the full
 # grids add minutes without covering new statements).

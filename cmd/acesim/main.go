@@ -1,9 +1,8 @@
 // Command acesim regenerates every table and figure of the paper's
 // evaluation (see DESIGN.md for the experiment index), runs declarative
-// scenario files (see README.md for the schema), executes and converts
-// workload execution graphs (see DESIGN.md, "Execution-graph IR"), and
-// records simulator performance baselines (see PERF.md for the
-// methodology).
+// scenario files (see README.md for the schema), and executes and
+// converts workload execution graphs (see DESIGN.md, "Execution-graph
+// IR").
 //
 // Usage:
 //
@@ -11,7 +10,6 @@
 //	acesim scenario run|validate|list [flags] <file>...
 //	acesim graph run|convert|validate [flags] <file>...
 //	acesim trace [-out trace.json] [flags] <scenario.json|graph.json>
-//	acesim bench [-short] [-runs N] [-out path]
 //
 // Experiments: fig4 fig5 fig6 fig9a fig9b fig10 fig11 fig12 table4 table5
 // table6 analytic ablation interference all
@@ -120,9 +118,6 @@ func runCtx(ctx context.Context, args []string) error {
 	if cmd == "scenario" {
 		return runScenario(ctx, args[1:])
 	}
-	if cmd == "bench" {
-		return runBench(args[1:])
-	}
 	if cmd == "graph" {
 		return runGraphCmd(ctx, args[1:])
 	}
@@ -152,8 +147,7 @@ func runCtx(ctx context.Context, args []string) error {
 	}
 	fn, ok := all[cmd]
 	if !ok {
-		usage()
-		return fmt.Errorf("unknown experiment %q", cmd)
+		return fmt.Errorf("%w: unknown experiment %q", errUsage, cmd)
 	}
 	// Experiments take no flags or arguments; a bundled figure names the
 	// files to edit instead.
@@ -216,7 +210,6 @@ func usage() {
        acesim graph validate <graph.json>...
        acesim trace [-out trace.json] [-csv path] [-workers N] <scenario.json>
        acesim trace [-out trace.json] [-csv path] [-size SHAPE] [-preset P] <graph.json>
-       acesim bench [-short] [-runs N] [-out path]
        acesim serve [-addr :8080] [-workers N] [-queue UNITS] [-smoke scenario.json] [-stress [stress flags]]
 experiments: fig4 fig5 fig6 fig9a fig9b fig10 fig11 fig12
              table4 table5 table6 analytic ablation interference all

@@ -344,6 +344,7 @@ func TestFlagErrorsExitUsage(t *testing.T) {
 		{"trace", "-size", "8x8x8", "-preset", "Bogus", "../../examples/scenarios/fig4.json"},
 		{"trace", "-no-such-flag", ok},
 		{"trace", ok, "-out", "x.json"},
+		// An unknown command is a usage mistake too.
 		{"bench", "-not-a-flag"},
 		{"table5", "-bogus"},
 		{"table5", "stray-positional"},

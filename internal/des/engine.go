@@ -12,7 +12,9 @@ type event struct {
 
 // bucket holds the events of one pending instant in scheduling order;
 // head indexes the next one to run. A retired bucket keeps its backing
-// array, so reusing it schedules without allocating.
+// array, so reusing it schedules without allocating, unless the retired
+// buckets already hold more than spareFactor times the pending-event
+// high-water mark (see Engine.retire).
 type bucket struct {
 	evs  []event
 	head int
@@ -30,6 +32,12 @@ func (b *bucket) push(ev event) {
 	}
 	b.evs = append(b.evs, ev)
 }
+
+// spareFactor bounds the event slots retired buckets keep, as a multiple
+// of the most events ever pending at once. Without a bound every bucket
+// ends up holding the largest instant it has ever carried, so a
+// long-lived engine's calendar keeps growing.
+const spareFactor = 4
 
 // instant is one time-heap entry: a pending instant and the index of the
 // bucket that holds its events. It carries no pointers, so sifting it
@@ -110,10 +118,13 @@ type Engine struct {
 	nSteps uint64
 	// times holds each pending instant once; buckets[b] holds the events
 	// of the instant whose entry names b, and free lists retired buckets
-	// for reuse.
+	// for reuse. spare counts the event slots the free buckets' arrays
+	// hold, and peak is the most events ever pending at once.
 	times   timeHeap
 	buckets []bucket
 	free    []int
+	spare   int
+	peak    int
 	// index maps each pending instant to its bucket. last/lastB cache
 	// the instant scheduled most recently (valid while lastOK), which
 	// most pushes target.
@@ -213,6 +224,9 @@ func (e *Engine) schedule(t Time, ev event) {
 	}
 	e.buckets[e.lastB].push(ev)
 	e.pending++
+	if e.pending > e.peak {
+		e.peak = e.pending
+	}
 }
 
 // open returns the bucket of instant t, making t pending if it is not.
@@ -227,6 +241,7 @@ func (e *Engine) open(t Time) int {
 	if n := len(e.free); n > 0 {
 		b = e.free[n-1]
 		e.free = e.free[:n-1]
+		e.spare -= cap(e.buckets[b].evs)
 	} else {
 		b = len(e.buckets)
 		e.buckets = append(e.buckets, bucket{})
@@ -276,15 +291,7 @@ func (e *Engine) Step() bool {
 	if bk.head == len(bk.evs) {
 		// The instant is drained: retire it before the callback runs, so
 		// work the callback schedules at now reopens it behind nothing.
-		// Clearing the array drops its callbacks and arguments.
-		clear(bk.evs)
-		bk.evs, bk.head = bk.evs[:0], 0
-		e.times.pop()
-		delete(e.index, top.at)
-		e.free = append(e.free, top.b)
-		if e.last == top.at {
-			e.lastOK = false
-		}
+		e.retire(top)
 	}
 	e.pending--
 	e.now = top.at
@@ -295,6 +302,29 @@ func (e *Engine) Step() bool {
 		ev.ctxFn(ev.arg)
 	}
 	return true
+}
+
+// retire frees the bucket of drained instant top. Clearing its array
+// drops the callbacks and arguments; the array itself stays with the
+// bucket unless the free buckets would then hold more than spareFactor
+// times the pending high-water mark, in which case it goes to the
+// garbage collector.
+func (e *Engine) retire(top instant) {
+	bk := &e.buckets[top.b]
+	clear(bk.evs)
+	if c := cap(bk.evs); e.spare+c > spareFactor*e.peak {
+		bk.evs = nil
+	} else {
+		bk.evs = bk.evs[:0]
+		e.spare += c
+	}
+	bk.head = 0
+	e.times.pop()
+	delete(e.index, top.at)
+	e.free = append(e.free, top.b)
+	if e.last == top.at {
+		e.lastOK = false
+	}
 }
 
 // Run executes events until the queue is empty and returns the number of

@@ -310,6 +310,52 @@ func TestEngineZeroAllocScheduling(t *testing.T) {
 	}
 }
 
+// TestCalendarCapacityBounded replays 200 rounds of one seeded mix of
+// instant sizes on one engine: 62 instants of 1-4 events and two of
+// 1,024, at shuffled times, so each round lands the crowded instants on
+// different buckets. Retired buckets must not keep every large array
+// they have held: the capacity held in large bucket arrays must stop
+// rising once the pending high-water mark has been reached (round 1).
+func TestCalendarCapacityBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	sizes := []int{1024, 1024}
+	for len(sizes) < 64 {
+		sizes = append(sizes, 1+rng.Intn(4))
+	}
+	e := NewEngine()
+	nop := func(any) {}
+	// largeCap is the event slots held in bucket arrays of more than 64
+	// events. Small arrays are left out: which buckets end a round with
+	// a dropped array varies with the shuffle, so the total moves by a
+	// few slots either way.
+	largeCap := func() (n int) {
+		for _, b := range e.buckets {
+			if c := cap(b.evs); c > 64 {
+				n += c
+			}
+		}
+		return n
+	}
+	var after10 int
+	for round := 1; round <= 200; round++ {
+		rng.Shuffle(len(sizes), func(i, j int) { sizes[i], sizes[j] = sizes[j], sizes[i] })
+		at := e.Now()
+		for _, n := range sizes {
+			at++
+			for k := 0; k < n; k++ {
+				e.AtCtx(at, nop, nil)
+			}
+		}
+		e.Run()
+		if round == 10 {
+			after10 = largeCap()
+		}
+	}
+	if c := largeCap(); c > after10 {
+		t.Fatalf("large bucket arrays hold %d event slots after round 200, %d after round 10", c, after10)
+	}
+}
+
 // BenchmarkEngineSchedule measures raw schedule+execute throughput of the
 // engine core (At with a shared callback; the simulator's floor cost per
 // event).

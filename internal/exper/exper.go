@@ -47,8 +47,7 @@ type CollectiveResult struct {
 	WireBytes    int64
 	InjectedNode int64
 	// Events is the number of discrete events the engine executed for the
-	// run — the simulator-cost denominator used by the bench harness
-	// (events/sec), not a paper metric.
+	// run: a simulator-cost figure, not a paper metric.
 	Events uint64
 	// Recovery reports what the fault-recovery path did (zero-valued on
 	// fault-free runs).

@@ -264,42 +264,64 @@ func TestAnalyzeOnMatchesDESMeters(t *testing.T) {
 	}
 }
 
-// TestHybridGraphPipelineMatchesDES runs the synthesized pipeline graph
-// (group collectives plus inter-stage p2p sends) under both engines:
-// the p2p traffic downgrades the mirror but the results stay exact.
+// TestHybridGraphPipelineMatchesDES runs two graphs under both engines:
+// the synthesized pipeline (group collectives plus inter-stage p2p
+// sends, which downgrade the mirror) and a ResNet-50 training graph
+// lowered by graph.FromModel at fast granularity. The results stay
+// exact on both.
 func TestHybridGraphPipelineMatchesDES(t *testing.T) {
-	build := func() *graph.Graph {
-		g, err := graph.Pipeline(graph.PipelineConfig{
-			Model:        workload.ResNet50(workload.ResNet50Batch),
-			Ranks:        16,
-			Stages:       4,
-			Microbatches: 4,
-			Schedule:     graph.OneFOneB,
+	topo := noc.Torus3(4, 2, 2)
+	cases := []struct {
+		name  string
+		build func() (*graph.Graph, error)
+		fast  bool
+		p2p   bool
+	}{
+		{"pipeline-1f1b", func() (*graph.Graph, error) {
+			return graph.Pipeline(graph.PipelineConfig{
+				Model:        workload.ResNet50(workload.ResNet50Batch),
+				Ranks:        topo.N(),
+				Stages:       4,
+				Microbatches: 4,
+				Schedule:     graph.OneFOneB,
+			})
+		}, false, true},
+		{"lowered-resnet50", func() (*graph.Graph, error) {
+			return graph.FromModel(workload.ResNet50(workload.ResNet50Batch),
+				graph.ModelConfig{Iterations: 2, Overlap: true}, topo.N())
+		}, true, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := system.NewSpec(topo, system.ACE)
+			if tc.fast {
+				FastGranularity(&spec)
+			}
+			run := func() GraphResult {
+				g, err := tc.build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := RunGraph(spec, g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			d := run()
+			spec.Engine = collectives.EngineHybrid
+			h := run()
+			if !h.Hybrid.Engaged {
+				t.Fatalf("hybrid did not engage: %+v", h.Hybrid)
+			}
+			if tc.p2p && h.Hybrid.P2P == 0 {
+				t.Fatalf("pipeline ran no p2p transfers through the fast path: %+v", h.Hybrid)
+			}
+			if d.Span != h.Span || d.Exposed != h.Exposed {
+				t.Fatalf("span/exposed %v/%v (des) != %v/%v (hybrid), stats %+v",
+					d.Span, d.Exposed, h.Span, h.Exposed, h.Hybrid)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
-	spec := system.NewSpec(noc.Torus3(4, 2, 2), system.ACE)
-	d, err := RunGraph(spec, build())
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Engine = collectives.EngineHybrid
-	h, err := RunGraph(spec, build())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !h.Hybrid.Engaged {
-		t.Fatalf("hybrid did not engage: %+v", h.Hybrid)
-	}
-	if h.Hybrid.P2P == 0 {
-		t.Fatalf("pipeline ran no p2p transfers through the fast path: %+v", h.Hybrid)
-	}
-	if d.Span != h.Span || d.Exposed != h.Exposed {
-		t.Fatalf("span/exposed %v/%v (des) != %v/%v (hybrid), stats %+v",
-			d.Span, d.Exposed, h.Span, h.Exposed, h.Hybrid)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Tracing overhead guard: with tracing disabled (nil Tracer), the
 // instrumented hot paths must cost nothing. This test re-measures the
-// BenchmarkFig4 workload (the fig4 units of the perf suite) and pins its
-// event count and allocations against the committed BENCH_2026-07-28.json
-// baseline, which was recorded before the trace layer existed. Any new
+// BenchmarkFig4 workload and pins its event count and allocations
+// against BENCH_2026-07-28.json, a frozen pin recorded before the trace
+// layer existed; nothing writes that file any more. Any new
 // allocation on the disabled path — a forgotten nil guard, an eager
 // fmt.Sprintf for a track name, an emitter built unconditionally — shows
 // up here as an allocs-per-run regression.
@@ -18,9 +18,8 @@ import (
 	"acesim/internal/trace"
 )
 
-// baselineReport mirrors just the fields the guard needs. The committed
-// baseline predates the current bench schema (acesim-bench/v1 vs v2), so
-// it is decoded directly rather than through bench.ReadJSON.
+// baselineReport mirrors just the fields the guard needs from the
+// pin's acesim-bench/v1 JSON.
 type baselineReport struct {
 	Schema string `json:"schema"`
 	Units  []struct {
