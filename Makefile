@@ -10,7 +10,7 @@ GO ?= go
 # below the measured 70.3% so regressions fail again.
 COVER_MIN ?= 70.0
 
-.PHONY: build test test-short test-race bench lint vet fuzz-smoke fmt cover cover-check trace-smoke overhead-guard hotpath-guard chaos-smoke hybrid-smoke power-smoke serve-smoke serve-stress perfbench-check perfbench-smoke figures-smoke goldens
+.PHONY: build test test-short test-race bench lint vet fuzz-smoke fmt cover cover-check trace-smoke overhead-guard hotpath-guard chaos-smoke hybrid-smoke power-smoke serve-smoke perfbench-check perfbench-smoke figures-smoke goldens
 
 build:
 	$(GO) build ./...
@@ -124,12 +124,6 @@ power-smoke:
 # body, then drain cleanly. Exits non-zero on any mismatch.
 serve-smoke:
 	$(GO) run ./cmd/acesim serve -smoke examples/scenarios/fig4.json
-
-# Serving-layer stress: push 10^5 work units (mostly cache hits by
-# construction) through one ephemeral daemon and report hit rate and
-# units/sec. See EXPERIMENTS.md, "Serving-layer stress methodology".
-serve-stress:
-	$(GO) run ./cmd/acesim serve -stress -stress-units 100000
 
 # Benchmark module check: perfbench is its own Go module (it reaches
 # the simulator through a replace of the parent module), so `go build

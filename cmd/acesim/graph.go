@@ -32,8 +32,7 @@ import (
 // reads.
 func runGraphCmd(ctx context.Context, args []string) error {
 	if len(args) == 0 {
-		usage()
-		return fmt.Errorf("missing graph subcommand (run, convert or validate)")
+		return fmt.Errorf("graph: %w: missing graph subcommand (run, convert or validate)", errUsage)
 	}
 	fs := flag.NewFlagSet("graph "+args[0], flag.ContinueOnError)
 	switch args[0] {
@@ -44,8 +43,7 @@ func runGraphCmd(ctx context.Context, args []string) error {
 	case "convert":
 		return graphConvert(fs, args[1:])
 	}
-	usage()
-	return fmt.Errorf("unknown graph subcommand %q (want run, convert or validate)", args[0])
+	return fmt.Errorf("graph: %w: unknown graph subcommand %q (want run, convert or validate)", errUsage, args[0])
 }
 
 func graphValidate(fs *flag.FlagSet, args []string) error {
@@ -53,7 +51,7 @@ func graphValidate(fs *flag.FlagSet, args []string) error {
 		return err
 	}
 	if fs.NArg() == 0 {
-		return fmt.Errorf("graph validate: missing graph file")
+		return fmt.Errorf("graph validate: %w: missing graph file", errUsage)
 	}
 	for _, path := range fs.Args() {
 		g, err := graph.Load(path)
@@ -77,7 +75,7 @@ func graphRun(ctx context.Context, fs *flag.FlagSet, args []string) error {
 		return err
 	}
 	if fs.NArg() == 0 {
-		return fmt.Errorf("graph run: missing graph file")
+		return fmt.Errorf("graph run: %w: missing graph file", errUsage)
 	}
 	size, err := parseTorus(*sizeStr)
 	if err != nil {
@@ -133,7 +131,7 @@ func graphConvert(fs *flag.FlagSet, args []string) error {
 		return err
 	}
 	if *wl == "" {
-		return fmt.Errorf("graph convert: missing -workload")
+		return fmt.Errorf("graph convert: %w: missing -workload", errUsage)
 	}
 	m, err := workload.ByName(*wl)
 	if err != nil {

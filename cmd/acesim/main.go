@@ -10,6 +10,7 @@
 //	acesim scenario run|validate|list [flags] <file>...
 //	acesim graph run|convert|validate [flags] <file>...
 //	acesim trace [-out trace.json] [flags] <scenario.json|graph.json>
+//	acesim serve [-addr :8080] [-workers N] [-queue UNITS] [-drain D] [-smoke scenario.json]
 //
 // Experiments: fig4 fig5 fig6 fig9a fig9b fig10 fig11 fig12 table4 table5
 // table6 analytic ablation interference all
@@ -111,8 +112,7 @@ func run(args []string) error { return runCtx(context.Background(), args) }
 
 func runCtx(ctx context.Context, args []string) error {
 	if len(args) == 0 {
-		usage()
-		return fmt.Errorf("missing experiment")
+		return fmt.Errorf("%w: missing experiment", errUsage)
 	}
 	cmd := args[0]
 	if cmd == "scenario" {
@@ -210,7 +210,7 @@ func usage() {
        acesim graph validate <graph.json>...
        acesim trace [-out trace.json] [-csv path] [-workers N] <scenario.json>
        acesim trace [-out trace.json] [-csv path] [-size SHAPE] [-preset P] <graph.json>
-       acesim serve [-addr :8080] [-workers N] [-queue UNITS] [-smoke scenario.json] [-stress [stress flags]]
+       acesim serve [-addr :8080] [-workers N] [-queue UNITS] [-drain D] [-smoke scenario.json]
 experiments: fig4 fig5 fig6 fig9a fig9b fig10 fig11 fig12
              table4 table5 table6 analytic ablation interference all
 Experiments take no flags; every figure and the ablation and
@@ -228,8 +228,7 @@ func parseTorus(s string) (noc.Topology, error) {
 // runScenario dispatches the scenario subcommands.
 func runScenario(ctx context.Context, args []string) error {
 	if len(args) == 0 {
-		usage()
-		return fmt.Errorf("missing scenario subcommand (run, validate or list)")
+		return fmt.Errorf("scenario: %w: missing scenario subcommand (run, validate or list)", errUsage)
 	}
 	sub := args[0]
 	fs := flag.NewFlagSet("scenario "+sub, flag.ContinueOnError)
@@ -242,8 +241,7 @@ func runScenario(ctx context.Context, args []string) error {
 	}
 	files := fs.Args()
 	if len(files) == 0 {
-		usage()
-		return fmt.Errorf("scenario %s: missing scenario file", sub)
+		return fmt.Errorf("scenario %s: %w: missing scenario file", sub, errUsage)
 	}
 	switch sub {
 	case "validate":
@@ -305,7 +303,7 @@ func runScenario(ctx context.Context, args []string) error {
 		switch *format {
 		case "text", "json", "csv":
 		default:
-			return fmt.Errorf("scenario run: unknown -format %q (want text, json or csv)", *format)
+			return fmt.Errorf("scenario run: %w: unknown -format %q (want text, json or csv)", errUsage, *format)
 		}
 		if (*powerCSV != "" || *utilCSV != "") && len(files) > 1 {
 			return fmt.Errorf("scenario run: %w: -power-csv and -util-csv take a single scenario file, got %d", errUsage, len(files))
@@ -324,8 +322,7 @@ func runScenario(ctx context.Context, args []string) error {
 		}
 		return assertionFailures("scenario run", failed)
 	}
-	usage()
-	return fmt.Errorf("unknown scenario subcommand %q (want run, validate or list)", sub)
+	return fmt.Errorf("scenario: %w: unknown scenario subcommand %q (want run, validate or list)", errUsage, sub)
 }
 
 // runOpts selects what one scenario run writes besides its tables.

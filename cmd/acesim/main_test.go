@@ -346,6 +346,23 @@ func TestFlagErrorsExitUsage(t *testing.T) {
 		{"trace", ok, "-out", "x.json"},
 		// An unknown command is a usage mistake too.
 		{"bench", "-not-a-flag"},
+		// So are a missing or unknown subcommand, a missing file, an
+		// unknown -format and a missing -workload.
+		{},
+		{"scenario"},
+		{"scenario", "bogus", "x.json"},
+		{"scenario", "run"},
+		{"scenario", "validate"},
+		{"scenario", "run", "-format", "bogus", ok},
+		{"graph"},
+		{"graph", "bogus"},
+		{"graph", "run"},
+		{"graph", "validate"},
+		{"graph", "convert"},
+		// serve takes only -addr, -workers, -queue, -drain and -smoke.
+		{"serve", "-stress"},
+		{"serve", "-target", "http://x"},
+		{"serve", "-stress-units", "5"},
 		{"table5", "-bogus"},
 		{"table5", "stray-positional"},
 		{"fig4", "-quick"},

@@ -12,11 +12,10 @@ import (
 )
 
 // runServe implements `acesim serve`: the long-running daemon by
-// default, plus two self-driving modes —
+// default, plus a self-test mode —
 //
 //	acesim serve -addr :8080                # daemon; SIGINT/SIGTERM drains
 //	acesim serve -smoke scenario.json       # ephemeral daemon, double-submit, cache check
-//	acesim serve -stress [-target URL]      # load generation + hit-rate/throughput report
 //
 // See README.md, "Serving mode", for the HTTP API.
 func runServe(ctx context.Context, args []string) error {
@@ -26,11 +25,6 @@ func runServe(ctx context.Context, args []string) error {
 	queue := fs.Int("queue", 4096, "submission queue bound in work units (submissions past it get 429)")
 	drain := fs.Duration("drain", 30*time.Second, "graceful drain timeout on shutdown")
 	smoke := fs.String("smoke", "", "self-test: ephemeral daemon, submit this scenario twice, assert the second is a byte-identical cache hit")
-	stress := fs.Bool("stress", false, "load generation: push -stress-units work units, report hit rate and units/sec")
-	stressUnits := fs.Int("stress-units", 100000, "total work units to push in -stress mode")
-	stressPoints := fs.Int("stress-points", 100, "distinct sweep points cycled in -stress mode (the rest are cache hits)")
-	stressClients := fs.Int("stress-clients", 4, "concurrent submitters in -stress mode")
-	target := fs.String("target", "", "base URL of a running daemon for -stress (default: self-hosted ephemeral daemon)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -38,13 +32,8 @@ func runServe(ctx context.Context, args []string) error {
 		return fmt.Errorf("serve: %w: unexpected argument %q", errUsage, fs.Arg(0))
 	}
 	cfg := serve.Config{Addr: *addr, Workers: *workers, QueueUnits: *queue}
-	switch {
-	case *smoke != "":
+	if *smoke != "" {
 		return serveSmoke(ctx, cfg, *smoke, *drain)
-	case *stress:
-		return serveStress(ctx, cfg, *target, *drain, serve.StressConfig{
-			Units: *stressUnits, Points: *stressPoints, Clients: *stressClients,
-		})
 	}
 	return serveDaemon(ctx, cfg, *drain)
 }
@@ -97,38 +86,6 @@ func serveSmoke(ctx context.Context, cfg serve.Config, path string, drain time.D
 	}
 	fmt.Printf("serve smoke: ok (%d units, second submission %d/%d cache hits, bodies byte-identical, %d bytes)\n",
 		rep.Units, rep.SecondHits, rep.Units, rep.Bytes)
-	return nil
-}
-
-// serveStress drives the load generator, against -target when set or a
-// self-hosted ephemeral daemon otherwise.
-func serveStress(ctx context.Context, cfg serve.Config, target string, drain time.Duration, sCfg serve.StressConfig) error {
-	var s *serve.Server
-	base := target
-	if base == "" {
-		cfg.Addr = "127.0.0.1:0"
-		s = serve.New(cfg)
-		if err := s.Start(); err != nil {
-			return err
-		}
-		base = "http://" + s.Addr()
-		fmt.Printf("serve stress: self-hosted daemon on %s\n", s.Addr())
-	}
-	sCfg.BaseURL = base
-	rep, err := serve.Stress(ctx, sCfg)
-	if s != nil {
-		if serr := shutdown(s, drain); err == nil {
-			err = serr
-		}
-	}
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			return errInterrupted
-		}
-		return fmt.Errorf("serve stress: %w", err)
-	}
-	fmt.Printf("serve stress: %d units across %d submissions in %.2fs — %.0f units/sec, hit rate %.3f (%d hits), %d resubmits after 429\n",
-		rep.Units, rep.Submissions, rep.ElapsedSec, rep.UnitsPerSec, rep.HitRate, rep.CacheHits, rep.Retried429)
 	return nil
 }
 

@@ -25,15 +25,6 @@ func TestServeSmokeCLI(t *testing.T) {
 	}
 }
 
-// TestServeStressCLI drives a scaled-down `acesim serve -stress` run.
-func TestServeStressCLI(t *testing.T) {
-	if err := silence(t, func() error {
-		return run([]string{"serve", "-stress", "-stress-units", "60", "-stress-points", "6", "-stress-clients", "2"})
-	}); err != nil {
-		t.Fatalf("serve -stress: %v", err)
-	}
-}
-
 // TestServeUsage rejects stray positionals.
 func TestServeUsage(t *testing.T) {
 	err := silence(t, func() error { return run([]string{"serve", "extra"}) })

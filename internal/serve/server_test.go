@@ -127,7 +127,11 @@ func TestServerConcurrentClients(t *testing.T) {
 
 // TestServerBackpressure fills a tiny queue and requires the overflow
 // submission to come back 429 + Retry-After promptly — never blocking.
+// The client then resubmits it through submitWithRetry, which must
+// sleep out at least one 429 and get the job accepted and finished with
+// the same body as a direct run.
 func TestServerBackpressure(t *testing.T) {
+	want := directBody(t, slowScenario)
 	s := startServer(t, Config{Workers: 1, QueueUnits: 4, RetryAfter: 2 * time.Second})
 	defer drainServer(t, s)
 	base := "http://" + s.Addr()
@@ -156,6 +160,30 @@ func TestServerBackpressure(t *testing.T) {
 	}
 	if ra := second.Header.Get("Retry-After"); ra != "2" {
 		t.Errorf("Retry-After = %q, want \"2\"", ra)
+	}
+
+	ctx := context.Background()
+	var retried atomic.Int64
+	id, err := submitWithRetry(ctx, client, base, []byte(slowScenario), &retried)
+	if err != nil {
+		t.Fatalf("resubmit: %v", err)
+	}
+	if retried.Load() < 1 {
+		t.Errorf("resubmit counted %d retries, want at least one 429 slept out", retried.Load())
+	}
+	st, err := waitDone(ctx, client, base, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != "done" {
+		t.Fatalf("resubmitted job ended %s: %s", st.State, st.Error)
+	}
+	body, err := fetchResults(ctx, client, base, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want) {
+		t.Errorf("resubmitted body differs from direct runner output\n got %q\nwant %q", body, want)
 	}
 }
 
@@ -255,30 +283,6 @@ func TestSmokeRoundTrip(t *testing.T) {
 	}
 	if rep.Units != 6 || rep.SecondHits != 6 || !rep.Identical {
 		t.Fatalf("smoke report %+v, want 6 units, 6 second-run hits, identical bodies", rep)
-	}
-}
-
-// TestStressSmall pushes a scaled-down stress run through an ephemeral
-// daemon and checks the arithmetic of the report.
-func TestStressSmall(t *testing.T) {
-	s := startServer(t, Config{Workers: 4})
-	defer drainServer(t, s)
-	rep, err := Stress(context.Background(), StressConfig{
-		BaseURL: "http://" + s.Addr(),
-		Units:   200, Points: 10, Clients: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Units != 200 || rep.Submissions != 20 {
-		t.Fatalf("report %+v, want 200 units over 20 submissions", rep)
-	}
-	// 10 distinct points are computed once each; everything else hits.
-	if want := int64(200 - 10); rep.CacheHits != want {
-		t.Errorf("cache hits = %d, want %d", rep.CacheHits, want)
-	}
-	if rep.UnitsPerSec <= 0 {
-		t.Errorf("units/sec = %v, want > 0", rep.UnitsPerSec)
 	}
 }
 

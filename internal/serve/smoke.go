@@ -3,9 +3,11 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -84,4 +86,86 @@ func fetchResults(ctx context.Context, client *http.Client, baseURL, id string) 
 		return nil, fmt.Errorf("results %s: %s: %s", id, resp.Status, bytes.TrimSpace(b))
 	}
 	return b, nil
+}
+
+// submitWithRetry POSTs one scenario, sleeping out 429 responses per
+// their Retry-After hint (bounded below at 50ms so a zero hint cannot
+// spin), until accepted or ctx ends.
+func submitWithRetry(ctx context.Context, client *http.Client, baseURL string, body []byte, retried *atomic.Int64) (string, error) {
+	for {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/scenarios", bytes.NewReader(body))
+		if err != nil {
+			return "", err
+		}
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := client.Do(req)
+		if err != nil {
+			return "", err
+		}
+		if resp.StatusCode == http.StatusTooManyRequests {
+			delay := 50 * time.Millisecond
+			if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && ra > 0 {
+				delay = time.Duration(ra) * time.Second
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			retried.Add(1)
+			select {
+			case <-time.After(delay):
+				continue
+			case <-ctx.Done():
+				return "", ctx.Err()
+			}
+		}
+		b, rerr := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if rerr != nil {
+			return "", rerr
+		}
+		if resp.StatusCode != http.StatusAccepted {
+			return "", fmt.Errorf("submit: %s: %s", resp.Status, bytes.TrimSpace(b))
+		}
+		var acc struct {
+			ID string `json:"id"`
+		}
+		if err := json.Unmarshal(b, &acc); err != nil {
+			return "", fmt.Errorf("submit: decoding response: %w", err)
+		}
+		return acc.ID, nil
+	}
+}
+
+// waitDone polls a job's status until it leaves the queued/running
+// states.
+func waitDone(ctx context.Context, client *http.Client, baseURL string, id string) (*JobStatus, error) {
+	for {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/v1/jobs/"+id+"/status", nil)
+		if err != nil {
+			return nil, err
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			return nil, err
+		}
+		b, rerr := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if rerr != nil {
+			return nil, rerr
+		}
+		if resp.StatusCode != http.StatusOK {
+			return nil, fmt.Errorf("status %s: %s: %s", id, resp.Status, bytes.TrimSpace(b))
+		}
+		var st JobStatus
+		if err := json.Unmarshal(b, &st); err != nil {
+			return nil, err
+		}
+		if st.State != "queued" && st.State != "running" {
+			return &st, nil
+		}
+		select {
+		case <-time.After(20 * time.Millisecond):
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
 }
