@@ -22,7 +22,10 @@ var update = flag.Bool("update", false, "rewrite scenario golden files")
 // N-dimensional topology refactor; the fig5, fig6, ablation_* and fig9a
 // goldens were recorded when those figures moved from hand-written
 // runners to bundled files, after every value was checked equal, bit
-// for bit, to the runners' rows. The engine must reproduce every metric
+// for bit, to the runners' rows. The link_failure golden pins a faulted
+// run's timings (drops, retries, recovery window, tenant slowdowns); it
+// was recorded before the fault-aware send path folded into the
+// routed-transfer record. The engine must reproduce every metric
 // of every unit: same floats, same ordering, same assertion outcomes.
 // If a future change moves these numbers intentionally, it must say so
 // and re-record them with -update.
@@ -31,7 +34,7 @@ func TestScenarioGoldens(t *testing.T) {
 		t.Skip("full scenario grids in -short mode")
 	}
 	for _, name := range []string{"fig4", "table6_train", "pipeline", "fig5", "fig6", "ablation_forwarding",
-		"ablation_switch", "ablation_scheduling", "fig9a"} {
+		"ablation_switch", "ablation_scheduling", "fig9a", "link_failure"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
