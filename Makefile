@@ -50,7 +50,8 @@ overhead-guard:
 # thousands of events in one instant), the bound on the event slots
 # retired calendar buckets keep, the gates' context-callback
 # acquisitions (one FIFO order with Acquire, zero allocations granted
-# or queued), routed-transfer record reuse, and the allocation budget
+# or queued), transfer record reuse on fault-free and fault-enabled
+# fabrics (a faulted send allocates nothing), and the allocation budget
 # of a warm all-reduce (ACE, BaselineCommOpt), all-to-all (ACE,
 # BaselineCommOpt) and ResNet-50 iteration.
 hotpath-guard:

@@ -65,7 +65,7 @@ func randomLinks(rng *rand.Rand, t noc.Topology, k int) []linkRef {
 //     schedule itself.
 //
 // Run under -race in CI (chaos-smoke) to also shake out data races in
-// the fault hooks.
+// the fault path.
 func TestChaosLinkFailures(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
 	var totalDrops, totalReroutes int64
@@ -84,14 +84,12 @@ func TestChaosLinkFailures(t *testing.T) {
 
 		// Faulted run: same platform, recovery installed, random link
 		// down/up pairs inside the clean-run window.
-		cfg := DefaultConfig()
-		pol := DefaultRecoveryPolicy()
-		pol.Timeout = cleanDur / 50
+		pol := noc.RecoveryPolicy{Timeout: cleanDur / 50, Backoff: 2, MaxRetries: 10}
 		if pol.Timeout < des.Microsecond {
 			pol.Timeout = des.Microsecond
 		}
-		cfg.Recovery = &pol
-		s := buildSys(t, tor, "ideal", cfg)
+		s := buildSys(t, tor, "ideal", DefaultConfig())
+		s.net.EnableFaults(pol)
 		for _, l := range randomLinks(rng, tor, 1+rng.Intn(3)) {
 			l := l
 			downAt := des.Time(rng.Int63n(int64(cleanDur)))
@@ -108,10 +106,10 @@ func TestChaosLinkFailures(t *testing.T) {
 			t.Fatalf("%s: collective wedged on %d/%d nodes after fault schedule\n%s",
 				tor, done, s.rt.Nodes(), s.rt.DebugState())
 		}
-		if s.rt.ParkedTransfers() != 0 {
-			t.Fatalf("%s: %d transfers still parked after completion", tor, s.rt.ParkedTransfers())
+		if s.net.ParkedTransfers() != 0 {
+			t.Fatalf("%s: %d transfers still parked after completion", tor, s.net.ParkedTransfers())
 		}
-		rec := s.rt.Recovery()
+		rec := s.net.Recovery()
 		totalDrops += int64(rec.Drops)
 		totalReroutes += s.net.Reroutes()
 
@@ -151,10 +149,8 @@ func TestChaosLinkFailures(t *testing.T) {
 // the incomplete collective is observable — not a hang, not a panic.
 func TestChaosWedgeReportsGracefully(t *testing.T) {
 	tor := noc.Grid(2) // 2-ring: downing both directions leaves no detour
-	cfg := DefaultConfig()
-	pol := RecoveryPolicy{Timeout: des.Microsecond, Backoff: 2, MaxRetries: 3}
-	cfg.Recovery = &pol
-	s := buildSys(t, tor, "ideal", cfg)
+	s := buildSys(t, tor, "ideal", DefaultConfig())
+	s.net.EnableFaults(noc.RecoveryPolicy{Timeout: des.Microsecond, Backoff: 2, MaxRetries: 3})
 	s.eng.At(0, func() {
 		s.net.SetLinkUp(0, 0, +1, false)
 		s.net.SetLinkUp(0, 0, -1, false)
@@ -170,10 +166,10 @@ func TestChaosWedgeReportsGracefully(t *testing.T) {
 	if done == s.rt.Nodes() {
 		t.Fatal("collective completed across a permanently dead fabric")
 	}
-	if s.rt.ParkedTransfers() == 0 {
+	if s.net.ParkedTransfers() == 0 {
 		t.Fatal("no transfers parked: the wedge was not the recovery path's doing")
 	}
-	if s.rt.Recovery().Drops == 0 {
+	if s.net.Recovery().Drops == 0 {
 		t.Fatal("no drops recorded")
 	}
 }

@@ -38,10 +38,8 @@ func TestFaultDigest(t *testing.T) {
 				{Kind: AllToAll, Bytes: 512 << 10, Plan: DirectAllToAll(tor.N()), Name: "digest-a2a"},
 			} {
 				cleanDur := buildSys(t, tor, kind, DefaultConfig()).runSingle(t, spec)
-				pol := RecoveryPolicy{Timeout: cleanDur/40 + des.Microsecond, Backoff: 2, MaxRetries: 2}
-				cfg := DefaultConfig()
-				cfg.Recovery = &pol
-				s := buildSys(t, tor, kind, cfg)
+				s := buildSys(t, tor, kind, DefaultConfig())
+				s.net.EnableFaults(noc.RecoveryPolicy{Timeout: cleanDur/40 + des.Microsecond, Backoff: 2, MaxRetries: 2})
 				for _, l := range randomLinks(rng, tor, 1+rng.Intn(3)) {
 					l := l
 					downAt := des.Time(rng.Int63n(int64(cleanDur)))
@@ -58,10 +56,10 @@ func TestFaultDigest(t *testing.T) {
 				for i := 0; i < s.rt.Nodes(); i++ {
 					fmt.Fprintf(h, " %d", coll.CompleteAt(noc.NodeID(i)))
 				}
-				rec := s.rt.Recovery()
+				rec := s.net.Recovery()
 				fmt.Fprintf(h, "\nrecovery %d %d %d %d %d %d %d parked-now %d\n",
 					rec.Drops, rec.Retries, rec.Parked, rec.Woken, rec.Recovered,
-					rec.FirstDropAt, rec.LastRecoverAt, s.rt.ParkedTransfers())
+					rec.FirstDropAt, rec.LastRecoverAt, s.net.ParkedTransfers())
 				fmt.Fprintf(h, "net drops %d reroutes %d steps %d wire %d\n",
 					s.net.Drops(), s.net.Reroutes(), s.eng.Steps(), s.net.TotalWireBytes())
 				drops += s.net.Drops()

@@ -28,9 +28,9 @@ import (
 // injection: a runtime whose engine has already seen a rate perturbation
 // (Server.SetRate — the Fig 4 contention harness) refuses the fast path
 // and falls back to ordinary DES execution on the primary system.
-// Build-time blockers (multiple streams, fault tracks, recovery policy,
-// tracing) are recorded by system.Build via EnableHybrid/BlockHybrid and
-// keep the runtime on plain DES with zero overhead.
+// Build-time blockers (multiple streams, fault tracks, tracing) are
+// recorded by system.Build via EnableHybrid/BlockHybrid and keep the
+// runtime on plain DES with zero overhead.
 //
 // EngineAnalytic skips the shadow entirely: each fully issued collective
 // completes in one scheduled event at the closed-form EstimateDuration

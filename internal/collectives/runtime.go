@@ -75,11 +75,6 @@ type Config struct {
 	Streams int
 	// Arb selects how endpoint admission is shared across streams.
 	Arb Arbitration
-	// Recovery, when non-nil, enables the fabric's fault-aware send paths
-	// and installs the drop-retry/park policy (see recovery.go). Required
-	// for runs whose event track downs links; nil keeps the runtime on the
-	// zero-overhead fault-free paths.
-	Recovery *RecoveryPolicy
 }
 
 // DefaultConfig returns the paper's granularity defaults.
@@ -137,9 +132,6 @@ type Runtime struct {
 	tracer     *trace.Tracer
 	collTracks []trace.TrackID
 
-	// rec drives fault recovery; nil unless Config.Recovery is set.
-	rec *recovery
-
 	// Hybrid fast path (see hybrid.go). hyb is nil unless EnableHybrid
 	// armed it; mirror is set on *shadow* runtimes whose ring deliveries
 	// loop back to the sending node.
@@ -181,9 +173,6 @@ func NewRuntime(eng *des.Engine, net *noc.Network, eps []core.Endpoint, cfg Conf
 	}
 	net.Forward = func(node noc.NodeID, bytes int64, fn func(any), arg any) {
 		rt.eps[node].Forward(bytes, fn, arg)
-	}
-	if cfg.Recovery != nil {
-		rt.rec = installRecovery(eng, net, *cfg.Recovery)
 	}
 	if tr := eng.Tracer(); tr != nil {
 		rt.tracer = tr
@@ -957,10 +946,9 @@ func (e *chunkExec) phaseDone() {
 // for deadlock diagnosis.
 func (rt *Runtime) DebugState() string {
 	var sb []byte
-	if rt.rec != nil {
-		s := rt.rec.stats
+	if s := rt.net.Recovery(); s.Drops > 0 {
 		sb = append(sb, fmt.Sprintf("recovery: drops=%d retries=%d parked-now=%d woken=%d recovered=%d\n",
-			s.Drops, s.Retries, len(rt.rec.parked), s.Woken, s.Recovered)...)
+			s.Drops, s.Retries, rt.net.ParkedTransfers(), s.Woken, s.Recovered)...)
 	}
 	for _, c := range rt.colls {
 		stuck := false

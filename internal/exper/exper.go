@@ -51,7 +51,7 @@ type CollectiveResult struct {
 	Events uint64
 	// Recovery reports what the fault-recovery path did (zero-valued on
 	// fault-free runs).
-	Recovery collectives.RecoveryStats
+	Recovery noc.RecoveryStats
 	// Hybrid reports the fast path's engagement and refusal reasons.
 	Hybrid collectives.HybridStats
 	// Power is the energy/power report (nil when accounting is off).
@@ -91,7 +91,7 @@ func RunCollective(spec system.Spec, kind collectives.Kind, bytes int64) (Collec
 		// incomplete collective is reported here, with the recovery state
 		// in the diagnosis.
 		return CollectiveResult{}, fmt.Errorf("exper: collective finished on %d/%d nodes (%d transfers parked)",
-			done, s.RT.Nodes(), s.RT.ParkedTransfers())
+			done, s.RT.Nodes(), s.Net.ParkedTransfers())
 	}
 	var last des.Time
 	for i, coll := range colls {
@@ -112,7 +112,7 @@ func RunCollective(spec system.Spec, kind collectives.Kind, bytes int64) (Collec
 		WireBytes:    s.Net.TotalWireBytes(),
 		InjectedNode: injectedNode,
 		Events:       s.Eng.Steps() + s.RT.HybridStats().ShadowSteps,
-		Recovery:     s.RT.Recovery(),
+		Recovery:     s.Net.Recovery(),
 		Hybrid:       s.RT.HybridStats(),
 		Power:        powerReport(s),
 	}, nil
@@ -126,7 +126,7 @@ type TrainResult struct {
 	training.Result
 	// Recovery reports what the fault-recovery path did (zero-valued on
 	// fault-free runs).
-	Recovery collectives.RecoveryStats
+	Recovery noc.RecoveryStats
 	// Hybrid reports the fast path's engagement and refusal reasons.
 	Hybrid collectives.HybridStats
 	// Power is the energy/power report (nil when accounting is off).
@@ -157,7 +157,7 @@ func RunTraining(spec system.Spec, m *workload.Model, tc training.Config) (Train
 		Topo:     spec.Topo,
 		Workload: m.Name,
 		Result:   res,
-		Recovery: s.RT.Recovery(),
+		Recovery: s.Net.Recovery(),
 		Hybrid:   s.RT.HybridStats(),
 		Power:    powerReport(s),
 	}, s, nil

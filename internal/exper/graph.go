@@ -31,7 +31,7 @@ type GraphResult struct {
 	Events uint64
 	// Recovery reports what the fault-recovery path did (zero-valued on
 	// fault-free runs).
-	Recovery collectives.RecoveryStats
+	Recovery noc.RecoveryStats
 	// Hybrid reports the fast path's engagement and refusal reasons.
 	Hybrid collectives.HybridStats
 	// Power is the energy/power report (nil when accounting is off).
@@ -83,7 +83,7 @@ func RunGraph(spec system.Spec, g *graph.Graph) (res GraphResult, err error) {
 		Collectives: st.Collectives,
 		Sends:       st.Sends,
 		Events:      s.Eng.Steps() + s.RT.HybridStats().ShadowSteps,
-		Recovery:    s.RT.Recovery(),
+		Recovery:    s.Net.Recovery(),
 		Hybrid:      s.RT.HybridStats(),
 		Power:       powerReport(s),
 	}, nil

@@ -58,7 +58,7 @@ type InterferenceResult struct {
 	Jobs []InterferenceJobResult
 	// Recovery aggregates the co-run's fault-recovery stats across every
 	// fabric (the shared substrate, or all tenant sub-fabrics).
-	Recovery collectives.RecoveryStats
+	Recovery noc.RecoveryStats
 	// Power is the co-run timeline's energy/power report, aggregated
 	// across every fabric (nil when accounting is off). Solo baselines
 	// are never charged — the report describes the co-run, like the
@@ -270,14 +270,14 @@ func multiHybrid(m *system.Multi) collectives.HybridStats {
 	return agg
 }
 
-// multiRecovery folds every distinct runtime's recovery stats together.
-func multiRecovery(m *system.Multi) collectives.RecoveryStats {
+// multiRecovery folds every distinct fabric's recovery stats together.
+func multiRecovery(m *system.Multi) noc.RecoveryStats {
 	if m.Shared != nil {
-		return m.Shared.RT.Recovery()
+		return m.Shared.Net.Recovery()
 	}
-	var agg collectives.RecoveryStats
+	var agg noc.RecoveryStats
 	for _, js := range m.Jobs {
-		agg = agg.Merge(js.Sys.RT.Recovery())
+		agg = agg.Merge(js.Sys.Net.Recovery())
 	}
 	return agg
 }

@@ -11,7 +11,6 @@ package fault
 import (
 	"fmt"
 
-	"acesim/internal/collectives"
 	"acesim/internal/des"
 	"acesim/internal/noc"
 	"acesim/internal/npu"
@@ -23,7 +22,7 @@ type Action string
 
 const (
 	// LinkDown fails a link: in-flight messages on it are dropped and the
-	// collective runtime's recovery policy retries them.
+	// fabric reissues them under the recovery policy.
 	LinkDown Action = "link_down"
 	// LinkUp restores a failed link and wakes parked retries.
 	LinkUp Action = "link_up"
@@ -150,7 +149,8 @@ func (e Event) nodes(n int) []int {
 }
 
 // NeedsRecovery reports whether any event can drop traffic — those runs
-// must install a collectives recovery policy before traffic is issued.
+// must enable the fabric's faults, with a recovery policy, before
+// traffic is issued.
 func NeedsRecovery(events []Event) bool {
 	for _, e := range events {
 		if e.Action == LinkDown || e.Action == LinkUp {
@@ -161,7 +161,7 @@ func NeedsRecovery(events []Event) bool {
 }
 
 // Recovery is the scenario-facing retry policy; zero fields take the
-// collectives defaults.
+// defaults Policy fills.
 type Recovery struct {
 	TimeoutUs  float64 `json:"timeout_us,omitempty"`
 	Backoff    float64 `json:"backoff,omitempty"`
@@ -185,10 +185,11 @@ func (r *Recovery) Validate() error {
 	return nil
 }
 
-// Policy lowers the scenario policy to the collectives runtime's form,
-// filling defaults. Safe on a nil receiver (all defaults).
-func (r *Recovery) Policy() *collectives.RecoveryPolicy {
-	p := collectives.DefaultRecoveryPolicy()
+// Policy lowers the scenario policy to the fabric's form, filling the
+// defaults: 50 us initial timeout, doubling per attempt, parking after 10
+// retries. Safe on a nil receiver (all defaults).
+func (r *Recovery) Policy() noc.RecoveryPolicy {
+	p := noc.RecoveryPolicy{Timeout: 50 * des.Microsecond, Backoff: 2, MaxRetries: 10}
 	if r != nil {
 		if r.TimeoutUs > 0 {
 			p.Timeout = des.Micros(r.TimeoutUs)
@@ -200,7 +201,7 @@ func (r *Recovery) Policy() *collectives.RecoveryPolicy {
 			p.MaxRetries = r.MaxRetries
 		}
 	}
-	return &p
+	return p
 }
 
 // Track is a scenario's full fault specification: the timed events plus

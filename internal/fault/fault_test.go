@@ -69,7 +69,7 @@ func TestRecoveryValidateAndPolicy(t *testing.T) {
 	if err := (&Recovery{MaxRetries: -1}).Validate(); err == nil {
 		t.Fatal("negative max_retries accepted")
 	}
-	// Nil and zero-valued recovery lower to the collectives defaults.
+	// Nil and zero-valued recovery lower to the defaults.
 	p := nilRec.Policy()
 	if p.Timeout <= 0 || p.Backoff < 1 || p.MaxRetries <= 0 {
 		t.Fatalf("default policy %+v not filled", p)
@@ -107,8 +107,7 @@ func schedTarget(t *testing.T, tracer *trace.Tracer) (*des.Engine, Target) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.EnableFaults()
-	net.OnDrop = func(noc.Drop) {}
+	net.EnableFaults((*Recovery)(nil).Policy())
 	computes := make([]*npu.Compute, 4)
 	for i := range computes {
 		computes[i] = npu.NewCompute(eng, npu.DefaultParams())

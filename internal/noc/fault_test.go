@@ -6,18 +6,21 @@ import (
 	"acesim/internal/des"
 )
 
-// faultNet builds a fault-enabled network whose drops are collected for
-// inspection (OnDrop must be non-nil once faults are on).
-func faultNet(t *testing.T, eng *des.Engine, topo Topology) (*Network, *[]Drop) {
+// testPolicy reissues a dropped transfer after 1 us, doubling per attempt,
+// and parks it after maxRetries timed reissues.
+func testPolicy(maxRetries int) RecoveryPolicy {
+	return RecoveryPolicy{Timeout: des.Microsecond, Backoff: 2, MaxRetries: maxRetries}
+}
+
+// faultNet builds a fault-enabled network under pol.
+func faultNet(t *testing.T, eng *des.Engine, topo Topology, pol RecoveryPolicy) *Network {
 	t.Helper()
 	n, err := New(eng, testConfig(topo))
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.EnableFaults()
-	var drops []Drop
-	n.OnDrop = func(d Drop) { drops = append(drops, d) }
-	return n, &drops
+	n.EnableFaults(pol)
+	return n
 }
 
 func TestSetLinkUpRequiresEnableFaults(t *testing.T) {
@@ -67,7 +70,7 @@ func TestDegradeLinkBadFactor(t *testing.T) {
 func TestDeadLinkDetoursReverseRing(t *testing.T) {
 	// On a 4-ring, the dead (0,+1) link detours 3 hops the other way.
 	eng := des.NewEngine()
-	n, drops := faultNet(t, eng, Torus3(4, 1, 1))
+	n := faultNet(t, eng, Torus3(4, 1, 1), testPolicy(10))
 	n.SetLinkUp(0, DimLocal, +1, false)
 	var arrive des.Time
 	n.SendNeighbor(0, DimLocal, +1, 1e6, func() { arrive = eng.Now() })
@@ -76,7 +79,7 @@ func TestDeadLinkDetoursReverseRing(t *testing.T) {
 	if arrive != 3*hop {
 		t.Fatalf("detour arrived at %v, want 3 hops = %v", arrive, 3*hop)
 	}
-	if n.Reroutes() != 1 || n.Drops() != 0 || len(*drops) != 0 {
+	if n.Reroutes() != 1 || n.Drops() != 0 {
 		t.Fatalf("reroutes=%d drops=%d, want 1 reroute and no drops", n.Reroutes(), n.Drops())
 	}
 	if n.InjectedBytes() != 1e6 {
@@ -89,7 +92,7 @@ func TestDeadLinkDogleg(t *testing.T) {
 	// detour doglegs through dim 1: src -> side -> across -> back (3 hops).
 	eng := des.NewEngine()
 	topo := Torus3(4, 2, 1)
-	n, _ := faultNet(t, eng, topo)
+	n := faultNet(t, eng, topo, testPolicy(10))
 	n.SetLinkUp(topo.ID(0, 0, 0), 0, +1, false)
 	for x := 0; x < 4; x++ {
 		n.SetLinkUp(topo.ID(x, 0, 0), 0, -1, false)
@@ -110,37 +113,39 @@ func TestDeadLinkDogleg(t *testing.T) {
 
 func TestDeadLinkDropsWithoutDetour(t *testing.T) {
 	// A 2-ring with both directions down has no healthy alternative: the
-	// send drops, and the OnDrop retry succeeds after the link restores.
+	// send drops at once, and the timed retries deliver after the link
+	// restores, counting the transfer as recovered.
 	eng := des.NewEngine()
 	topo := Torus3(2, 1, 1)
-	n, drops := faultNet(t, eng, topo)
-	recovered := 0
-	n.OnRecover = func(attempts int) { recovered = attempts }
+	n := faultNet(t, eng, topo, testPolicy(10))
 	n.SetLinkUp(0, DimLocal, +1, false)
 	n.SetLinkUp(0, DimLocal, -1, false)
 	delivered := false
 	n.SendNeighbor(0, DimLocal, +1, 1e3, func() { delivered = true })
-	if len(*drops) != 1 || delivered {
-		t.Fatalf("want immediate drop, got drops=%d delivered=%v", len(*drops), delivered)
+	if n.Drops() != 1 || delivered || n.Reroutes() != 0 {
+		t.Fatalf("want immediate drop, got drops=%d reroutes=%d delivered=%v", n.Drops(), n.Reroutes(), delivered)
 	}
-	d := (*drops)[0]
-	if d.Attempts != 1 || !d.Down || d.Bytes != 1e3 {
-		t.Fatalf("drop = %+v", d)
+	if r := n.Recovery(); r.Retries != 1 || r.Parked != 0 || r.FirstDropAt != 0 {
+		t.Fatalf("recovery after the first drop = %+v, want one timed retry", r)
 	}
-	// Restore and retry: the transfer completes and reports recovery.
-	n.SetLinkUp(0, DimLocal, +1, true)
-	d.Retry()
+	eng.At(5*des.Microsecond, func() { n.SetLinkUp(0, DimLocal, +1, true) })
 	eng.Run()
-	if !delivered || recovered != 1 {
-		t.Fatalf("delivered=%v recovered=%d after restore", delivered, recovered)
+	r := n.Recovery()
+	if !delivered || r.Recovered != 1 || r.LastRecoverAt <= 5*des.Microsecond {
+		t.Fatalf("delivered=%v recovery=%+v after restore", delivered, r)
+	}
+	// Retries at 1, 3 and 7 us: the first two find the link still down.
+	if r.Drops != 3 || r.Retries != 3 || r.RecoveryTime() != r.LastRecoverAt {
+		t.Fatalf("recovery = %+v, want 3 drops and 3 retries from t=0", r)
 	}
 }
 
 func TestInFlightDropOnEpochBump(t *testing.T) {
 	// A message already serializing when its link fails is dropped at its
-	// would-be delivery time, not delivered for free.
+	// would-be delivery time, not delivered for free. The link is still
+	// down, so with no timed retries allowed the transfer parks.
 	eng := des.NewEngine()
-	n, drops := faultNet(t, eng, Torus3(4, 1, 1))
+	n := faultNet(t, eng, Torus3(4, 1, 1), testPolicy(0))
 	delivered := false
 	n.SendNeighbor(0, DimLocal, +1, 1e6, func() { delivered = true })
 	eng.After(des.Nanosecond, func() { n.SetLinkUp(0, DimLocal, +1, false) })
@@ -148,21 +153,25 @@ func TestInFlightDropOnEpochBump(t *testing.T) {
 	if delivered {
 		t.Fatal("in-flight message delivered across a dead link")
 	}
-	if len(*drops) != 1 {
-		t.Fatalf("drops = %d, want 1", len(*drops))
+	if r := n.Recovery(); n.Drops() != 1 || r.Parked != 1 || r.Retries != 0 || n.ParkedTransfers() != 1 {
+		t.Fatalf("drops=%d recovery=%+v parked-now=%d, want one drop parked on the dead link",
+			n.Drops(), r, n.ParkedTransfers())
 	}
-	if !(*drops)[0].Down {
-		t.Fatal("link is still down; Drop.Down should be true")
+	// The restore wakes it, and the reissue delivers.
+	n.SetLinkUp(0, DimLocal, +1, true)
+	eng.Run()
+	if r := n.Recovery(); !delivered || r.Woken != 1 || r.Recovered != 1 || n.ParkedTransfers() != 0 {
+		t.Fatalf("delivered=%v recovery=%+v parked-now=%d after restore", delivered, r, n.ParkedTransfers())
 	}
 }
 
 func TestInFlightDropTransient(t *testing.T) {
 	// Down-then-up underneath an in-flight message: the delivery-time epoch
-	// check still drops it, but Drop.Down reports false — the failure was
-	// transient and a plain timed retry will succeed (parking such a
-	// transfer would strand it, since its restore already happened).
+	// check still drops it, but the link is up again, so the transfer takes
+	// a timed retry even with no retries left — parking it would strand it,
+	// since its restore already happened.
 	eng := des.NewEngine()
-	n, drops := faultNet(t, eng, Torus3(4, 1, 1))
+	n := faultNet(t, eng, Torus3(4, 1, 1), testPolicy(0))
 	delivered := false
 	n.SendNeighbor(0, DimLocal, +1, 1e6, func() { delivered = true })
 	eng.After(des.Nanosecond, func() {
@@ -170,17 +179,9 @@ func TestInFlightDropTransient(t *testing.T) {
 		n.SetLinkUp(0, DimLocal, +1, true)
 	})
 	eng.Run()
-	if delivered || len(*drops) != 1 {
-		t.Fatalf("delivered=%v drops=%d, want dropped once", delivered, len(*drops))
-	}
-	d := (*drops)[0]
-	if d.Down {
-		t.Fatal("link restored before delivery; Drop.Down should be false")
-	}
-	d.Retry()
-	eng.Run()
-	if !delivered {
-		t.Fatal("retry on the healed link did not deliver")
+	r := n.Recovery()
+	if !delivered || r.Drops != 1 || r.Parked != 0 || r.Retries != 1 || r.Recovered != 1 {
+		t.Fatalf("delivered=%v recovery=%+v, want one transient drop retried and delivered", delivered, r)
 	}
 }
 
@@ -188,20 +189,19 @@ func TestRoutedTrafficDropsNoDetour(t *testing.T) {
 	// XYZ-routed traffic is not detoured: a dead link on the path drops
 	// the transfer, and the retry succeeds once the path heals.
 	eng := des.NewEngine()
-	n, drops := faultNet(t, eng, Torus3(4, 1, 1))
+	n := faultNet(t, eng, Torus3(4, 1, 1), testPolicy(10))
 	n.SetLinkUp(1, DimLocal, +1, false)
 	delivered := false
 	n.SendRouted(0, 2, 1e3, func() { delivered = true }) // 0 -> 1 -> 2
-	eng.Run()
-	if delivered || len(*drops) != 1 || n.Reroutes() != 0 {
+	eng.RunUntil(des.Microsecond / 2)
+	if delivered || n.Drops() != 1 || n.Reroutes() != 0 {
 		t.Fatalf("delivered=%v drops=%d reroutes=%d, want one drop and no reroute",
-			delivered, len(*drops), n.Reroutes())
+			delivered, n.Drops(), n.Reroutes())
 	}
 	n.SetLinkUp(1, DimLocal, +1, true)
-	(*drops)[0].Retry()
 	eng.Run()
-	if !delivered {
-		t.Fatal("routed retry did not deliver after restore")
+	if !delivered || n.Recovery().Recovered != 1 || n.Reroutes() != 0 {
+		t.Fatalf("delivered=%v recovery=%+v reroutes=%d after restore", delivered, n.Recovery(), n.Reroutes())
 	}
 }
 
@@ -210,32 +210,40 @@ func TestMeshBoundaryHopLiveness(t *testing.T) {
 	// dead interior link drops the boundary transfer.
 	eng := des.NewEngine()
 	topo := Topology{Dims: []DimSpec{{Size: 4}}}
-	n, drops := faultNet(t, eng, topo)
-	n.SetLinkUp(2, 0, -1, false) // second hop of 3 -> 2 -> 1 -> 0... walk from 3
+	n := faultNet(t, eng, topo, testPolicy(0))
+	n.SetLinkUp(2, 0, -1, false) // second hop of the walk 3 -> 2 -> 1 -> 0
 	delivered := false
-	n.SendNeighbor(3, 0, +1, 1e3, func() { delivered = true }) // boundary: walks 3->2->1->0
+	n.SendNeighbor(3, 0, +1, 1e3, func() { delivered = true })
 	eng.Run()
-	if delivered || len(*drops) != 1 {
-		t.Fatalf("delivered=%v drops=%d, want boundary walk dropped on dead hop", delivered, len(*drops))
+	if delivered || n.Drops() != 1 || n.ParkedTransfers() != 1 || n.Reroutes() != 0 {
+		t.Fatalf("delivered=%v drops=%d parked=%d, want boundary walk dropped on its dead hop",
+			delivered, n.Drops(), n.ParkedTransfers())
 	}
 }
 
 func TestSetLinkUpIdempotent(t *testing.T) {
-	// Re-downing a down link must not bump the epoch again (and
-	// re-restoring must not re-fire OnRestore).
+	// Re-downing a down link must not bump the epoch again, and
+	// re-restoring an up link must not wake parked transfers again.
 	eng := des.NewEngine()
-	n, _ := faultNet(t, eng, Torus3(4, 1, 1))
-	restores := 0
-	n.OnRestore = func() { restores++ }
+	n := faultNet(t, eng, Torus3(4, 1, 1), testPolicy(0))
 	n.SetLinkUp(0, DimLocal, +1, false)
 	e := n.mustLink(0, DimLocal, +1).epoch
 	n.SetLinkUp(0, DimLocal, +1, false)
 	if n.mustLink(0, DimLocal, +1).epoch != e {
 		t.Fatal("re-downing bumped the epoch")
 	}
-	n.SetLinkUp(0, DimLocal, +1, true)
-	n.SetLinkUp(0, DimLocal, +1, true)
-	if restores != 1 {
-		t.Fatalf("restores = %d, want 1", restores)
+	// Park a routed transfer on the dead link; restoring another link
+	// wakes it, and its reissue parks again on the still-dead one.
+	n.SetLinkUp(2, DimLocal, +1, false)
+	n.SendRouted(0, 1, 1e3, nil_)
+	n.SetLinkUp(2, DimLocal, +1, true)
+	eng.Run()
+	if r := n.Recovery(); r.Woken != 1 || r.Parked != 2 || n.ParkedTransfers() != 1 {
+		t.Fatalf("recovery = %+v parked-now=%d, want parked, woken once, parked again", r, n.ParkedTransfers())
+	}
+	n.SetLinkUp(2, DimLocal, +1, true)
+	eng.Run()
+	if r := n.Recovery(); r.Woken != 1 || n.ParkedTransfers() != 1 {
+		t.Fatalf("re-restoring an up link woke parked transfers: %+v", r)
 	}
 }

@@ -129,46 +129,62 @@ func TestSendRoutedWireBytes(t *testing.T) {
 	}
 }
 
-// TestSendRoutedRecyclesRecords checks that routed transfers reuse
-// delivered records: after a warm all-to-all round, further rounds
-// create no record and grow no path buffer, and a delivery may reuse
-// the record it arrived on.
+// TestSendRoutedRecyclesRecords checks that transfer records are reused:
+// after a warm all-to-all round, further rounds create no record and grow
+// no path buffer, and a delivery may reuse the record it arrived on. It
+// runs on a fault-free fabric and on a fault-enabled one, where every
+// send, direct neighbor hops included, rides a record. Both fabrics
+// schedule the same events, so a warm round allocates as much on both:
+// only the engine's calendar allocates (its bucket reuse is bounded, see
+// des.Engine), never a record, path or closure of a send.
 func TestSendRoutedRecyclesRecords(t *testing.T) {
-	eng := des.NewEngine()
-	n, _ := New(eng, testConfig(Torus3(4, 4, 2)))
-	n.Forward = func(_ NodeID, _ int64, fn func(any), arg any) { eng.AfterCtx(des.Nanosecond, fn, arg) }
-	N := NodeID(n.Topo().N())
-	delivered := 0
-	// Each delivery to node 0 sends one more message across the fabric.
-	relay := func() { delivered++; n.SendRouted(0, N-1, 100, nil_) }
-	round := func() {
-		for src := NodeID(0); src < N; src++ {
-			for dst := NodeID(0); dst < N; dst++ {
-				if dst == 0 && src != 0 {
-					n.SendRouted(src, dst, 100, relay)
-				} else if src != dst {
-					n.SendRouted(src, dst, 100, nil_)
+	var allocs [2]float64
+	for i, faults := range []bool{false, true} {
+		eng := des.NewEngine()
+		n, _ := New(eng, testConfig(Torus3(4, 4, 2)))
+		if faults {
+			n.EnableFaults(RecoveryPolicy{Timeout: des.Microsecond, Backoff: 2, MaxRetries: 10})
+		}
+		n.Forward = func(_ NodeID, _ int64, fn func(any), arg any) { eng.AfterCtx(des.Nanosecond, fn, arg) }
+		N := NodeID(n.Topo().N())
+		delivered := 0
+		// Each delivery to node 0 sends one more message across the fabric.
+		relay := func() { delivered++; n.SendRouted(0, N-1, 100, nil_) }
+		round := func() {
+			for src := NodeID(0); src < N; src++ {
+				n.SendNeighbor(src, DimLocal, +1, 100, nil_)
+				for dst := NodeID(0); dst < N; dst++ {
+					if dst == 0 && src != 0 {
+						n.SendRouted(src, dst, 100, relay)
+					} else if src != dst {
+						n.SendRouted(src, dst, 100, nil_)
+					}
 				}
 			}
+			eng.Run()
 		}
-		eng.Run()
-	}
-	round()
-	records := len(n.xfers)
-	for i := 0; i < 3; i++ {
 		round()
-	}
-	if want := 4 * (int(N) - 1); delivered != want {
-		t.Fatalf("relayed %d deliveries, want %d", delivered, want)
-	}
-	if len(n.xfers) != records {
-		t.Fatalf("%d transfer records after four rounds, %d after the first", len(n.xfers), records)
-	}
-	for _, x := range n.xfers {
-		if cap(x.path) != n.Topo().Diameter() || x.fn != nil || x.arg != nil {
-			t.Fatalf("idle record: path cap %d (diameter %d), delivery set %v",
-				cap(x.path), n.Topo().Diameter(), x.fn != nil || x.arg != nil)
+		records := len(n.xfers)
+		// AllocsPerRun runs one warm-up round and three measured ones.
+		allocs[i] = testing.AllocsPerRun(3, round)
+		if want := 5 * (int(N) - 1); delivered != want {
+			t.Fatalf("faults=%v: relayed %d deliveries, want %d", faults, delivered, want)
 		}
+		if len(n.xfers) != records {
+			t.Fatalf("faults=%v: %d transfer records after five rounds, %d after the first", faults, len(n.xfers), records)
+		}
+		for _, x := range n.xfers {
+			if cap(x.path) != n.Topo().Diameter() || x.fn != nil || x.arg != nil {
+				t.Fatalf("faults=%v: idle record: path cap %d (diameter %d), delivery set %v",
+					faults, cap(x.path), n.Topo().Diameter(), x.fn != nil || x.arg != nil)
+			}
+		}
+	}
+	// The calendar's instant index is a Go map, whose random hash seed
+	// moves its allocations by one between runs; a send that allocated
+	// would add at least one per send, over a thousand per round.
+	if allocs[1] > allocs[0]+2 && !raceEnabled {
+		t.Errorf("warm round allocates %v on the fault-enabled fabric, %v on the fault-free one", allocs[1], allocs[0])
 	}
 }
 

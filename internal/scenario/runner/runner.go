@@ -480,7 +480,7 @@ func runUnit(u scenario.Unit, alone map[int64]float64, tr *trace.Tracer) (map[st
 // recovery, energy accounting, fast-path engagement and the utilization
 // timeline.
 type unitAux struct {
-	rec  collectives.RecoveryStats
+	rec  noc.RecoveryStats
 	pr   *exper.PowerReport
 	hyb  collectives.HybridStats
 	util *Utilization

@@ -171,12 +171,9 @@ func BuildMulti(spec Spec, jobs []JobPlacement) (*Multi, error) {
 	// different partitions stay distinct. The event track is stripped
 	// from the sub-builds (its coordinates are not partition-local and
 	// would be double-scheduled); job-scoped events are applied below,
-	// against each job's private fabric. The recovery policy still flows
-	// down so each tenant runtime installs its drop handlers.
+	// against each job's private fabric, whose faults are enabled under
+	// the track's recovery policy.
 	faults := spec.Faults
-	if faults.NeedsRecovery() && spec.Coll.Recovery == nil {
-		spec.Coll.Recovery = faults.Recovery.Policy()
-	}
 	spec.Faults = nil
 	for i, j := range jobs {
 		spec.Tracer.SetProc(names[i])
@@ -189,6 +186,9 @@ func BuildMulti(spec Spec, jobs []JobPlacement) (*Multi, error) {
 			// Partitioned jobs co-simulate on one engine; the fast path's
 			// pump invariants are per-runtime, so refuse it outright.
 			sys.RT.BlockHybrid("multijob")
+		}
+		if faults.NeedsRecovery() {
+			sys.Net.EnableFaults(faults.Recovery.Policy())
 		}
 		m.Jobs = append(m.Jobs, &JobSystem{Name: names[i], Part: *j.Part, Sys: sys})
 	}

@@ -82,9 +82,9 @@ type Spec struct {
 	Tracer *trace.Tracer
 	// Faults, when non-nil, schedules the timed event track on the engine
 	// at build time. Events without a job scope target this fabric; tracks
-	// that down links force a collectives recovery policy (Coll.Recovery,
-	// defaulted from Faults.Recovery when unset). Job-scoped events are
-	// only meaningful under BuildMulti, which handles them itself.
+	// that down links enable the fabric's faults under Faults.Recovery's
+	// policy. Job-scoped events are only meaningful under BuildMulti,
+	// which handles them itself.
 	Faults *fault.Track
 	// Engine selects the communication execution fidelity: full DES (the
 	// default), the hybrid shadow fast path, or the closed-form analytic
@@ -309,9 +309,8 @@ func BuildOn(eng *des.Engine, spec Spec) (*System, error) {
 		s.Eps = append(s.Eps, ep)
 	}
 	s.observe()
-	if spec.Faults.NeedsRecovery() && spec.Coll.Recovery == nil {
-		spec.Coll.Recovery = spec.Faults.Recovery.Policy()
-		s.Spec = spec
+	if spec.Faults.NeedsRecovery() {
+		net.EnableFaults(spec.Faults.Recovery.Policy())
 	}
 	s.RT = collectives.NewRuntime(eng, net, s.Eps, spec.Coll)
 	s.wireHybrid()
@@ -493,7 +492,7 @@ func (s *System) wireHybrid() {
 	switch {
 	case spec.Coll.Streams > 1:
 		reason = "multijob-streams"
-	case spec.Coll.Recovery != nil:
+	case spec.Faults.NeedsRecovery():
 		reason = "fault-recovery"
 	case spec.Faults != nil:
 		reason = "fault-track"
@@ -520,7 +519,6 @@ func (s *System) wireHybrid() {
 			shSpec.Tracer = nil
 			shSpec.Faults = nil
 			shSpec.TraceBucket = 0
-			shSpec.Coll.Recovery = nil
 			tw, err := BuildOn(des.NewEngine(), shSpec)
 			if err != nil {
 				return nil, err

@@ -1,0 +1,7 @@
+//go:build !race
+
+package trace
+
+// raceEnabled reports a -race build, whose instrumentation allocates on
+// its own; allocation-count assertions are skipped under it.
+const raceEnabled = false

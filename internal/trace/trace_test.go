@@ -511,7 +511,7 @@ func TestWriteChromeAllocsFlat(t *testing.T) {
 		})
 	}
 	small, large := allocs(1_000), allocs(64_000)
-	if large > small {
+	if large > small && !raceEnabled {
 		t.Fatalf("WriteChrome allocations grow with spans: %v at 1k spans, %v at 64k", small, large)
 	}
 }
