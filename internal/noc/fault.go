@@ -196,6 +196,8 @@ func routedRetry(a any) { a.(*routedXfer).start() }
 //  2. Otherwise an orthogonal dogleg: sidestep along a healthy orthogonal
 //     dimension, cross d there on the parallel link, and step back.
 //
+// The path is the links checked, not a resolution of the hops by peer
+// node: on a size-2 dimension the +1 and -1 wires join the same nodes.
 // It returns path unextended when no fully healthy alternative exists.
 func (n *Network) appendDetour(path []int32, src NodeID, d Dim, dir int) []int32 {
 	t := n.cfg.Topo
@@ -203,13 +205,13 @@ func (n *Network) appendDetour(path []int32, src NodeID, d Dim, dir int) []int32
 	if t.Wrap(d) {
 		cur := src
 		for i := 0; i < t.Size(d)-1; i++ {
-			l := n.links[n.linkIndex(cur, d, -dir)]
-			if !l.up {
+			j := n.linkIndex(cur, d, -dir)
+			if !n.links[j].up {
 				path = path[:k]
 				break
 			}
-			path = append(path, n.linkTo(cur, l.To))
-			cur = l.To
+			path = append(path, int32(j))
+			cur = n.links[j].To
 		}
 		if len(path) > k {
 			return path
@@ -232,10 +234,9 @@ func (n *Network) appendDetour(path []int32, src NodeID, d Dim, dir int) []int32
 			if !t.HasLink(b, e, -ed) || t.Neighbor(b, e, -ed) != dst {
 				continue
 			}
-			if n.links[n.linkIndex(src, e, ed)].up &&
-				n.links[n.linkIndex(a, d, dir)].up &&
-				n.links[n.linkIndex(b, e, -ed)].up {
-				return append(path, n.linkTo(src, a), n.linkTo(a, b), n.linkTo(b, dst))
+			side, across, back := n.linkIndex(src, e, ed), n.linkIndex(a, d, dir), n.linkIndex(b, e, -ed)
+			if n.links[side].up && n.links[across].up && n.links[back].up {
+				return append(path, int32(side), int32(across), int32(back))
 			}
 		}
 	}

@@ -109,6 +109,34 @@ func TestDeadLinkDogleg(t *testing.T) {
 	if n.TotalWireBytes() != 3e3 {
 		t.Fatalf("wire bytes = %d, want 3 hops' worth", n.TotalWireBytes())
 	}
+	// Dim 1 has size 2: the sidestep leaves on the +1 wire, and the step
+	// back rides the -1 wire the planner checked, not the +1 wire that
+	// joins the same two nodes.
+	b := topo.ID(1, 1, 0)
+	if n.Link(b, 1, -1).Bytes() != 1e3 || n.Link(b, 1, +1).Bytes() != 0 {
+		t.Fatalf("return leg: -1 wire %d bytes, +1 wire %d bytes, want it on the -1 wire",
+			n.Link(b, 1, -1).Bytes(), n.Link(b, 1, +1).Bytes())
+	}
+}
+
+func TestDeadLinkDetourSize2Ring(t *testing.T) {
+	// On a 2-ring the +1 and -1 wires join the same two nodes. With the
+	// +1 wire down, the reverse ring walk is the live -1 wire: the send
+	// detours onto it and delivers in one hop, without a drop.
+	eng := des.NewEngine()
+	n := faultNet(t, eng, Torus3(2, 1, 1), testPolicy(10))
+	n.SetLinkUp(0, DimLocal, +1, false)
+	var arrive des.Time
+	n.SendNeighbor(0, DimLocal, +1, 1e6, func() { arrive = eng.Now() })
+	eng.Run()
+	hop := des.ByteDur(1e6, 200*0.94) + des.Cycles(90, 1.245)
+	if arrive != hop || n.Drops() != 0 || n.Reroutes() != 1 {
+		t.Fatalf("arrived at %v (one hop = %v), drops=%d reroutes=%d; want one hop, 0 drops, 1 reroute",
+			arrive, hop, n.Drops(), n.Reroutes())
+	}
+	if n.Link(0, DimLocal, -1).Bytes() != 1e6 {
+		t.Fatalf("-1 wire carried %d bytes, want the detour on it", n.Link(0, DimLocal, -1).Bytes())
+	}
 }
 
 func TestDeadLinkDropsWithoutDetour(t *testing.T) {
