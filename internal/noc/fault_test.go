@@ -68,22 +68,30 @@ func TestDegradeLinkBadFactor(t *testing.T) {
 }
 
 func TestDeadLinkDetoursReverseRing(t *testing.T) {
-	// On a 4-ring, the dead (0,+1) link detours 3 hops the other way.
-	eng := des.NewEngine()
-	n := faultNet(t, eng, Torus3(4, 1, 1), testPolicy(10))
-	n.SetLinkUp(0, DimLocal, +1, false)
-	var arrive des.Time
-	n.SendNeighbor(0, DimLocal, +1, 1e6, func() { arrive = eng.Now() })
-	eng.Run()
-	hop := des.ByteDur(1e6, 200*0.94) + des.Cycles(90, 1.245)
-	if arrive != 3*hop {
-		t.Fatalf("detour arrived at %v, want 3 hops = %v", arrive, 3*hop)
-	}
-	if n.Reroutes() != 1 || n.Drops() != 0 {
-		t.Fatalf("reroutes=%d drops=%d, want 1 reroute and no drops", n.Reroutes(), n.Drops())
-	}
-	if n.InjectedBytes() != 1e6 {
-		t.Fatalf("injected = %d, want one injection despite the detour", n.InjectedBytes())
+	// The dead (0,+1) link detours size-1 hops the other way round the
+	// ring, starting on the (0,-1) wire. On a 2-ring both wires join the
+	// same two nodes, so the detour is that one live -1 wire.
+	for _, size := range []int{4, 2} {
+		eng := des.NewEngine()
+		n := faultNet(t, eng, Torus3(size, 1, 1), testPolicy(10))
+		n.SetLinkUp(0, DimLocal, +1, false)
+		var arrive des.Time
+		n.SendNeighbor(0, DimLocal, +1, 1e6, func() { arrive = eng.Now() })
+		eng.Run()
+		hops := des.Time(size - 1)
+		hop := des.ByteDur(1e6, 200*0.94) + des.Cycles(90, 1.245)
+		if arrive != hops*hop {
+			t.Fatalf("%d-ring: detour arrived at %v, want %d hops = %v", size, arrive, hops, hops*hop)
+		}
+		if n.Reroutes() != 1 || n.Drops() != 0 {
+			t.Fatalf("%d-ring: reroutes=%d drops=%d, want 1 reroute and no drops", size, n.Reroutes(), n.Drops())
+		}
+		if n.Link(0, DimLocal, -1).Bytes() != 1e6 {
+			t.Fatalf("%d-ring: -1 wire carried %d bytes, want the detour on it", size, n.Link(0, DimLocal, -1).Bytes())
+		}
+		if n.InjectedBytes() != 1e6 {
+			t.Fatalf("%d-ring: injected = %d, want one injection despite the detour", size, n.InjectedBytes())
+		}
 	}
 }
 
@@ -116,26 +124,6 @@ func TestDeadLinkDogleg(t *testing.T) {
 	if n.Link(b, 1, -1).Bytes() != 1e3 || n.Link(b, 1, +1).Bytes() != 0 {
 		t.Fatalf("return leg: -1 wire %d bytes, +1 wire %d bytes, want it on the -1 wire",
 			n.Link(b, 1, -1).Bytes(), n.Link(b, 1, +1).Bytes())
-	}
-}
-
-func TestDeadLinkDetourSize2Ring(t *testing.T) {
-	// On a 2-ring the +1 and -1 wires join the same two nodes. With the
-	// +1 wire down, the reverse ring walk is the live -1 wire: the send
-	// detours onto it and delivers in one hop, without a drop.
-	eng := des.NewEngine()
-	n := faultNet(t, eng, Torus3(2, 1, 1), testPolicy(10))
-	n.SetLinkUp(0, DimLocal, +1, false)
-	var arrive des.Time
-	n.SendNeighbor(0, DimLocal, +1, 1e6, func() { arrive = eng.Now() })
-	eng.Run()
-	hop := des.ByteDur(1e6, 200*0.94) + des.Cycles(90, 1.245)
-	if arrive != hop || n.Drops() != 0 || n.Reroutes() != 1 {
-		t.Fatalf("arrived at %v (one hop = %v), drops=%d reroutes=%d; want one hop, 0 drops, 1 reroute",
-			arrive, hop, n.Drops(), n.Reroutes())
-	}
-	if n.Link(0, DimLocal, -1).Bytes() != 1e6 {
-		t.Fatalf("-1 wire carried %d bytes, want the detour on it", n.Link(0, DimLocal, -1).Bytes())
 	}
 }
 

@@ -183,7 +183,7 @@ func TestSendRoutedRecyclesRecords(t *testing.T) {
 	// The calendar's instant index is a Go map, whose random hash seed
 	// moves its allocations by one between runs; a send that allocated
 	// would add at least one per send, over a thousand per round.
-	if allocs[1] > allocs[0]+2 && !raceEnabled {
+	if allocs[1] > allocs[0]+2 {
 		t.Errorf("warm round allocates %v on the fault-enabled fabric, %v on the fault-free one", allocs[1], allocs[0])
 	}
 }
