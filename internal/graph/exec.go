@@ -90,11 +90,15 @@ type Run struct {
 	x *Executor
 	g *Graph
 
-	order      []int       // schedule positions -> op index in g.Ops
-	posOf      map[int]int // op ID -> schedule position
-	remaining  []int       // unmet dep count, by position
-	dependents [][]int     // dependent positions, by position
-	done       []bool
+	// order maps schedule positions to op indices in g.Ops; posOf is its
+	// inverse. Op i's dependents are users[userOff[i]:userOff[i+1]] (op
+	// indices) and remaining[i] counts its unmet deps.
+	order     []int
+	posOf     []int
+	userOff   []int
+	users     []int
+	remaining []int
+	done      []bool // by position
 
 	ranks    []rankState
 	finished int
@@ -132,7 +136,8 @@ type rankState struct {
 // and the run proceeds as the engine fires completions. It does not run
 // the engine.
 func (x *Executor) Start(g *Graph) (*Run, error) {
-	if err := g.Validate(); err != nil {
+	p, err := g.plan()
+	if err != nil {
 		return nil, err
 	}
 	if x.RT == nil || x.Eng == nil {
@@ -161,45 +166,30 @@ func (x *Executor) Start(g *Graph) (*Run, error) {
 		}
 	}
 
-	order, err := g.Schedule()
-	if err != nil {
-		return nil, err
-	}
+	n := len(g.Ops)
 	r := &Run{
 		x: x, g: g,
-		order:      make([]int, len(order)),
-		posOf:      make(map[int]int, len(order)),
-		remaining:  make([]int, len(order)),
-		dependents: make([][]int, len(order)),
-		done:       make([]bool, len(order)),
-		ranks:      make([]rankState, g.Ranks),
-		groups:     make(map[string]*groupMatch),
+		order:     p.order,
+		posOf:     make([]int, n),
+		userOff:   p.userOff,
+		users:     p.users,
+		remaining: make([]int, n),
+		done:      make([]bool, n),
+		ranks:     make([]rankState, g.Ranks),
+		groups:    make(map[string]*groupMatch),
 	}
-	idx := make(map[int]int, len(g.Ops)) // op ID -> index in g.Ops
+	for pos, i := range p.order {
+		r.posOf[i] = pos
+	}
 	for i := range g.Ops {
-		idx[g.Ops[i].ID] = i
-	}
-	for p, id := range order {
-		r.order[p] = idx[id]
-		r.posOf[id] = p
-	}
-	for p := range r.order {
-		op := r.opAt(p)
-		r.remaining[p] = len(op.Deps)
-		for _, d := range op.Deps {
-			dp := r.posOf[d]
-			r.dependents[dp] = append(r.dependents[dp], p)
-		}
+		op := &g.Ops[i]
+		r.remaining[i] = len(op.Deps)
 		rs := &r.ranks[op.Rank]
 		rs.opsLeft++
 		if op.Final {
 			rs.hasFinal = true
 		}
 	}
-	// Dependent lists fire in schedule order so same-instant cascades are
-	// deterministic (the heap preserves it, but building them sorted
-	// keeps insertion cheap). They are already sorted: positions were
-	// appended in increasing p.
 	// Ranks with no ops (legal: a graph may only occupy part of the
 	// fabric) are finished from the start.
 	for i := range r.ranks {
@@ -222,9 +212,9 @@ func (x *Executor) Start(g *Graph) (*Run, error) {
 			}
 		}
 	}
-	for p := range r.order {
-		if r.remaining[p] == 0 {
-			r.ready.push(p)
+	for pos, i := range r.order {
+		if r.remaining[i] == 0 {
+			r.ready.push(pos)
 		}
 	}
 	r.pump()
@@ -352,10 +342,11 @@ func (r *Run) opDone(pos int) {
 		rs.finishedAt = r.x.Eng.Now()
 		r.finished++
 	}
-	for _, dp := range r.dependents[pos] {
-		r.remaining[dp]--
-		if r.remaining[dp] == 0 {
-			r.ready.push(dp)
+	i := r.order[pos]
+	for _, j := range r.users[r.userOff[i]:r.userOff[i+1]] {
+		r.remaining[j]--
+		if r.remaining[j] == 0 {
+			r.ready.push(r.posOf[j])
 		}
 	}
 	r.pump()

@@ -129,69 +129,187 @@ func (g *Graph) fullGroup(op *Op) bool {
 }
 
 // Validate checks structural well-formedness: unique IDs, ranks and deps
-// in range, per-kind field consistency, and acyclicity (via Schedule).
+// in range, per-kind field consistency, and acyclicity (the schedule
+// must cover every op).
 func (g *Graph) Validate() error {
-	if g.Ranks <= 0 {
-		return fmt.Errorf("graph: non-positive ranks %d", g.Ranks)
-	}
-	const maxRanks = 1 << 20
-	if g.Ranks > maxRanks {
-		return fmt.Errorf("graph: %d ranks exceeds the %d limit", g.Ranks, maxRanks)
-	}
-	if len(g.Ops) == 0 {
-		return fmt.Errorf("graph: no ops")
-	}
-	if g.Topo != nil {
-		if err := g.Topo.Validate(); err != nil {
-			return fmt.Errorf("graph: topology: %w", err)
-		}
-		if g.Topo.N() != g.Ranks {
-			return fmt.Errorf("graph: topology %s has %d NPUs, ranks is %d", g.Topo, g.Topo.N(), g.Ranks)
-		}
-	}
-	byID := make(map[int]*Op, len(g.Ops))
-	finals := make(map[int]bool)
-	for i := range g.Ops {
-		op := &g.Ops[i]
-		if _, dup := byID[op.ID]; dup {
-			return fmt.Errorf("graph: duplicate op id %d", op.ID)
-		}
-		byID[op.ID] = op
-		if op.Rank < 0 || op.Rank >= g.Ranks {
-			return fmt.Errorf("graph: op %d rank %d out of range [0,%d)", op.ID, op.Rank, g.Ranks)
-		}
-		if op.Final {
-			if finals[op.Rank] {
-				return fmt.Errorf("graph: rank %d has more than one final op", op.Rank)
-			}
-			finals[op.Rank] = true
-		}
-		if err := g.validateOp(op); err != nil {
-			return err
-		}
-	}
-	for i := range g.Ops {
-		op := &g.Ops[i]
-		seen := make(map[int]bool, len(op.Deps))
-		for _, d := range op.Deps {
-			if _, ok := byID[d]; !ok {
-				return fmt.Errorf("graph: op %d depends on undefined op %d", op.ID, d)
-			}
-			if d == op.ID {
-				return fmt.Errorf("graph: op %d depends on itself", op.ID)
-			}
-			if seen[d] {
-				return fmt.Errorf("graph: op %d lists dep %d twice", op.ID, d)
-			}
-			seen[d] = true
-		}
-	}
-	_, err := g.Schedule()
+	_, err := g.plan()
 	return err
 }
 
-// validateOp checks the per-kind field constraints of one op.
-func (g *Graph) validateOp(op *Op) error {
+// plan is a graph's resolved dependency structure: the one pass that
+// Validate, Schedule and Executor.Start share. Ops are named by their
+// index in g.Ops; op i's dependents, in ascending index order, are
+// users[userOff[i]:userOff[i+1]].
+type plan struct {
+	order   []int // schedule position -> op index
+	userOff []int
+	users   []int
+}
+
+// plan validates the graph and resolves it: the checks run in the order
+// Validate documents, and the schedule is Kahn's algorithm with the
+// smallest-ID ready op first.
+func (g *Graph) plan() (*plan, error) {
+	if g.Ranks <= 0 {
+		return nil, fmt.Errorf("graph: non-positive ranks %d", g.Ranks)
+	}
+	const maxRanks = 1 << 20
+	if g.Ranks > maxRanks {
+		return nil, fmt.Errorf("graph: %d ranks exceeds the %d limit", g.Ranks, maxRanks)
+	}
+	if len(g.Ops) == 0 {
+		return nil, fmt.Errorf("graph: no ops")
+	}
+	if g.Topo != nil {
+		if err := g.Topo.Validate(); err != nil {
+			return nil, fmt.Errorf("graph: topology: %w", err)
+		}
+		if g.Topo.N() != g.Ranks {
+			return nil, fmt.Errorf("graph: topology %s has %d NPUs, ranks is %d", g.Topo, g.Topo.N(), g.Ranks)
+		}
+	}
+	n := len(g.Ops)
+	ids := newIDIndex(g.Ops)
+	finals := make([]bool, g.Ranks)
+	var inGroup []int // by rank, for validateOp
+	for i := range g.Ops {
+		op := &g.Ops[i]
+		if !ids.add(op.ID, i) {
+			return nil, fmt.Errorf("graph: duplicate op id %d", op.ID)
+		}
+		if op.Rank < 0 || op.Rank >= g.Ranks {
+			return nil, fmt.Errorf("graph: op %d rank %d out of range [0,%d)", op.ID, op.Rank, g.Ranks)
+		}
+		if op.Final {
+			if finals[op.Rank] {
+				return nil, fmt.Errorf("graph: rank %d has more than one final op", op.Rank)
+			}
+			finals[op.Rank] = true
+		}
+		if len(op.Group) > 0 && inGroup == nil {
+			inGroup = make([]int, g.Ranks)
+		}
+		if err := g.validateOp(op, inGroup, i+1); err != nil {
+			return nil, err
+		}
+	}
+	// Check the deps and count each op's dependents. stamp[j] == i+1 once
+	// op i has listed op j, which catches a dep listed twice without a
+	// set per op.
+	p := &plan{userOff: make([]int, n+1)}
+	stamp := make([]int, n)
+	for i := range g.Ops {
+		op := &g.Ops[i]
+		for _, d := range op.Deps {
+			j, ok := ids.get(d)
+			if !ok {
+				return nil, fmt.Errorf("graph: op %d depends on undefined op %d", op.ID, d)
+			}
+			if j == i {
+				return nil, fmt.Errorf("graph: op %d depends on itself", op.ID)
+			}
+			if stamp[j] == i+1 {
+				return nil, fmt.Errorf("graph: op %d lists dep %d twice", op.ID, d)
+			}
+			stamp[j] = i + 1
+			p.userOff[j+1]++
+		}
+	}
+	for j := 0; j < n; j++ {
+		p.userOff[j+1] += p.userOff[j]
+	}
+	// Fill the dependents table in ascending op order; stamp becomes each
+	// op's fill cursor.
+	p.users = make([]int, p.userOff[n])
+	copy(stamp, p.userOff[:n])
+	for i := range g.Ops {
+		for _, d := range g.Ops[i].Deps {
+			j, _ := ids.get(d)
+			p.users[stamp[j]] = i
+			stamp[j]++
+		}
+	}
+	// Kahn's algorithm; stamp becomes each op's unmet dep count.
+	indeg := stamp
+	var ready idHeap
+	for i := range g.Ops {
+		indeg[i] = len(g.Ops[i].Deps)
+		if indeg[i] == 0 {
+			ready.push(g.Ops[i].ID)
+		}
+	}
+	p.order = make([]int, 0, n)
+	for ready.len() > 0 {
+		i, _ := ids.get(ready.pop())
+		p.order = append(p.order, i)
+		for _, j := range p.users[p.userOff[i]:p.userOff[i+1]] {
+			indeg[j]--
+			if indeg[j] == 0 {
+				ready.push(g.Ops[j].ID)
+			}
+		}
+	}
+	if len(p.order) != n {
+		return nil, fmt.Errorf("graph: dependency cycle (%d of %d ops schedulable)", len(p.order), n)
+	}
+	return p, nil
+}
+
+// idIndex maps op IDs to op indices: a table over the ID range when the
+// IDs are dense (lowered graphs number their ops 0..n-1), a map when they
+// are sparse.
+type idIndex struct {
+	lo    int
+	dense []int // op index + 1 by ID - lo; 0 marks an unused ID
+	m     map[int]int
+}
+
+func newIDIndex(ops []Op) idIndex {
+	lo, hi := ops[0].ID, ops[0].ID
+	for i := range ops {
+		lo, hi = min(lo, ops[i].ID), max(hi, ops[i].ID)
+	}
+	// The unsigned difference is the exact span even where hi-lo
+	// overflows int.
+	if span := uint(hi) - uint(lo); span < 2*uint(len(ops)) {
+		return idIndex{lo: lo, dense: make([]int, span+1)}
+	}
+	return idIndex{m: make(map[int]int, len(ops))}
+}
+
+// add records op index i under id; false means the ID is already taken.
+func (x *idIndex) add(id, i int) bool {
+	if x.m != nil {
+		if _, dup := x.m[id]; dup {
+			return false
+		}
+		x.m[id] = i
+		return true
+	}
+	k := id - x.lo
+	if x.dense[k] != 0 {
+		return false
+	}
+	x.dense[k] = i + 1
+	return true
+}
+
+// get returns the index of the op with the given ID.
+func (x *idIndex) get(id int) (int, bool) {
+	if x.m != nil {
+		i, ok := x.m[id]
+		return i, ok
+	}
+	if k := uint(id) - uint(x.lo); k < uint(len(x.dense)) && x.dense[k] != 0 {
+		return x.dense[k] - 1, true
+	}
+	return 0, false
+}
+
+// validateOp checks the per-kind field constraints of one op. inGroup,
+// indexed by rank, finds a group listing a rank twice: the op's group
+// members are stamped with the op's unique nonzero stamp.
+func (g *Graph) validateOp(op *Op, inGroup []int, stamp int) error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("graph: op %d (%s): %s", op.ID, op.Kind, fmt.Sprintf(format, args...))
 	}
@@ -230,16 +348,15 @@ func (g *Graph) validateOp(op *Op) error {
 			if len(op.Group) < 2 {
 				return fail("group of %d ranks (want >= 2 or empty for all)", len(op.Group))
 			}
-			seen := make(map[int]bool, len(op.Group))
 			self := false
 			for _, r := range op.Group {
 				if r < 0 || r >= g.Ranks {
 					return fail("group rank %d out of range [0,%d)", r, g.Ranks)
 				}
-				if seen[r] {
+				if inGroup[r] == stamp {
 					return fail("group lists rank %d twice", r)
 				}
-				seen[r] = true
+				inGroup[r] = stamp
 				if r == op.Rank {
 					self = true
 				}
@@ -283,41 +400,16 @@ func (g *Graph) validateOp(op *Op) error {
 // algorithm with the smallest-ID ready op first. The order is a pure
 // function of the graph, independent of input op order; the executor
 // breaks same-instant ties with it, which is what makes graph replay
-// deterministic. An error reports a dependency cycle.
+// deterministic. It validates the graph first and returns Validate's
+// error on a malformed one (a dependency cycle among them).
 func (g *Graph) Schedule() ([]int, error) {
-	idx := make(map[int]int, len(g.Ops)) // op ID -> position in g.Ops
-	for i := range g.Ops {
-		idx[g.Ops[i].ID] = i
+	p, err := g.plan()
+	if err != nil {
+		return nil, err
 	}
-	indeg := make([]int, len(g.Ops))
-	dependents := make([][]int, len(g.Ops))
-	for i := range g.Ops {
-		op := &g.Ops[i]
-		indeg[i] = len(op.Deps)
-		for _, d := range op.Deps {
-			j := idx[d]
-			dependents[j] = append(dependents[j], i)
-		}
-	}
-	ready := &idHeap{}
-	for i := range g.Ops {
-		if indeg[i] == 0 {
-			ready.push(g.Ops[i].ID)
-		}
-	}
-	order := make([]int, 0, len(g.Ops))
-	for ready.len() > 0 {
-		id := ready.pop()
-		order = append(order, id)
-		for _, j := range dependents[idx[id]] {
-			indeg[j]--
-			if indeg[j] == 0 {
-				ready.push(g.Ops[j].ID)
-			}
-		}
-	}
-	if len(order) != len(g.Ops) {
-		return nil, fmt.Errorf("graph: dependency cycle (%d of %d ops schedulable)", len(order), len(g.Ops))
+	order := make([]int, len(p.order))
+	for pos, i := range p.order {
+		order[pos] = g.Ops[i].ID
 	}
 	return order, nil
 }

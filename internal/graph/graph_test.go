@@ -2,6 +2,11 @@ package graph_test
 
 import (
 	"bytes"
+	"container/heap"
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -34,6 +39,9 @@ func TestValidateRejects(t *testing.T) {
 		{"rank range", graph.Graph{Ranks: 2, Ops: []graph.Op{{ID: 0, Rank: 2, Kind: graph.OpMark}}}, "out of range"},
 		{"undefined dep", graph.Graph{Ranks: 2, Ops: []graph.Op{{ID: 0, Kind: graph.OpMark, Deps: []int{7}}}}, "undefined"},
 		{"self dep", graph.Graph{Ranks: 2, Ops: []graph.Op{{ID: 0, Kind: graph.OpMark, Deps: []int{0}}}}, "itself"},
+		{"dep listed twice", graph.Graph{Ranks: 2, Ops: []graph.Op{
+			{ID: 0, Kind: graph.OpMark},
+			{ID: 1, Kind: graph.OpMark, Deps: []int{0, 0}}}}, "lists dep 0 twice"},
 		{"cycle", graph.Graph{Ranks: 2, Ops: []graph.Op{
 			{ID: 0, Kind: graph.OpMark, Deps: []int{1}},
 			{ID: 1, Kind: graph.OpMark, Deps: []int{0}}}}, "cycle"},
@@ -41,6 +49,9 @@ func TestValidateRejects(t *testing.T) {
 			{ID: 0, Kind: graph.OpSend, Rank: 1, Dst: 1, Bytes: 8}}}, "self"},
 		{"empty collective", graph.Graph{Ranks: 2, Ops: []graph.Op{
 			{ID: 0, Kind: graph.OpCollective, Coll: collectives.AllReduce}}}, "non-positive payload"},
+		{"group rank twice", graph.Graph{Ranks: 4, Ops: []graph.Op{
+			{ID: 0, Kind: graph.OpCollective, Coll: collectives.AllReduce, Bytes: 8, Rank: 0, Group: []int{0, 1, 1}}}},
+			"group lists rank 1 twice"},
 		{"group without self", graph.Graph{Ranks: 4, Ops: []graph.Op{
 			{ID: 0, Kind: graph.OpCollective, Coll: collectives.AllReduce, Bytes: 8, Rank: 0, Group: []int{1, 2}}}},
 			"does not include"},
@@ -66,6 +77,11 @@ func TestValidateRejects(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
+		}
+		// Schedule must refuse the same graph with the same error, not
+		// order it around a dep it cannot resolve.
+		if order, serr := c.g.Schedule(); serr == nil || serr.Error() != err.Error() {
+			t.Errorf("%s: Schedule returned %v, %v; want Validate's error %q", c.name, order, serr, err)
 		}
 	}
 }
@@ -251,6 +267,18 @@ func TestFromModelShape(t *testing.T) {
 	if st.Sends != 0 {
 		t.Fatalf("data-parallel lowering emitted %d sends", st.Sends)
 	}
+	// Dep-free ops keep nil Deps (WriteJSON omits them), and every op's
+	// deps are capped at their length, so appending to one op's deps
+	// cannot overwrite another op's in the shared arena.
+	for i := range g.Ops {
+		op := &g.Ops[i]
+		if len(op.Deps) == 0 && op.Deps != nil {
+			t.Fatalf("op %d: empty non-nil deps", op.ID)
+		}
+		if cap(op.Deps) != len(op.Deps) {
+			t.Fatalf("op %d: deps len %d, cap %d", op.ID, len(op.Deps), cap(op.Deps))
+		}
+	}
 	// NoOverlap: one fused collective per iteration per rank.
 	g2, err := graph.FromModel(m, graph.ModelConfig{Iterations: 2, Overlap: false}, 16)
 	if err != nil {
@@ -294,4 +322,111 @@ func TestGraphTopologyField(t *testing.T) {
 	if _, err := graph.Parse(strings.NewReader(src)); err == nil {
 		t.Fatal("rank/topology mismatch accepted")
 	}
+}
+
+// TestScheduleMatchesReference checks the schedule against a map-based
+// Kahn reference on seeded random DAGs: op IDs dense, sparse, negative or
+// at the ends of the int range, ops listed in shuffled order, deps drawn
+// across ranks, and every tenth graph closed into a cycle that both must
+// refuse.
+func TestScheduleMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	idSets := []func(n int) []int{
+		func(n int) []int { return rng.Perm(n) },
+		func(n int) []int { // gaps: a third of the range unused
+			return rng.Perm(n + n/2)[:n]
+		},
+		func(n int) []int { // sparse and negative
+			ids := make([]int, 0, n)
+			seen := map[int]bool{}
+			for len(ids) < n {
+				if id := rng.Intn(1<<20) - 1<<19; !seen[id] {
+					seen[id] = true
+					ids = append(ids, id)
+				}
+			}
+			return ids
+		},
+		func(n int) []int { // the ends of the int range
+			ids := rng.Perm(n)
+			ids[0], ids[n-1] = math.MinInt, math.MaxInt
+			return ids
+		},
+	}
+	for trial := 0; trial < 400; trial++ {
+		n := 2 + rng.Intn(60)
+		ids := idSets[trial%len(idSets)](n)
+		ranks := 1 + rng.Intn(4)
+		// ids[k] may depend on any ids[j], j < k, so the graph is acyclic.
+		ops := make([]graph.Op, n)
+		for k := range ops {
+			ops[k] = graph.Op{ID: ids[k], Kind: graph.OpMark, Rank: rng.Intn(ranks)}
+			for _, j := range rng.Perm(k)[:rng.Intn(min(k, 4)+1)] {
+				ops[k].Deps = append(ops[k].Deps, ids[j])
+			}
+		}
+		cyclic := trial%10 == 9
+		if cyclic {
+			ops[0].Deps = append(ops[0].Deps, ids[n-1])
+			if !slices.Contains(ops[n-1].Deps, ids[0]) {
+				ops[n-1].Deps = append(ops[n-1].Deps, ids[0])
+			}
+		}
+		rng.Shuffle(n, func(a, b int) { ops[a], ops[b] = ops[b], ops[a] })
+		g := &graph.Graph{Ranks: ranks, Ops: ops}
+		want, acyclic := referenceSchedule(ops)
+		got, err := g.Schedule()
+		if acyclic == cyclic {
+			t.Fatalf("trial %d: reference acyclic=%v for a graph built cyclic=%v", trial, acyclic, cyclic)
+		}
+		if !acyclic {
+			if err == nil || !strings.Contains(err.Error(), "cycle") {
+				t.Fatalf("trial %d: cyclic graph scheduled: %v, %v", trial, got, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: schedule %v, reference %v", trial, got, want)
+		}
+	}
+}
+
+// referenceSchedule is Kahn's algorithm over maps keyed by op ID with the
+// smallest-ID ready op first; false means a cycle left ops unscheduled.
+func referenceSchedule(ops []graph.Op) ([]int, bool) {
+	indeg := make(map[int]int)
+	users := make(map[int][]int)
+	ready := &refIDHeap{}
+	for _, op := range ops {
+		indeg[op.ID] = len(op.Deps)
+		for _, d := range op.Deps {
+			users[d] = append(users[d], op.ID)
+		}
+		if len(op.Deps) == 0 {
+			heap.Push(ready, op.ID)
+		}
+	}
+	var order []int
+	for ready.Len() > 0 {
+		id := heap.Pop(ready).(int)
+		order = append(order, id)
+		for _, u := range users[id] {
+			if indeg[u]--; indeg[u] == 0 {
+				heap.Push(ready, u)
+			}
+		}
+	}
+	return order, len(order) == len(ops)
+}
+
+type refIDHeap struct{ sort.IntSlice }
+
+func (h *refIDHeap) Push(x any) { h.IntSlice = append(h.IntSlice, x.(int)) }
+func (h *refIDHeap) Pop() any {
+	x := h.IntSlice[len(h.IntSlice)-1]
+	h.IntSlice = h.IntSlice[:len(h.IntSlice)-1]
+	return x
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"acesim/internal/collectives"
 	"acesim/internal/workload"
@@ -35,22 +36,49 @@ const (
 	MarkEnd      = "end"
 )
 
-// lowerer builds one rank's program. It models the legacy sequential
-// driver exactly: kernels and marks advance a single main-chain frontier,
-// collective issues hang off the frontier without advancing it (issue
-// never blocks), and waits widen the frontier with the awaited op so
-// every later step starts no earlier than its completion.
+// lowerer builds a graph one rank's program at a time. It models the
+// legacy sequential driver exactly: kernels and marks advance a single
+// main-chain frontier, collective issues hang off the frontier without
+// advancing it (issue never blocks), and waits widen the frontier with
+// the awaited op so every later step starts no earlier than its
+// completion.
 type lowerer struct {
 	g     *Graph
 	rank  int
 	chain []int // current main-chain dependency frontier
+	// deps is the arena every op's Deps is a window of, capped at its
+	// length so an append to one op's deps cannot overwrite another's.
+	deps []int
+	// rankOps and rankDeps are len(g.Ops) and len(deps) when the current
+	// rank began.
+	rankOps, rankDeps int
 }
 
-// emit appends an op with the given deps and returns its ID.
+// beginRank starts lowering the given rank's program.
+func (lw *lowerer) beginRank(rank int) {
+	lw.rank = rank
+	lw.chain = lw.chain[:0]
+	lw.rankOps, lw.rankDeps = len(lw.g.Ops), len(lw.deps)
+}
+
+// reserve presizes g.Ops and the deps arena for more ranks the size of
+// the one just lowered. When every rank runs a program of one size, as
+// in FromModel, the graph grows only while rank 0 is lowered.
+func (lw *lowerer) reserve(more int) {
+	lw.g.Ops = slices.Grow(lw.g.Ops, (len(lw.g.Ops)-lw.rankOps)*more)
+	lw.deps = slices.Grow(lw.deps, (len(lw.deps)-lw.rankDeps)*more)
+}
+
+// emit appends an op with the given deps and returns its ID. A dep-free
+// op keeps nil Deps.
 func (lw *lowerer) emit(op Op, deps []int) int {
 	op.ID = len(lw.g.Ops)
 	op.Rank = lw.rank
-	op.Deps = append([]int(nil), deps...)
+	if len(deps) > 0 {
+		at := len(lw.deps)
+		lw.deps = append(lw.deps, deps...)
+		op.Deps = lw.deps[at:len(lw.deps):len(lw.deps)]
+	}
 	lw.g.Ops = append(lw.g.Ops, op)
 	return op.ID
 }
@@ -118,23 +146,35 @@ func FromModel(m *workload.Model, cfg ModelConfig, ranks int) (*Graph, error) {
 	optimized := hybrid && cfg.DLRMOptimized && overlap
 	globalBatch := m.MiniBatchPerNPU * ranks
 
+	// Every rank runs the same program, so the kernel and collective
+	// names are built once per layer.
+	type layerNames struct{ fwd, igrad, wgrad, ar string }
+	names := make([]layerNames, len(m.Layers))
+	for li, l := range m.Layers {
+		names[li] = layerNames{l.Name + ".fwd", l.Name + ".igrad", l.Name + ".wgrad", l.Name + ".ar"}
+	}
+	// Per-iteration collective handles for cross-references, reset for
+	// each rank.
+	arOps := make([][]int, cfg.Iterations)
+	for it := range arOps {
+		arOps[it] = make([]int, len(m.Layers))
+	}
+	a2aF := make([]int, cfg.Iterations)
+	a2aB := make([]int, cfg.Iterations)
+	sideReady := make([]int, cfg.Iterations)
+
 	g := &Graph{Name: m.Name, Ranks: ranks}
+	lw := &lowerer{g: g}
 	for rank := 0; rank < ranks; rank++ {
-		lw := &lowerer{g: g, rank: rank}
-		// Per-iteration collective handles for cross-references.
-		arOps := make([][]int, cfg.Iterations)
+		lw.beginRank(rank)
+		// -1 marks "not issued"; a stale reference would name a
+		// nonexistent op and fail validation instead of silently
+		// depending on op 0.
 		for it := range arOps {
-			arOps[it] = make([]int, len(m.Layers))
 			for li := range arOps[it] {
 				arOps[it][li] = -1
 			}
 		}
-		// -1 marks "not issued"; a stale reference would name a
-		// nonexistent op and fail validation instead of silently
-		// depending on op 0.
-		a2aF := make([]int, cfg.Iterations)
-		a2aB := make([]int, cfg.Iterations)
-		sideReady := make([]int, cfg.Iterations)
 		for it := range a2aF {
 			a2aF[it], a2aB[it], sideReady[it] = -1, -1, -1
 		}
@@ -144,7 +184,7 @@ func FromModel(m *workload.Model, cfg ModelConfig, ranks int) (*Graph, error) {
 			if overlap && it > 0 && l.GradBytes() > 0 {
 				lw.wait(arOps[it-1][li])
 			}
-			lw.kernel(l.Name+".fwd", l.FwdMACs, l.FwdBytes, 0)
+			lw.kernel(names[li].fwd, l.FwdMACs, l.FwdBytes, 0)
 		}
 
 		for it := 0; it < cfg.Iterations; it++ {
@@ -205,11 +245,11 @@ func FromModel(m *workload.Model, cfg ModelConfig, ranks int) (*Graph, error) {
 					a2aB[it] = lw.issue("emb.a2a.bwd", collectives.AllToAll, m.Emb.ExchangeBytes(globalBatch), 0)
 				}
 				if li > 0 {
-					lw.kernel(l.Name+".igrad", l.IgradMACs, l.IgradBytes, 0)
+					lw.kernel(names[li].igrad, l.IgradMACs, l.IgradBytes, 0)
 				}
-				lw.kernel(l.Name+".wgrad", l.WgradMACs, l.WgradBytes, 0)
+				lw.kernel(names[li].wgrad, l.WgradMACs, l.WgradBytes, 0)
 				if overlap && l.GradBytes() > 0 {
-					arOps[it][li] = lw.issue(l.Name+".ar", collectives.AllReduce, l.GradBytes(), 0)
+					arOps[it][li] = lw.issue(names[li].ar, collectives.AllReduce, l.GradBytes(), 0)
 				}
 			}
 			switch {
@@ -245,6 +285,7 @@ func FromModel(m *workload.Model, cfg ModelConfig, ranks int) (*Graph, error) {
 			}
 		}
 		lw.mark(MarkEnd, true)
+		lw.reserve(ranks - 1 - rank)
 	}
 	return g, nil
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"strings"
 
 	"acesim/internal/collectives"
 	"acesim/internal/workload"
@@ -191,14 +192,16 @@ func Pipeline(cfg PipelineConfig) (*Graph, error) {
 	}
 	// sendF/sendB[rank][iter*mbs+mb] are the boundary transfer ops a
 	// neighbor stage's slots depend on. Backward sends flow from higher
-	// ranks, which are generated later, so the graph is built in two
-	// passes: ops with intra-rank deps first, cross-rank deps patched
-	// once every op exists.
+	// ranks, which are generated later, so a slot's first kernel gets a
+	// placeholder last dep, patched once every op exists.
 	type ref struct{ rank, slot int }
+	type need struct {
+		op int // ID (and index) of the op whose last dep is the placeholder
+		ref
+	}
 	sendF := make([][]int, cfg.Ranks)
 	sendB := make([][]int, cfg.Ranks)
-	needF := make(map[int]ref) // op ID -> transfer it must depend on
-	needB := make(map[int]ref)
+	var needF, needB []need
 	for r := range sendF {
 		sendF[r] = make([]int, iters*mbs)
 		sendB[r] = make([]int, iters*mbs)
@@ -206,6 +209,16 @@ func Pipeline(cfg PipelineConfig) (*Graph, error) {
 			sendF[r][b], sendB[r][b] = -1, -1
 		}
 	}
+	lw := &lowerer{g: g}
+	// await makes the next op emitted wait on a neighbor's boundary
+	// transfer, as its last dep.
+	await := func(needs *[]need, rf ref) {
+		*needs = append(*needs, need{len(g.Ops), rf})
+		lw.chain = append(lw.chain, -1)
+	}
+	// The replicas of a stage run the same program, so only the first
+	// builds op names; the others replay them.
+	var names nameTape
 
 	for rank := 0; rank < cfg.Ranks; rank++ {
 		pr := pipeRank{stage: rank / repl, repl: rank % repl}
@@ -226,7 +239,8 @@ func Pipeline(cfg PipelineConfig) (*Graph, error) {
 			actOut = ceilDivInt64(m.Layers[hi-1].ActOutBytes, mbs)
 		}
 
-		lw := &lowerer{g: g, rank: rank}
+		lw.beginRank(rank)
+		names.rewind(pr.repl > 0)
 		// arOps[it][li] is iteration it's all-reduce for layer li (1F1B),
 		// or the stage's fused all-reduce at [it][lo] (GPipe).
 		arOps := make([][]int, iters)
@@ -238,10 +252,12 @@ func Pipeline(cfg PipelineConfig) (*Graph, error) {
 		}
 		for it := 0; it < iters; it++ {
 			for _, sl := range scheduleSlots(cfg.Schedule, pr.stage, cfg.Stages, mbs) {
-				tag := fmt.Sprintf("it%d.s%d.mb%d.", it, pr.stage, sl.mb)
+				var tag string
+				if !names.replay {
+					tag = fmt.Sprintf("it%d.s%d.mb%d.", it, pr.stage, sl.mb)
+				}
 				slotIdx := it*mbs + sl.mb
 				if sl.fwd {
-					var gate int // first kernel of the slot waits for the activation
 					for li := lo; li < hi; li++ {
 						l := m.Layers[li]
 						if cfg.Schedule == OneFOneB && it > 0 && sl.mb == 0 && arOps[it-1][li] >= 0 {
@@ -253,51 +269,45 @@ func Pipeline(cfg PipelineConfig) (*Graph, error) {
 							// before this one.
 							lw.wait(arOps[it-1][li])
 						}
-						id := lw.kernel(tag+l.Name+".fwd", l.FwdMACs/float64(mbs), ceilDivInt64(l.FwdBytes, mbs), 0)
 						if li == lo && pr.stage > 0 {
-							gate = id
+							// The first kernel of the slot waits for the
+							// activation.
+							await(&needF, ref{rank - repl, slotIdx})
 						}
-					}
-					if pr.stage > 0 {
-						needF[gate] = ref{rank - repl, slotIdx}
+						lw.kernel(names.name(tag, l.Name, ".fwd"), l.FwdMACs/float64(mbs), ceilDivInt64(l.FwdBytes, mbs), 0)
 					}
 					if pr.stage < cfg.Stages-1 {
 						sendF[rank][slotIdx] = lw.emit(Op{
-							Name: tag + "act.send", Kind: OpSend,
+							Name: names.name(tag, "act.send"), Kind: OpSend,
 							Bytes: actOut, Dst: rank + repl,
 						}, lw.chain)
 					}
 					continue
 				}
-				first := true
+				if pr.stage < cfg.Stages-1 {
+					// The first kernel of the slot waits for the gradient.
+					await(&needB, ref{rank + repl, slotIdx})
+				}
 				for li := hi - 1; li >= lo; li-- {
 					l := m.Layers[li]
 					if li > 0 {
-						id := lw.kernel(tag+l.Name+".igrad", l.IgradMACs/float64(mbs), ceilDivInt64(l.IgradBytes, mbs), 0)
-						if first && pr.stage < cfg.Stages-1 {
-							needB[id] = ref{rank + repl, slotIdx}
-						}
-						first = false
+						lw.kernel(names.name(tag, l.Name, ".igrad"), l.IgradMACs/float64(mbs), ceilDivInt64(l.IgradBytes, mbs), 0)
 					}
-					id := lw.kernel(tag+l.Name+".wgrad", l.WgradMACs/float64(mbs), ceilDivInt64(l.WgradBytes, mbs), 0)
-					if first && pr.stage < cfg.Stages-1 {
-						needB[id] = ref{rank + repl, slotIdx}
-					}
-					first = false
+					lw.kernel(names.name(tag, l.Name, ".wgrad"), l.WgradMACs/float64(mbs), ceilDivInt64(l.WgradBytes, mbs), 0)
 					if cfg.Schedule == OneFOneB && repl > 1 && sl.mb == mbs-1 && l.GradBytes() > 0 {
 						// Overlap: the layer's gradients are complete once
 						// its last microbatch's wgrad lands — all-reduce
 						// them while the drain (and the next iteration's
 						// forward) proceeds.
 						arOps[it][li] = lw.emit(Op{
-							Name: tag + l.Name + ".ar", Kind: OpCollective,
+							Name: names.name(tag, l.Name, ".ar"), Kind: OpCollective,
 							Coll: collectives.AllReduce, Bytes: l.GradBytes(), Group: group,
 						}, lw.chain)
 					}
 				}
 				if pr.stage > 0 {
 					sendB[rank][slotIdx] = lw.emit(Op{
-						Name: tag + "grad.send", Kind: OpSend,
+						Name: names.name(tag, "grad.send"), Kind: OpSend,
 						Bytes: actIn, Dst: rank - repl,
 					}, lw.chain)
 				}
@@ -320,22 +330,19 @@ func Pipeline(cfg PipelineConfig) (*Graph, error) {
 			}
 		}
 		lw.mark(MarkEnd, true)
+		lw.reserve(cfg.Ranks - 1 - rank)
 	}
 
-	// Patch cross-rank boundary dependencies now that every rank's ops
-	// (and so every transfer op ID) exist.
-	byID := make(map[int]int, len(g.Ops))
-	for i := range g.Ops {
-		byID[g.Ops[i].ID] = i
-	}
-	patch := func(need map[int]ref, send [][]int, what string) error {
-		for id, rf := range need {
-			dep := send[rf.rank][rf.slot]
+	// Patch the cross-rank boundary dependencies now that every rank's
+	// ops (and so every transfer op ID) exist.
+	patch := func(needs []need, send [][]int, what string) error {
+		for _, n := range needs {
+			dep := send[n.rank][n.slot]
 			if dep < 0 {
-				return fmt.Errorf("graph: pipeline wiring bug: no %s transfer from rank %d slot %d", what, rf.rank, rf.slot)
+				return fmt.Errorf("graph: pipeline wiring bug: no %s transfer from rank %d slot %d", what, n.rank, n.slot)
 			}
-			op := &g.Ops[byID[id]]
-			op.Deps = append(op.Deps, dep)
+			deps := g.Ops[n.op].Deps
+			deps[len(deps)-1] = dep
 		}
 		return nil
 	}
@@ -346,4 +353,33 @@ func Pipeline(cfg PipelineConfig) (*Graph, error) {
 		return nil, err
 	}
 	return g, nil
+}
+
+// nameTape shares op names between ranks that run the same program: a
+// recording rank builds each name and appends it, and a replaying rank
+// takes them back in order without building them.
+type nameTape struct {
+	names  []string
+	next   int
+	replay bool
+}
+
+// rewind starts a rank: replay the recorded names, or record afresh.
+func (t *nameTape) rewind(replay bool) {
+	t.next, t.replay = 0, replay
+	if !replay {
+		t.names = t.names[:0]
+	}
+}
+
+// name returns the concatenated parts, or the next recorded name.
+func (t *nameTape) name(parts ...string) string {
+	if t.replay {
+		s := t.names[t.next]
+		t.next++
+		return s
+	}
+	s := strings.Join(parts, "")
+	t.names = append(t.names, s)
+	return s
 }
