@@ -414,8 +414,8 @@ func (g *Graph) Schedule() ([]int, error) {
 	return order, nil
 }
 
-// idHeap is a min-heap of op IDs (the ready set of Schedule and the
-// executor's same-instant worklist).
+// idHeap is a min-heap of ints: op IDs in the plan's ready set, schedule
+// positions in the executor's same-instant worklist.
 type idHeap struct{ ids []int }
 
 func (h *idHeap) len() int { return len(h.ids) }
