@@ -60,7 +60,7 @@ hotpath-guard:
 	$(GO) test -run 'TestGateAcquireCtx' -v ./internal/resource
 	$(GO) test -run 'TestSendRoutedRecyclesRecords' -v ./internal/noc
 	$(GO) test -run TestHotPathAllocBudget -v .
-	$(GO) test -run TestLoweringAllocBudget -v ./internal/graph
+	$(GO) test -run 'TestLoweringAllocBudget|TestValidateManyRanksFewOps' -v ./internal/graph
 
 vet:
 	$(GO) vet ./...

@@ -169,12 +169,15 @@ func (g *Graph) plan() (*plan, error) {
 		}
 	}
 	n := len(g.Ops)
-	ids := newIDIndex(g.Ops)
-	finals := make([]bool, g.Ranks)
-	var inGroup []int // by rank, for validateOp
+	ids := make(map[int]int, n) // op ID -> index in g.Ops
+	// finals and inGroup (for validateOp) are keyed by rank but hold only
+	// the ranks the ops name, so declaring many ranks costs nothing.
+	finals := make(map[int]bool)
+	inGroup := make(map[int]int)
 	for i := range g.Ops {
 		op := &g.Ops[i]
-		if !ids.add(op.ID, i) {
+		// A taken ID leaves the map's size at i.
+		if ids[op.ID] = i; len(ids) == i {
 			return nil, fmt.Errorf("graph: duplicate op id %d", op.ID)
 		}
 		if op.Rank < 0 || op.Rank >= g.Ranks {
@@ -186,22 +189,25 @@ func (g *Graph) plan() (*plan, error) {
 			}
 			finals[op.Rank] = true
 		}
-		if len(op.Group) > 0 && inGroup == nil {
-			inGroup = make([]int, g.Ranks)
-		}
 		if err := g.validateOp(op, inGroup, i+1); err != nil {
 			return nil, err
 		}
 	}
-	// Check the deps and count each op's dependents. stamp[j] == i+1 once
-	// op i has listed op j, which catches a dep listed twice without a
-	// set per op.
+	// Check the deps, resolve each to its op index (dep, in the order
+	// the ops list them) and count each op's dependents. stamp[j] == i+1
+	// once op i has listed op j, which catches a dep listed twice without
+	// a set per op.
 	p := &plan{userOff: make([]int, n+1)}
 	stamp := make([]int, n)
+	ndeps := 0
+	for i := range g.Ops {
+		ndeps += len(g.Ops[i].Deps)
+	}
+	dep := make([]int, 0, ndeps)
 	for i := range g.Ops {
 		op := &g.Ops[i]
 		for _, d := range op.Deps {
-			j, ok := ids.get(d)
+			j, ok := ids[d]
 			if !ok {
 				return nil, fmt.Errorf("graph: op %d depends on undefined op %d", op.ID, d)
 			}
@@ -212,6 +218,7 @@ func (g *Graph) plan() (*plan, error) {
 				return nil, fmt.Errorf("graph: op %d lists dep %d twice", op.ID, d)
 			}
 			stamp[j] = i + 1
+			dep = append(dep, j)
 			p.userOff[j+1]++
 		}
 	}
@@ -220,14 +227,15 @@ func (g *Graph) plan() (*plan, error) {
 	}
 	// Fill the dependents table in ascending op order; stamp becomes each
 	// op's fill cursor.
-	p.users = make([]int, p.userOff[n])
+	p.users = make([]int, ndeps)
 	copy(stamp, p.userOff[:n])
+	k := 0
 	for i := range g.Ops {
-		for _, d := range g.Ops[i].Deps {
-			j, _ := ids.get(d)
+		for _, j := range dep[k : k+len(g.Ops[i].Deps)] {
 			p.users[stamp[j]] = i
 			stamp[j]++
 		}
+		k += len(g.Ops[i].Deps)
 	}
 	// Kahn's algorithm; stamp becomes each op's unmet dep count.
 	indeg := stamp
@@ -240,7 +248,7 @@ func (g *Graph) plan() (*plan, error) {
 	}
 	p.order = make([]int, 0, n)
 	for ready.len() > 0 {
-		i, _ := ids.get(ready.pop())
+		i := ids[ready.pop()]
 		p.order = append(p.order, i)
 		for _, j := range p.users[p.userOff[i]:p.userOff[i+1]] {
 			indeg[j]--
@@ -255,61 +263,10 @@ func (g *Graph) plan() (*plan, error) {
 	return p, nil
 }
 
-// idIndex maps op IDs to op indices: a table over the ID range when the
-// IDs are dense (lowered graphs number their ops 0..n-1), a map when they
-// are sparse.
-type idIndex struct {
-	lo    int
-	dense []int // op index + 1 by ID - lo; 0 marks an unused ID
-	m     map[int]int
-}
-
-func newIDIndex(ops []Op) idIndex {
-	lo, hi := ops[0].ID, ops[0].ID
-	for i := range ops {
-		lo, hi = min(lo, ops[i].ID), max(hi, ops[i].ID)
-	}
-	// The unsigned difference is the exact span even where hi-lo
-	// overflows int.
-	if span := uint(hi) - uint(lo); span < 2*uint(len(ops)) {
-		return idIndex{lo: lo, dense: make([]int, span+1)}
-	}
-	return idIndex{m: make(map[int]int, len(ops))}
-}
-
-// add records op index i under id; false means the ID is already taken.
-func (x *idIndex) add(id, i int) bool {
-	if x.m != nil {
-		if _, dup := x.m[id]; dup {
-			return false
-		}
-		x.m[id] = i
-		return true
-	}
-	k := id - x.lo
-	if x.dense[k] != 0 {
-		return false
-	}
-	x.dense[k] = i + 1
-	return true
-}
-
-// get returns the index of the op with the given ID.
-func (x *idIndex) get(id int) (int, bool) {
-	if x.m != nil {
-		i, ok := x.m[id]
-		return i, ok
-	}
-	if k := uint(id) - uint(x.lo); k < uint(len(x.dense)) && x.dense[k] != 0 {
-		return x.dense[k] - 1, true
-	}
-	return 0, false
-}
-
 // validateOp checks the per-kind field constraints of one op. inGroup,
-// indexed by rank, finds a group listing a rank twice: the op's group
+// keyed by rank, finds a group listing a rank twice: the op's group
 // members are stamped with the op's unique nonzero stamp.
-func (g *Graph) validateOp(op *Op, inGroup []int, stamp int) error {
+func (g *Graph) validateOp(op *Op, inGroup map[int]int, stamp int) error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("graph: op %d (%s): %s", op.ID, op.Kind, fmt.Sprintf(format, args...))
 	}

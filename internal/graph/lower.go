@@ -49,24 +49,21 @@ type lowerer struct {
 	// deps is the arena every op's Deps is a window of, capped at its
 	// length so an append to one op's deps cannot overwrite another's.
 	deps []int
-	// rankOps and rankDeps are len(g.Ops) and len(deps) when the current
-	// rank began.
-	rankOps, rankDeps int
 }
 
 // beginRank starts lowering the given rank's program.
 func (lw *lowerer) beginRank(rank int) {
 	lw.rank = rank
 	lw.chain = lw.chain[:0]
-	lw.rankOps, lw.rankDeps = len(lw.g.Ops), len(lw.deps)
 }
 
-// reserve presizes g.Ops and the deps arena for more ranks the size of
-// the one just lowered. When every rank runs a program of one size, as
-// in FromModel, the graph grows only while rank 0 is lowered.
+// reserve presizes g.Ops and the deps arena for more copies of what has
+// been lowered so far. FromModel calls it after rank 0, whose program
+// every other rank repeats, so the graph grows only while rank 0 is
+// lowered.
 func (lw *lowerer) reserve(more int) {
-	lw.g.Ops = slices.Grow(lw.g.Ops, (len(lw.g.Ops)-lw.rankOps)*more)
-	lw.deps = slices.Grow(lw.deps, (len(lw.deps)-lw.rankDeps)*more)
+	lw.g.Ops = slices.Grow(lw.g.Ops, len(lw.g.Ops)*more)
+	lw.deps = slices.Grow(lw.deps, len(lw.deps)*more)
 }
 
 // emit appends an op with the given deps and returns its ID. A dep-free
@@ -285,7 +282,9 @@ func FromModel(m *workload.Model, cfg ModelConfig, ranks int) (*Graph, error) {
 			}
 		}
 		lw.mark(MarkEnd, true)
-		lw.reserve(ranks - 1 - rank)
+		if rank == 0 {
+			lw.reserve(ranks - 1)
+		}
 	}
 	return g, nil
 }

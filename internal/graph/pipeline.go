@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"strings"
 
 	"acesim/internal/collectives"
 	"acesim/internal/workload"
@@ -216,9 +215,6 @@ func Pipeline(cfg PipelineConfig) (*Graph, error) {
 		*needs = append(*needs, need{len(g.Ops), rf})
 		lw.chain = append(lw.chain, -1)
 	}
-	// The replicas of a stage run the same program, so only the first
-	// builds op names; the others replay them.
-	var names nameTape
 
 	for rank := 0; rank < cfg.Ranks; rank++ {
 		pr := pipeRank{stage: rank / repl, repl: rank % repl}
@@ -240,7 +236,6 @@ func Pipeline(cfg PipelineConfig) (*Graph, error) {
 		}
 
 		lw.beginRank(rank)
-		names.rewind(pr.repl > 0)
 		// arOps[it][li] is iteration it's all-reduce for layer li (1F1B),
 		// or the stage's fused all-reduce at [it][lo] (GPipe).
 		arOps := make([][]int, iters)
@@ -252,10 +247,7 @@ func Pipeline(cfg PipelineConfig) (*Graph, error) {
 		}
 		for it := 0; it < iters; it++ {
 			for _, sl := range scheduleSlots(cfg.Schedule, pr.stage, cfg.Stages, mbs) {
-				var tag string
-				if !names.replay {
-					tag = fmt.Sprintf("it%d.s%d.mb%d.", it, pr.stage, sl.mb)
-				}
+				tag := fmt.Sprintf("it%d.s%d.mb%d.", it, pr.stage, sl.mb)
 				slotIdx := it*mbs + sl.mb
 				if sl.fwd {
 					for li := lo; li < hi; li++ {
@@ -274,11 +266,11 @@ func Pipeline(cfg PipelineConfig) (*Graph, error) {
 							// activation.
 							await(&needF, ref{rank - repl, slotIdx})
 						}
-						lw.kernel(names.name(tag, l.Name, ".fwd"), l.FwdMACs/float64(mbs), ceilDivInt64(l.FwdBytes, mbs), 0)
+						lw.kernel(tag+l.Name+".fwd", l.FwdMACs/float64(mbs), ceilDivInt64(l.FwdBytes, mbs), 0)
 					}
 					if pr.stage < cfg.Stages-1 {
 						sendF[rank][slotIdx] = lw.emit(Op{
-							Name: names.name(tag, "act.send"), Kind: OpSend,
+							Name: tag + "act.send", Kind: OpSend,
 							Bytes: actOut, Dst: rank + repl,
 						}, lw.chain)
 					}
@@ -291,23 +283,23 @@ func Pipeline(cfg PipelineConfig) (*Graph, error) {
 				for li := hi - 1; li >= lo; li-- {
 					l := m.Layers[li]
 					if li > 0 {
-						lw.kernel(names.name(tag, l.Name, ".igrad"), l.IgradMACs/float64(mbs), ceilDivInt64(l.IgradBytes, mbs), 0)
+						lw.kernel(tag+l.Name+".igrad", l.IgradMACs/float64(mbs), ceilDivInt64(l.IgradBytes, mbs), 0)
 					}
-					lw.kernel(names.name(tag, l.Name, ".wgrad"), l.WgradMACs/float64(mbs), ceilDivInt64(l.WgradBytes, mbs), 0)
+					lw.kernel(tag+l.Name+".wgrad", l.WgradMACs/float64(mbs), ceilDivInt64(l.WgradBytes, mbs), 0)
 					if cfg.Schedule == OneFOneB && repl > 1 && sl.mb == mbs-1 && l.GradBytes() > 0 {
 						// Overlap: the layer's gradients are complete once
 						// its last microbatch's wgrad lands — all-reduce
 						// them while the drain (and the next iteration's
 						// forward) proceeds.
 						arOps[it][li] = lw.emit(Op{
-							Name: names.name(tag, l.Name, ".ar"), Kind: OpCollective,
+							Name: tag + l.Name + ".ar", Kind: OpCollective,
 							Coll: collectives.AllReduce, Bytes: l.GradBytes(), Group: group,
 						}, lw.chain)
 					}
 				}
 				if pr.stage > 0 {
 					sendB[rank][slotIdx] = lw.emit(Op{
-						Name: names.name(tag, "grad.send"), Kind: OpSend,
+						Name: tag + "grad.send", Kind: OpSend,
 						Bytes: actIn, Dst: rank - repl,
 					}, lw.chain)
 				}
@@ -330,7 +322,6 @@ func Pipeline(cfg PipelineConfig) (*Graph, error) {
 			}
 		}
 		lw.mark(MarkEnd, true)
-		lw.reserve(cfg.Ranks - 1 - rank)
 	}
 
 	// Patch the cross-rank boundary dependencies now that every rank's
@@ -353,33 +344,4 @@ func Pipeline(cfg PipelineConfig) (*Graph, error) {
 		return nil, err
 	}
 	return g, nil
-}
-
-// nameTape shares op names between ranks that run the same program: a
-// recording rank builds each name and appends it, and a replaying rank
-// takes them back in order without building them.
-type nameTape struct {
-	names  []string
-	next   int
-	replay bool
-}
-
-// rewind starts a rank: replay the recorded names, or record afresh.
-func (t *nameTape) rewind(replay bool) {
-	t.next, t.replay = 0, replay
-	if !replay {
-		t.names = t.names[:0]
-	}
-}
-
-// name returns the concatenated parts, or the next recorded name.
-func (t *nameTape) name(parts ...string) string {
-	if t.replay {
-		s := t.names[t.next]
-		t.next++
-		return s
-	}
-	s := strings.Join(parts, "")
-	t.names = append(t.names, s)
-	return s
 }
