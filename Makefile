@@ -98,11 +98,11 @@ figures-smoke:
 
 # Golden gate: the full-size runner goldens (every bundled figure's JSON
 # results, byte for byte), the 16-NPU slices of fig9b and fig10, the
-# fig4 trace digest, the multijob trace's workers 1-vs-8 byte equality
-# and its peak-heap budget. `go test -short` skips all of them, so this
+# fig4 trace digest, the training step-track trace digest, the multijob
+# trace's workers 1-vs-8 byte equality and its peak-heap budget. `go test -short` skips all of them, so this
 # target runs them in full mode.
 goldens:
-	$(GO) test -run 'TestScenarioGoldens|TestFig9bFig10SliceGoldens|TestFig4TraceGolden|TestTraceWorkerDeterminism|TestMultijobTracePeakHeap' ./internal/scenario/runner
+	$(GO) test -run 'TestScenarioGoldens|TestFig9bFig10SliceGoldens|TestFig4TraceGolden|TestTrainingTraceGolden|TestTraceWorkerDeterminism|TestMultijobTracePeakHeap' ./internal/scenario/runner
 
 # Hybrid-engine smoke: the fast path's golden-equality gates (hybrid ==
 # DES to the picosecond on collectives, Fig 4, training and the p2p

@@ -7,8 +7,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"runtime/metrics"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -268,6 +270,14 @@ func TestFig4TraceGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTraceDigest(t, res, "fig4_trace.digest")
+}
+
+// checkTraceDigest compares the sha256 of res's Chrome export, with its
+// unit, span and track counts, against testdata/golden/<golden>, or
+// records it under -update.
+func checkTraceDigest(t *testing.T, res *runner.Results, golden string) {
+	t.Helper()
 	h := sha256.New()
 	if err := res.WriteChromeTrace(h); err != nil {
 		t.Fatal(err)
@@ -279,18 +289,62 @@ func TestFig4TraceGolden(t *testing.T) {
 	}
 	digest := fmt.Sprintf("sha256 %x\nunits %d\nspans %d\ntracks %d\n",
 		h.Sum(nil), len(res.Units), spans, tracks)
-	golden := filepath.Join("testdata", "golden", "fig4_trace.digest")
+	path := filepath.Join("testdata", "golden", golden)
 	if *update {
-		if err := os.WriteFile(golden, []byte(digest), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(digest), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(golden)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("missing golden (run with -update to record): %v", err)
 	}
 	if digest != string(want) {
-		t.Errorf("fig4 chrome trace drifted from golden.\ngot:\n%s\nwant:\n%s", digest, want)
+		t.Errorf("chrome trace drifted from %s.\ngot:\n%s\nwant:\n%s", golden, digest, want)
 	}
+}
+
+// TestTrainingTraceGolden pins the training step tracks in the Chrome
+// export: a DLRM unit (Fig 12 optimized loop, side-stream ops included)
+// with its "steps" track, and a shared-fabric multijob unit whose two
+// training sub-jobs each carry a "<job>/steps" track, every one holding
+// node 0's fwd.<i>/bwd.<i> windows. Like fig4_trace.digest, the golden
+// stores the export's sha256 and its counts.
+func TestTrainingTraceGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("traced training units in -short mode")
+	}
+	sc := loadScenario(t, `{
+	  "name": "training-trace",
+	  "platform": {"toruses": ["4x2x2"], "presets": ["ACE"]},
+	  "jobs": [
+	    {"kind": "training", "workloads": ["dlrm"], "dlrm_optimized": true},
+	    {"kind": "multijob", "jobs": [
+	      {"name": "train-a", "workload": "resnet50", "iterations": 1},
+	      {"name": "train-b", "workload": "dlrm", "iterations": 1}
+	    ]}
+	  ],
+	  "trace": {"enabled": true}
+	}`)
+	res, err := runner.Run(sc, runner.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := map[string]int{}
+	for _, ur := range res.Units {
+		tracks := ur.Trace.Tracks()
+		labels := ur.Trace.Labels()
+		for _, sp := range ur.Trace.Spans() {
+			if tr := tracks[sp.Track]; strings.HasSuffix(tr.Name, "steps") && labels[sp.Label].Cat == trace.CatStep {
+				steps[tr.Name]++
+			}
+		}
+	}
+	// Two iterations of fwd/bwd windows on the DLRM unit, one on each
+	// sub-job.
+	if want := map[string]int{"steps": 4, "train-a/steps": 2, "train-b/steps": 2}; !reflect.DeepEqual(steps, want) {
+		t.Fatalf("step spans per track = %v, want %v", steps, want)
+	}
+	checkTraceDigest(t, res, "training_trace.digest")
 }
