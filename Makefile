@@ -53,14 +53,14 @@ overhead-guard:
 # or queued), transfer record reuse on fault-free and fault-enabled
 # fabrics (a faulted send allocates nothing), and the allocation budget
 # of a warm all-reduce (ACE, BaselineCommOpt), all-to-all (ACE,
-# BaselineCommOpt) and ResNet-50 iteration, and of lowering and
-# validating a 64-rank ResNet-50 graph.
+# BaselineCommOpt) and ResNet-50 iteration, of lowering and validating
+# a 64-rank ResNet-50 graph, and the 128-byte graph op.
 hotpath-guard:
 	$(GO) test -run 'TestQueueMatchesReferenceHeap|TestQueueSortedDrain|TestTimeHeapEntrySize|TestEngineZeroAllocScheduling|TestCalendarCapacityBounded' -v ./internal/des
 	$(GO) test -run 'TestGateAcquireCtx' -v ./internal/resource
 	$(GO) test -run 'TestSendRoutedRecyclesRecords' -v ./internal/noc
 	$(GO) test -run TestHotPathAllocBudget -v .
-	$(GO) test -run 'TestLoweringAllocBudget|TestValidateManyRanksFewOps' -v ./internal/graph
+	$(GO) test -run 'TestLoweringAllocBudget|TestValidateManyRanksFewOps|TestOpSize' -v ./internal/graph
 
 vet:
 	$(GO) vet ./...

@@ -9,6 +9,7 @@ import (
 
 	"acesim/internal/collectives"
 	"acesim/internal/des"
+	"acesim/internal/graph"
 	"acesim/internal/noc"
 	"acesim/internal/power"
 	"acesim/internal/system"
@@ -133,21 +134,38 @@ type TrainResult struct {
 	Power *PowerReport
 }
 
-// RunTraining executes the paper's two-iteration training measurement for
-// one workload on one system configuration. The launch registers for
-// job-departure events, so an event track can cancel the run mid-flight.
-func RunTraining(spec system.Spec, m *workload.Model, tc training.Config) (TrainResult, *system.System, error) {
+// runJob is the one run sequence of every single-job experiment: build a
+// platform for spec, start the job on its graph executor, let a
+// job-departure event cancel it, drive the engine to completion and fold
+// an engaged hybrid shadow's statistics back. The caller collects the
+// job's result from the returned launch and system.
+func runJob[L interface{ Cancel() }](spec system.Spec, start func(*graph.Executor) (L, error)) (*system.System, L, error) {
+	var none L
 	s, err := system.Build(spec)
 	if err != nil {
-		return TrainResult{}, nil, err
+		return nil, none, err
 	}
-	l, err := s.Runner(tc).Start(m)
+	l, err := start(s.Executor())
 	if err != nil {
-		return TrainResult{}, nil, err
+		return nil, none, err
 	}
 	s.OnDepart(l.Cancel)
 	s.Eng.Run()
 	s.FoldHybrid()
+	return s, l, nil
+}
+
+// RunTraining executes the paper's two-iteration training measurement for
+// one workload on one system configuration, under the preset's Table VI
+// schedule. The launch registers for job-departure events, so an event
+// track can cancel the run mid-flight.
+func RunTraining(spec system.Spec, m *workload.Model, tc training.Config) (TrainResult, *system.System, error) {
+	s, l, err := runJob(spec, func(x *graph.Executor) (*training.Launch, error) {
+		return training.Start(x, m, spec.Schedule(), tc)
+	})
+	if err != nil {
+		return TrainResult{}, nil, err
+	}
 	res, err := l.Result()
 	if err != nil {
 		return TrainResult{}, nil, err

@@ -51,22 +51,15 @@ type GraphResult struct {
 // a bad trace fails its unit instead of crashing the process (the
 // platform is discarded either way — every run builds a fresh system).
 func RunGraph(spec system.Spec, g *graph.Graph) (res GraphResult, err error) {
-	s, err := system.Build(spec)
-	if err != nil {
-		return GraphResult{}, err
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = GraphResult{}, fmt.Errorf("exper: graph %q: %v", g.Name, r)
 		}
 	}()
-	run, err := s.Executor().Start(g)
+	s, run, err := runJob(spec, func(x *graph.Executor) (*graph.Run, error) { return x.Start(g) })
 	if err != nil {
 		return GraphResult{}, err
 	}
-	s.OnDepart(run.Cancel)
-	s.Eng.Run()
-	s.FoldHybrid()
 	gres, err := run.Result()
 	if err != nil {
 		return GraphResult{}, fmt.Errorf("exper: graph %q: %w", g.Name, err)

@@ -353,20 +353,15 @@ func startJobs(m *system.Multi, jobs []InterferenceJob) ([]*jobRun, error) {
 		var start func() error
 		if j.Model != nil {
 			run.isTraining = true
-			// Default only the unset fields: a caller's Schedule /
-			// DLRMOptimized choices must survive an omitted iteration
-			// count.
+			// Default only the iteration count: a caller's DLRMOptimized
+			// choice must survive it.
 			tc := j.Train
-			def := training.DefaultConfig()
 			if tc.Iterations <= 0 {
-				tc.Iterations = def.Iterations
-			}
-			if tc.SideMemGBps <= 0 {
-				tc.SideMemGBps = def.SideMemGBps
+				tc.Iterations = training.DefaultConfig().Iterations
 			}
 			model := j.Model
 			start = func() error {
-				l, err := js.Runner(tc).Start(model)
+				l, err := training.Start(js.Executor(), model, js.Sys.Spec.Schedule(), tc)
 				if err != nil {
 					return fmt.Errorf("exper: job %s: %w", js.Name, err)
 				}

@@ -3,11 +3,24 @@ package graph_test
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"acesim/internal/collectives"
 	"acesim/internal/graph"
 	"acesim/internal/workload"
 )
+
+// TestOpSize pins Op at 128 bytes on 64-bit platforms: lowering stores
+// one Op per op per rank, so padding between scattered one-byte fields
+// (144 bytes) is paid on every op of every lowered graph.
+func TestOpSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes pinned for 64-bit platforms")
+	}
+	if n := unsafe.Sizeof(graph.Op{}); n != 128 {
+		t.Fatalf("graph.Op is %d bytes, want 128", n)
+	}
+}
 
 // TestLoweringAllocBudget pins the allocations of setting up a lowered
 // training graph: FromModel presizes the op list and one shared deps

@@ -17,11 +17,15 @@ type Plans struct {
 	AllToAll  collectives.Plan
 }
 
+// SideStreamGBps is the memory bandwidth of the spare-resource side
+// stream Side compute ops run on: Fig 12's 80 GB/s allocation.
+const SideStreamGBps = 80
+
 // Executor binds the graph IR to one simulated platform: an engine, a
 // collectives runtime, one compute stream per rank, and the collective
-// plans. It is the simulator's single training execution engine — the
-// training package lowers its per-layer programs onto it, and scenario
-// "graph" jobs feed it synthesized or hand-written graphs.
+// plans. It is the simulator's single execution engine: training jobs
+// (training.Start lowers each per-layer program with FromModel), pipeline
+// schedules and hand-written graph traces all start on it.
 type Executor struct {
 	Eng      *des.Engine
 	RT       *collectives.Runtime
@@ -34,9 +38,6 @@ type Executor struct {
 	// runs, for debuggable DebugState output. Matching is positional, so
 	// the prefix is cosmetic but keeps co-running jobs tellable apart.
 	Job string
-	// SideGBps is the memory bandwidth of the spare-resource side stream
-	// Side compute ops run on (Fig 12's 80 GB/s allocation).
-	SideGBps float64
 }
 
 // RankResult is one rank's measured outcome.
@@ -287,7 +288,7 @@ func (r *Run) exec(pos int) {
 			return
 		}
 		if op.Side {
-			r.x.Eng.After(des.ByteDur(op.Bytes, r.x.SideGBps), func() { r.opDone(pos) })
+			r.x.Eng.After(des.ByteDur(op.Bytes, SideStreamGBps), func() { r.opDone(pos) })
 			return
 		}
 		k := npu.Kernel{Name: op.Name, MACs: op.MACs, Bytes: op.Bytes, MaxGBps: op.MaxGBps}

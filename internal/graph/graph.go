@@ -6,7 +6,7 @@
 // Section V (lowered from a workload.Model by FromModel), pipeline- and
 // hybrid-parallel microbatch schedules (synthesized by Pipeline), or
 // hand-written / externally generated traces fed in as JSON (Parse).
-// The training package replays every workload through this executor; the
+// training.Start runs every training job through this executor; the
 // lowered legacy workloads are pinned bit-identical to the pre-graph
 // per-layer loop by internal/training's golden test.
 package graph
@@ -65,24 +65,34 @@ type Op struct {
 	ID int
 	// Name labels the op (kernel name, collective name, mark label).
 	Name string
-	Kind OpKind
 	// Rank is the NPU that executes the op (for OpSend: the sender).
 	Rank int
 	// Deps lists the ops that must complete before this op starts.
 	Deps []int
+
+	// The four one-byte fields sit together so an Op packs into 128
+	// bytes (TestOpSize); lowering allocates one per op per rank.
+	Kind OpKind
+	// Side runs a compute op on the rank's side memory stream instead
+	// of the main compute stream: duration is Bytes at SideStreamGBps,
+	// the main stream is not occupied. MACs must be zero.
+	Side bool
+	// Coll is a collective op's kind.
+	Coll collectives.Kind
+	// Final marks the op whose completion defines the rank's finish time
+	// (at most one per rank). Without one, a rank finishes when all its
+	// ops have completed. The distinction matters for programs that issue
+	// a collective they never wait on: the legacy training loop's
+	// iteration time excludes such drains.
+	Final bool
 
 	// Compute fields (roofline: max of MACs at peak and Bytes at the
 	// compute memory share, plus launch overhead).
 	MACs    float64
 	Bytes   int64 // compute: HBM bytes; collective: payload; send: message
 	MaxGBps float64
-	// Side runs the op on the rank's side memory stream instead of the
-	// main compute stream: duration is Bytes at the executor's SideGBps,
-	// the main stream is not occupied. MACs must be zero.
-	Side bool
 
 	// Collective fields.
-	Coll collectives.Kind
 	// Group lists the participating ranks; empty means all ranks.
 	// All-reduce and all-to-all over all ranks execute on the runtime's
 	// topology-aware plans (the paper's hierarchical/direct algorithms);
@@ -99,13 +109,6 @@ type Op struct {
 
 	// Send field: destination rank.
 	Dst int
-
-	// Final marks the op whose completion defines the rank's finish time
-	// (at most one per rank). Without one, a rank finishes when all its
-	// ops have completed. The distinction matters for programs that issue
-	// a collective they never wait on: the legacy training loop's
-	// iteration time excludes such drains.
-	Final bool
 }
 
 // Graph is a complete executable workload DAG.

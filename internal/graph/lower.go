@@ -8,9 +8,9 @@ import (
 	"acesim/internal/workload"
 )
 
-// ModelConfig selects how a workload.Model is lowered (the knobs of
-// training.Config that shape the program; platform parameters like the
-// side-stream bandwidth stay with the Executor).
+// ModelConfig selects how a workload.Model is lowered: training.Start
+// fills it from its Config and the platform's Table VI schedule. The
+// side-stream bandwidth is not a lowering knob (SideStreamGBps).
 type ModelConfig struct {
 	// Iterations is the number of training iterations (the paper runs 2).
 	Iterations int
@@ -124,7 +124,9 @@ func (lw *lowerer) side(name string, bytes int64, deps []int) int {
 // driver ran (Section V: forward/backward kernels, LIFO all-reduces
 // during back-propagation, the cross-iteration dependency, DLRM's
 // blocking all-to-alls and the Fig 12 side-stream optimization), proven
-// bit-identical by internal/training's golden test.
+// bit-identical by internal/training's golden test. It is the only way a
+// training job becomes runnable: training.Start lowers with it and
+// starts the graph on an Executor.
 func FromModel(m *workload.Model, cfg ModelConfig, ranks int) (*Graph, error) {
 	if cfg.Iterations <= 0 {
 		return nil, fmt.Errorf("graph: non-positive iteration count")

@@ -6,8 +6,8 @@ import (
 	"acesim/internal/collectives"
 	"acesim/internal/des"
 	"acesim/internal/fault"
+	"acesim/internal/graph"
 	"acesim/internal/noc"
-	"acesim/internal/training"
 )
 
 // JobPlacement locates one concurrent job on the platform fabric. A nil
@@ -30,13 +30,12 @@ type JobSystem struct {
 	Stream collectives.StreamID
 }
 
-// Runner builds a training runner for this job, tagged and streamed so it
-// can co-run with the other jobs of the Multi.
-func (js *JobSystem) Runner(tc training.Config) *training.Runner {
-	r := js.Sys.Runner(tc)
-	r.Stream = js.Stream
-	r.Job = js.Name
-	return r
+// Executor builds a graph executor for this job, tagged and streamed so
+// it can co-run with the other jobs of the Multi.
+func (js *JobSystem) Executor() *graph.Executor {
+	x := js.Sys.Executor()
+	x.Stream, x.Job = js.Stream, js.Name
+	return x
 }
 
 // Multi is a multi-job platform: N concurrent jobs on one simulated

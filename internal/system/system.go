@@ -569,36 +569,22 @@ func (s *System) absorb(tw *System, mirror bool) {
 func (s *System) FoldHybrid() { s.RT.FoldHybrid() }
 
 // Plans returns the topology-aware collective plans for this platform.
-func (s *System) Plans() training.Plans {
-	return training.Plans{
+func (s *System) Plans() graph.Plans {
+	return graph.Plans{
 		AllReduce: collectives.HierarchicalAllReduce(s.Spec.Topo),
 		AllToAll:  collectives.DirectAllToAll(s.Spec.Topo.N()),
 	}
 }
 
-// Runner builds a training runner on this platform.
-func (s *System) Runner(tc training.Config) *training.Runner {
-	tc.Schedule = s.Spec.Schedule()
-	return &training.Runner{
-		Eng:      s.Eng,
-		RT:       s.RT,
-		Computes: s.Computes,
-		Plans:    s.Plans(),
-		Cfg:      tc,
-	}
-}
-
-// Executor builds a graph executor on this platform (issue stream 0, the
-// side stream at the paper's Fig 12 80 GB/s allocation). It is the entry
-// point for workload graphs that are not plain training loops: synthesized
-// pipeline schedules and hand-written JSON traces.
+// Executor builds a graph executor on this platform (issue stream 0). Every
+// job starts on one: training loops (training.Start), synthesized pipeline
+// schedules and hand-written JSON traces.
 func (s *System) Executor() *graph.Executor {
 	return &graph.Executor{
 		Eng:      s.Eng,
 		RT:       s.RT,
 		Computes: s.Computes,
 		Plans:    s.Plans(),
-		SideGBps: training.DefaultConfig().SideMemGBps,
 	}
 }
 

@@ -7,20 +7,20 @@
 // exchanges. The metrics are the paper's: total computation time, exposed
 // communication time, and their sum, the iteration time.
 //
-// Execution is graph-driven: the per-layer program is lowered into the
-// internal/graph execution IR (graph.FromModel) and replayed by the graph
-// executor — the simulator's single training engine, shared with pipeline
-// schedules and hand-written graph traces. TestTrainingGoldenLegacy pins
-// the lowered programs bit-identical to the pre-graph step driver.
+// A training job is a graph job: Start lowers the per-layer program into
+// the internal/graph execution IR (graph.FromModel) and launches it on a
+// graph.Executor, the simulator's single execution engine, shared with
+// pipeline schedules and hand-written graph traces. Launch only adds the
+// training view of the run: node 0's metrics and its fwd/bwd step
+// windows. TestTrainingGoldenLegacy pins the lowered programs
+// bit-identical to the pre-graph step driver.
 package training
 
 import (
 	"fmt"
 
-	"acesim/internal/collectives"
 	"acesim/internal/des"
 	"acesim/internal/graph"
-	"acesim/internal/npu"
 	"acesim/internal/trace"
 	"acesim/internal/workload"
 )
@@ -39,30 +39,22 @@ const (
 	NoOverlap
 )
 
-// Config tunes a training run.
+// Config tunes a training run. The schedule is not part of it: it is a
+// property of the platform's Table VI configuration, passed to Start.
 type Config struct {
 	Iterations int // the paper simulates 2
-	Schedule   Schedule
 	// DLRMOptimized enables the Fig 12 optimization: embedding
 	// lookup/update for the next/previous iteration run on a spare
-	// 80 GB/s memory allocation and 1 SM, off the critical path, and
-	// the forward all-to-all is issued as soon as the prefetch lookup
-	// finishes.
+	// memory allocation (graph.SideStreamGBps) and 1 SM, off the
+	// critical path, and the forward all-to-all is issued as soon as
+	// the prefetch lookup finishes.
 	DLRMOptimized bool
-	// SideMemGBps is the memory allocation of the optimized embedding
-	// stream (80 GB/s in the paper's experiment).
-	SideMemGBps float64
 }
 
 // DefaultConfig returns the paper's two-iteration setup.
 func DefaultConfig() Config {
-	return Config{Iterations: 2, Schedule: Overlap, SideMemGBps: 80}
+	return Config{Iterations: 2}
 }
-
-// Plans carries the topology-aware collective plans the loop issues.
-// It is the graph executor's plan set; the alias keeps the historical
-// training-facing name.
-type Plans = graph.Plans
 
 // Result summarizes one simulated run (per node; the system is
 // symmetric, node 0 is reported).
@@ -88,23 +80,6 @@ type Window struct{ Start, End des.Time }
 // Dur returns the window length.
 func (w Window) Dur() des.Time { return w.End - w.Start }
 
-// Runner couples a collectives runtime with per-node compute engines and
-// executes a workload's training program on every node.
-type Runner struct {
-	Eng      *des.Engine
-	RT       *collectives.Runtime
-	Computes []*npu.Compute // one per node
-	Plans    Plans
-	Cfg      Config
-	// Stream is the collective issue stream this runner's program uses.
-	// Concurrent jobs sharing one runtime must use distinct streams.
-	Stream collectives.StreamID
-	// Job names the job in multi-job runs; it prefixes every driver event
-	// tag ("<job>/ar.<it>.<layer>") so tag namespaces of co-running jobs
-	// can never collide. Empty for classic single-job runs.
-	Job string
-}
-
 // Launch is a started (but not yet simulated) training job: every node's
 // program has been lowered to a graph and advanced to its first blocking
 // point. In a multi-job run, start every job's Launch, drive the shared
@@ -122,45 +97,32 @@ type Launch struct {
 	emitted bool
 }
 
-// Start lowers the model onto the graph executor and launches it without
-// running the engine.
-func (r *Runner) Start(m *workload.Model) (*Launch, error) {
-	if len(r.Computes) != r.RT.Nodes() {
-		return nil, fmt.Errorf("training: %d compute engines for %d nodes", len(r.Computes), r.RT.Nodes())
-	}
-	if r.Cfg.Iterations <= 0 {
-		return nil, fmt.Errorf("training: non-positive iteration count")
-	}
+// Start lowers the model for every rank of x's platform under the given
+// schedule and launches it on x without running the engine. A traced
+// engine gets a "steps" track ("<job>/steps" when x.Job is set) that
+// Result fills with node 0's fwd.<i>/bwd.<i> windows.
+func Start(x *graph.Executor, m *workload.Model, sched Schedule, cfg Config) (*Launch, error) {
 	g, err := graph.FromModel(m, graph.ModelConfig{
-		Iterations:    r.Cfg.Iterations,
-		Overlap:       r.Cfg.Schedule == Overlap,
-		DLRMOptimized: r.Cfg.DLRMOptimized,
-	}, r.RT.Nodes())
+		Iterations:    cfg.Iterations,
+		Overlap:       sched == Overlap,
+		DLRMOptimized: cfg.DLRMOptimized,
+	}, len(x.Computes))
 	if err != nil {
 		return nil, fmt.Errorf("training: %w", err)
-	}
-	x := &graph.Executor{
-		Eng:      r.Eng,
-		RT:       r.RT,
-		Computes: r.Computes,
-		Plans:    r.Plans,
-		Stream:   r.Stream,
-		Job:      r.Job,
-		SideGBps: r.Cfg.SideMemGBps,
 	}
 	run, err := x.Start(g)
 	if err != nil {
 		return nil, fmt.Errorf("training: %w", err)
 	}
 	l := &Launch{run: run}
-	if tr := r.Eng.Tracer(); tr != nil {
+	if tr := x.Eng.Tracer(); tr != nil {
 		name := "steps"
-		if r.Job != "" {
-			name = r.Job + "/steps"
+		if x.Job != "" {
+			name = x.Job + "/steps"
 		}
 		l.tracer = tr
 		l.track = tr.RegisterTrack(name, -1, trace.KindOther)
-		l.steps = make([][2]trace.LabelID, r.Cfg.Iterations)
+		l.steps = make([][2]trace.LabelID, cfg.Iterations)
 		for i := range l.steps {
 			l.steps[i] = [2]trace.LabelID{
 				tr.Label(trace.CatStep, fmt.Sprintf("fwd.%d", i)),
@@ -170,9 +132,6 @@ func (r *Runner) Start(m *workload.Model) (*Launch, error) {
 	}
 	return l, nil
 }
-
-// Done reports whether every node's program has finished.
-func (l *Launch) Done() bool { return l.run.Finished() }
 
 // Cancel aborts the launch's remaining compute (job departure); see
 // graph.Run.Cancel for the abort-compute / flush-communication semantics.
@@ -224,15 +183,4 @@ func (l *Launch) Result() (Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// Run executes the model for Cfg.Iterations on every node and returns
-// node 0's metrics. It drives the engine to completion.
-func (r *Runner) Run(m *workload.Model) (Result, error) {
-	l, err := r.Start(m)
-	if err != nil {
-		return Result{}, err
-	}
-	r.Eng.Run()
-	return l.Result()
 }

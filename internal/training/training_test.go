@@ -17,7 +17,12 @@ func run(t *testing.T, torus noc.Topology, preset system.Preset, m *workload.Mod
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Runner(tc).Run(m)
+	l, err := training.Start(s.Executor(), m, s.Spec.Schedule(), tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Eng.Run()
+	res, err := l.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,14 +153,22 @@ func TestTrainingDeterminism(t *testing.T) {
 	}
 }
 
-func TestRunnerValidation(t *testing.T) {
+// TestStartValidation checks that Start refuses a run it cannot lower or
+// launch: zero iterations, and an executor with fewer compute streams
+// than the platform has nodes.
+func TestStartValidation(t *testing.T) {
 	s, err := system.Build(system.NewSpec(smallTorus, system.ACE))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := s.Runner(training.Config{Iterations: 0})
-	if _, err := r.Run(workload.ResNet50(1)); err == nil {
+	m := workload.ResNet50(1)
+	if _, err := training.Start(s.Executor(), m, training.Overlap, training.Config{Iterations: 0}); err == nil {
 		t.Fatal("zero iterations accepted")
+	}
+	x := s.Executor()
+	x.Computes = x.Computes[1:]
+	if _, err := training.Start(x, m, training.Overlap, training.DefaultConfig()); err == nil {
+		t.Fatal("executor with a compute stream missing accepted")
 	}
 }
 
