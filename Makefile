@@ -107,18 +107,23 @@ goldens:
 # Hybrid-engine smoke: the fast path's golden-equality gates (hybrid ==
 # DES to the picosecond on collectives, Fig 4, training and the p2p
 # pipeline graph, plus the refusal/fallback matrix and the randomized
-# topology sweep), then the bundled hybrid scenario end to end.
+# topology sweep), utilization under hybrid (the fig9b/fig10 4x2x2
+# slices and the utilization block byte-identical to DES, no fallback),
+# then the bundled hybrid scenario end to end.
 hybrid-smoke:
 	$(GO) test -run 'TestHybrid|TestAnalytic|TestAnalyzeOn' ./internal/exper
+	$(GO) test -run 'TestUtilizationBlock|TestFig9bFig10SliceGoldens' ./internal/scenario/runner
 	$(GO) run ./cmd/acesim scenario run examples/scenarios/hybrid_fastpath.json
 
 # Energy/power smoke: the cross-engine equality suite (hybrid joules
 # and power timelines must match DES to the bit; the analytic engine's
-# documented divergence stays pinned), the femtojoule determinism tests,
-# then the bundled energy-vs-overlap scenario — its assertions gate the
-# headline trade-off (overlap raises peak watts, lowers total joules).
+# documented divergence stays pinned), the integer-window determinism
+# tests of internal/stats, then the bundled energy-vs-overlap scenario —
+# its assertions gate the headline trade-off (overlap raises peak watts,
+# lowers total joules).
 power-smoke:
-	$(GO) test -run 'TestPower|TestEnergy' ./internal/power ./internal/stats ./internal/exper ./internal/scenario/runner
+	$(GO) test -run 'TestPower|TestEnergy' ./internal/power ./internal/exper ./internal/scenario/runner
+	$(GO) test ./internal/stats
 	$(GO) run ./cmd/acesim scenario run examples/scenarios/energy_vs_overlap.json
 
 # Serving-layer smoke: start an ephemeral daemon, submit the bundled

@@ -309,7 +309,7 @@ func TestACEBusyTrace(t *testing.T) {
 	eng := des.NewEngine()
 	a, _ := newTestACE(t, eng, DefaultACEConfig(1))
 	tr := stats.NewTrace(des.Microsecond)
-	a.Observe(func(start, end des.Time, _ int64) { tr.AddBusy(start, end, 1) })
+	a.Observe(func(start, end des.Time, _ int64) { tr.AddBusy(start, end) })
 	c := &Chunk{Bytes: 128 << 10, Resident: []int64{128 << 10, 128 << 10}}
 	a.Admit(c, des.Call, func() { a.Drain(c, des.Call, func() {}) })
 	eng.Run()

@@ -35,7 +35,7 @@ func samePowerReport(t *testing.T, label string, d, h *PowerReport) {
 	}
 	groups := []struct {
 		name string
-		a, b *stats.PowerTrace
+		a, b *stats.Trace
 	}{
 		{"compute", d.Sampler.Compute, h.Sampler.Compute},
 		{"hbm", d.Sampler.HBM, h.Sampler.HBM},
@@ -46,9 +46,9 @@ func samePowerReport(t *testing.T, label string, d, h *PowerReport) {
 			t.Fatalf("%s: %s timeline length %d != %d", label, g.name, g.a.Len(), g.b.Len())
 		}
 		for b := 0; b < g.a.Len(); b++ {
-			if g.a.EnergyFJ(b) != g.b.EnergyFJ(b) {
+			if g.a.At(b) != g.b.At(b) {
 				t.Fatalf("%s: %s window %d: %d fJ != %d fJ",
-					label, g.name, b, g.a.EnergyFJ(b), g.b.EnergyFJ(b))
+					label, g.name, b, g.a.At(b), g.b.At(b))
 			}
 		}
 	}

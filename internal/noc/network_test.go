@@ -193,7 +193,7 @@ func TestNetworkTrace(t *testing.T) {
 	n, _ := New(eng, testConfig(Torus3(4, 1, 1)))
 	tr := stats.NewTrace(des.Microsecond)
 	for _, l := range n.Links() {
-		l.Server().Observe(func(start, end des.Time, _ int64) { tr.AddBusy(start, end, 1) })
+		l.Server().Observe(func(start, end des.Time, _ int64) { tr.AddBusy(start, end) })
 	}
 	n.SendNeighbor(0, DimLocal, +1, 188_000, nil_) // 1us at 188 GB/s
 	eng.Run()

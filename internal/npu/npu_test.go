@@ -141,7 +141,7 @@ func TestComputeTrace(t *testing.T) {
 	p.CommMemGBps = 0
 	c := NewCompute(eng, p)
 	tr := stats.NewTrace(des.Millisecond)
-	c.Observe(func(start, end des.Time, _ int64) { tr.AddBusy(start, end, 1) })
+	c.Observe(func(start, end des.Time, _ int64) { tr.AddBusy(start, end) })
 	c.Run(Kernel{MACs: 120e9}, nil) // 1 ms
 	eng.Run()
 	if got := tr.Utilization(0, 1); got != 1.0 {

@@ -8,7 +8,7 @@
 // On top of the totals sits a time-windowed Sampler: busy-interval
 // observers on every rate server and compute stream (attached by
 // system.BuildOn) charge the intervals into integer-femtojoule
-// stats.PowerTrace windows, yielding a watts-over-sim-time timeline per
+// stats.Trace windows, yielding a watts-over-sim-time timeline per
 // component group (compute / hbm / fabric / static) with deterministic
 // window boundaries — workers=1 vs N, and des vs hybrid, produce
 // byte-identical timelines.
@@ -149,14 +149,14 @@ func (c Coefficients) Energy(u Usage) Breakdown {
 }
 
 // Sampler collects the windowed power timeline. The dynamic groups
-// are integer-femtojoule PowerTraces charged by busy-interval
+// are integer-femtojoule traces charged by busy-interval
 // observers; the static draw is a constant added at read time (it
 // needs no events).
 type Sampler struct {
 	Window  des.Time
-	Compute *stats.PowerTrace // kernel execution
-	HBM     *stats.PowerTrace // comm-mem read service
-	Fabric  *stats.PowerTrace // links + DMA buses + ACE servers
+	Compute *stats.Trace // kernel execution
+	HBM     *stats.Trace // comm-mem read service
+	Fabric  *stats.Trace // links + DMA buses + ACE servers
 	StaticW float64
 }
 
@@ -168,9 +168,9 @@ func NewSampler(window des.Time) *Sampler {
 	}
 	return &Sampler{
 		Window:  window,
-		Compute: stats.NewPowerTrace(window),
-		HBM:     stats.NewPowerTrace(window),
-		Fabric:  stats.NewPowerTrace(window),
+		Compute: stats.NewTrace(window),
+		HBM:     stats.NewTrace(window),
+		Fabric:  stats.NewTrace(window),
 	}
 }
 
@@ -193,7 +193,7 @@ func (s *Sampler) Windows(makespan des.Time) int {
 		return 0
 	}
 	n := int((makespan + s.Window - 1) / s.Window)
-	for _, t := range []*stats.PowerTrace{s.Compute, s.HBM, s.Fabric} {
+	for _, t := range []*stats.Trace{s.Compute, s.HBM, s.Fabric} {
 		if t.Len() > n {
 			n = t.Len()
 		}

@@ -114,9 +114,9 @@ func TestCoefficientHelpers(t *testing.T) {
 func sampleSampler() *Sampler {
 	s := NewSampler(1000)
 	s.StaticW = 1
-	s.Compute.Add(0, 1000, 2)
-	s.HBM.Add(1000, 2000, 3)
-	s.Fabric.Add(500, 1500, 4)
+	s.Compute.AddEnergy(0, 1000, 2)
+	s.HBM.AddEnergy(1000, 2000, 3)
+	s.Fabric.AddEnergy(500, 1500, 4)
 	return s
 }
 

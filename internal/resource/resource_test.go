@@ -89,7 +89,7 @@ func TestServerTrace(t *testing.T) {
 	eng := des.NewEngine()
 	s := NewServer(eng, "mem", 1)
 	tr := stats.NewTrace(100 * des.Nanosecond)
-	s.Observe(func(start, end des.Time, _ int64) { tr.AddBusy(start, end, 1) })
+	s.Observe(func(start, end des.Time, _ int64) { tr.AddBusy(start, end) })
 	s.Request(100, nil) // busy [0,100ns)
 	eng.Run()
 	if got := tr.Utilization(0, 1); got != 1.0 {
@@ -157,12 +157,12 @@ func TestServerObserverPerBytePower(t *testing.T) {
 	eng := des.NewEngine()
 	s := NewServer(eng, "hbm", 10)
 	const pJPerByte = 30
-	pt := stats.NewPowerTrace(des.Second)
+	pt := stats.NewTrace(des.Second)
 	var perReq []int64
 	s.Observe(func(start, end des.Time, _ int64) {
-		before := pt.TotalFJ()
-		pt.Add(start, end, pJPerByte*s.Rate()*1e-3)
-		perReq = append(perReq, pt.TotalFJ()-before)
+		before := pt.At(0)
+		pt.AddEnergy(start, end, pJPerByte*s.Rate()*1e-3)
+		perReq = append(perReq, pt.At(0)-before)
 	})
 	s.Request(1000, nil)
 	eng.At(des.Millisecond, func() {

@@ -162,7 +162,9 @@ func TestFig11MatchesTable6Golden(t *testing.T) {
 // bit for bit, to the hand-written runners they replaced), and each
 // fig10 unit's training metrics against the table6_train golden, which
 // runs the same units without utilization buckets. The assertions
-// describe the 128-NPU figures, so the slices drop them.
+// describe the 128-NPU figures, so the slices drop them. Each slice also
+// runs under the hybrid engine, which must match the same golden and
+// write the same -util-csv bytes as DES without falling back.
 func TestFig9bFig10SliceGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("15 training units in -short mode")
@@ -179,25 +181,45 @@ func TestFig9bFig10SliceGoldens(t *testing.T) {
 	if err := json.Unmarshal(b, &table6); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"fig9b", "fig10"} {
+	desCSV := map[string][]byte{}
+	for _, run := range []struct{ name, engine string }{
+		{"fig9b", "des"}, {"fig10", "des"}, {"fig9b", "hybrid"}, {"fig10", "hybrid"},
+	} {
+		name := run.name
 		sc, err := scenario.Load(filepath.Join("../../../examples/scenarios", name+".json"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		sc.Platform.Toruses = []string{"4x2x2"}
+		sc.Platform.Engine = run.engine
 		sc.Assertions = nil
 		res, err := runner.Run(sc, runner.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
+		var buf, csv bytes.Buffer
 		if err := res.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
+		if err := res.WriteUtilCSV(&csv); err != nil {
+			t.Fatal(err)
+		}
+		if run.engine == "des" {
+			desCSV[name] = csv.Bytes()
+		} else {
+			if warns := res.HybridWarnings(); len(warns) != 0 {
+				t.Errorf("%s hybrid fell back: %q", name, warns)
+			}
+			if !bytes.Equal(csv.Bytes(), desCSV[name]) {
+				t.Errorf("%s 4x2x2 hybrid util CSV differs from DES", name)
+			}
+		}
 		golden := filepath.Join("testdata", "golden", name+"_4x2x2.json")
 		if *update {
-			if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
+			if run.engine == "des" {
+				if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
 			continue
 		}
@@ -206,7 +228,7 @@ func TestFig9bFig10SliceGoldens(t *testing.T) {
 			t.Fatalf("missing golden (run with -update to record): %v", err)
 		}
 		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("%s 4x2x2 results drifted from the golden.\ngot:\n%s\nwant:\n%s", name, buf.Bytes(), want)
+			t.Errorf("%s 4x2x2 %s results drifted from the golden.\ngot:\n%s\nwant:\n%s", name, run.engine, buf.Bytes(), want)
 		}
 		for _, ur := range res.Units {
 			u := ur.Unit

@@ -576,7 +576,7 @@ func addUtilization(m map[string]float64, res exper.TrainResult, s *system.Syste
 	links := float64(s.Net.NumLinks())
 	for b := 0; b < buckets; b++ {
 		tl.Net = append(tl.Net, s.LinkUtil.Utilization(b, links))
-		tl.Compute = append(tl.Compute, s.ComputeUtil[0].Utilization(b, 1))
+		tl.Compute = append(tl.Compute, s.ComputeUtil.Utilization(b, 1))
 	}
 	m["net_util"] = mean(tl.Net)
 	m["compute_util"] = mean(tl.Compute)
@@ -589,7 +589,7 @@ func addUtilization(m map[string]float64, res exper.TrainResult, s *system.Syste
 		for _, w := range ws {
 			from := int(w.Start / bucket)
 			to := int(w.End/bucket) + 1
-			busy += s.ACEUtil[0].Mean(from, to, 1) * float64(to-from)
+			busy += s.ACEUtil.Mean(from, to, 1) * float64(to-from)
 			total += float64(to - from)
 		}
 		if total == 0 {

@@ -54,7 +54,8 @@ const utilizationScenario = `{
 // TestUtilizationBlock checks what the utilization block adds: the
 // Fig 10 means and timeline on every training unit, the Fig 9b split on
 // ACE units only, nothing on collective units, and no change to any
-// other metric. Under the hybrid engine the buckets force full DES.
+// other metric. Under the hybrid engine the shadow twin folds the
+// buckets back: no fallback, the same metrics and the same timeline CSV.
 func TestUtilizationBlock(t *testing.T) {
 	res, err := Run(parse(t, utilizationScenario), Options{Workers: 2})
 	if err != nil {
@@ -120,14 +121,27 @@ func TestUtilizationBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warns := hres.HybridWarnings()
-	if len(warns) != 2 || !strings.Contains(warns[0], "trace-buckets") || !strings.Contains(warns[1], "trace-buckets") {
-		t.Errorf("hybrid warnings = %q, want one trace-buckets fallback per training unit", warns)
+	if warns := hres.HybridWarnings(); len(warns) != 0 {
+		t.Errorf("hybrid warnings = %q, want none: the shadow twin carries the utilization traces", warns)
 	}
 	for i, ur := range hres.Units {
+		if !ur.Hybrid.Engaged {
+			t.Errorf("unit %d (%s): hybrid fast path did not engage", i, describe(ur.Unit))
+		}
 		if !maps.Equal(ur.Metrics, res.Units[i].Metrics) {
 			t.Errorf("unit %d: hybrid metrics %v differ from DES %v", i, ur.Metrics, res.Units[i].Metrics)
 		}
+	}
+	csv.Reset()
+	if err := res.WriteUtilCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	var hcsv bytes.Buffer
+	if err := hres.WriteUtilCSV(&hcsv); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(hcsv.Bytes(), csv.Bytes()) {
+		t.Errorf("hybrid util CSV differs from DES:\nhybrid:\n%s\ndes:\n%s", hcsv.Bytes(), csv.Bytes())
 	}
 }
 

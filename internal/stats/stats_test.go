@@ -1,9 +1,7 @@
 package stats
 
 import (
-	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -26,10 +24,29 @@ func TestMeter(t *testing.T) {
 	}
 }
 
+// kinds are the two ways a trace is charged: busy picoseconds (watts
+// ignored) and femtojoules at the given watts.
+var kinds = []struct {
+	name string
+	add  func(tr *Trace, start, end des.Time, watts float64)
+}{
+	{"busy", func(tr *Trace, start, end des.Time, _ float64) { tr.AddBusy(start, end) }},
+	{"energy", (*Trace).AddEnergy},
+}
+
+// total sums every recorded window.
+func total(tr *Trace) int64 {
+	var sum int64
+	for b := 0; b < tr.Len(); b++ {
+		sum += tr.At(b)
+	}
+	return sum
+}
+
 func TestTraceSingleBucket(t *testing.T) {
 	tr := NewTrace(100)
-	tr.AddBusy(10, 60, 1)
-	if got := tr.Busy(0); got != 50 {
+	tr.AddBusy(10, 60)
+	if got := tr.At(0); got != 50 {
 		t.Fatalf("busy = %v, want 50", got)
 	}
 	if got := tr.Utilization(0, 1); got != 0.5 {
@@ -37,43 +54,83 @@ func TestTraceSingleBucket(t *testing.T) {
 	}
 }
 
+// TestTraceSpansBuckets pins the window split: an interval covering
+// half / full / half of three 100 ps windows lands 50 / 100 / 50 busy
+// picoseconds, or at 2 W exactly 1e5 / 2e5 / 1e5 fJ. Utilization and
+// PowerW average over the full window width.
 func TestTraceSpansBuckets(t *testing.T) {
-	tr := NewTrace(100)
-	tr.AddBusy(50, 250, 2) // buckets 0,1,2 with overlaps 50,100,50, weight 2
-	want := []float64{100, 200, 100}
-	for b, w := range want {
-		if got := tr.Busy(b); got != w {
-			t.Fatalf("bucket %d = %v, want %v", b, got, w)
+	for _, c := range []struct {
+		name string
+		add  func(*Trace)
+		want []int64
+		read func(*Trace, int) float64
+		rate []float64
+	}{
+		{"busy", func(tr *Trace) { tr.AddBusy(50, 250) }, []int64{50, 100, 50},
+			func(tr *Trace, b int) float64 { return tr.Utilization(b, 1) }, []float64{0.5, 1, 0.5}},
+		{"energy", func(tr *Trace) { tr.AddEnergy(50, 250, 2) }, []int64{100_000, 200_000, 100_000},
+			(*Trace).PowerW, []float64{1, 2, 1}},
+	} {
+		tr := NewTrace(100)
+		c.add(tr)
+		if got := tr.Len(); got != len(c.want) {
+			t.Fatalf("%s: Len = %d, want %d", c.name, got, len(c.want))
+		}
+		for b, want := range c.want {
+			if got := tr.At(b); got != want {
+				t.Fatalf("%s: window %d = %d, want %d", c.name, b, got, want)
+			}
+			if got := c.read(tr, b); got != c.rate[b] {
+				t.Fatalf("%s: window %d reads %v, want %v", c.name, b, got, c.rate[b])
+			}
+		}
+		// Out-of-range windows read zero, not panic.
+		if tr.At(99) != 0 || c.read(tr, 99) != 0 {
+			t.Fatalf("%s: out-of-range window should read zero", c.name)
 		}
 	}
 }
 
 func TestTraceBoundary(t *testing.T) {
 	tr := NewTrace(100)
-	tr.AddBusy(0, 100, 1) // exactly one bucket, not two
+	tr.AddBusy(0, 100) // exactly one bucket, not two
 	if tr.Len() != 1 {
 		t.Fatalf("len = %d, want 1", tr.Len())
 	}
-	if got := tr.Busy(0); got != 100 {
+	if got := tr.At(0); got != 100 {
 		t.Fatalf("busy = %v, want 100", got)
 	}
 }
 
+// TestTraceDegenerate pins nil-safety: the zero-overhead-when-off
+// contract means every method on a nil or zero-window trace is a no-op,
+// and empty intervals (and zero watts) record nothing.
 func TestTraceDegenerate(t *testing.T) {
-	var nilTrace *Trace
-	nilTrace.AddBusy(0, 10, 1) // must not panic
-	if nilTrace.Len() != 0 || nilTrace.Busy(0) != 0 {
-		t.Fatal("nil trace should be inert")
+	for _, k := range kinds {
+		var nilTrace *Trace
+		if nilTrace.Enabled() {
+			t.Fatal("nil trace reports enabled")
+		}
+		k.add(nilTrace, 0, 10, 1) // must not panic
+		if nilTrace.Len() != 0 || nilTrace.At(0) != 0 || nilTrace.Utilization(0, 1) != 0 || nilTrace.PowerW(0) != 0 {
+			t.Fatalf("%s: nil trace should read zero everywhere", k.name)
+		}
+		tr := NewTrace(0) // disabled
+		k.add(tr, 0, 10, 1)
+		if tr.Enabled() || tr.Len() != 0 {
+			t.Fatalf("%s: disabled trace should record nothing", k.name)
+		}
+		tr2 := NewTrace(10)
+		k.add(tr2, 5, 5, 1) // empty interval
+		k.add(tr2, 8, 4, 1) // inverted interval
+		if tr2.Len() != 0 {
+			t.Fatalf("%s: empty interval should record nothing", k.name)
+		}
 	}
-	tr := NewTrace(0) // disabled
-	tr.AddBusy(0, 10, 1)
-	if tr.Enabled() || tr.Len() != 0 {
-		t.Fatal("disabled trace should record nothing")
-	}
-	tr2 := NewTrace(10)
-	tr2.AddBusy(5, 5, 1) // empty interval
-	if tr2.Len() != 0 {
-		t.Fatal("empty interval should record nothing")
+	tr := NewTrace(1000)
+	tr.AddEnergy(0, 1000, 0) // zero watts
+	if tr.Len() != 0 {
+		t.Fatalf("zero watts accumulated %d windows", tr.Len())
 	}
 }
 
@@ -84,12 +141,8 @@ func TestTraceConservation(t *testing.T) {
 		start := des.Time(s)
 		end := start + des.Time(d%5000) + 1
 		tr := NewTrace(37)
-		tr.AddBusy(start, end, 1)
-		var sum float64
-		for b := 0; b < tr.Len(); b++ {
-			sum += tr.Busy(b)
-		}
-		return sum == float64(end-start)
+		tr.AddBusy(start, end)
+		return total(tr) == int64(end-start)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -98,29 +151,13 @@ func TestTraceConservation(t *testing.T) {
 
 func TestTraceMean(t *testing.T) {
 	tr := NewTrace(100)
-	tr.AddBusy(0, 100, 1)   // bucket 0 util 1.0
-	tr.AddBusy(150, 200, 1) // bucket 1 util 0.5
+	tr.AddBusy(0, 100)   // bucket 0 util 1.0
+	tr.AddBusy(150, 200) // bucket 1 util 0.5
 	if got := tr.Mean(0, 2, 1); got != 0.75 {
 		t.Fatalf("mean = %v, want 0.75", got)
 	}
-	if got := tr.MeanAll(1); got != 0.75 {
-		t.Fatalf("meanAll = %v, want 0.75", got)
-	}
-}
-
-func TestTraceCSV(t *testing.T) {
-	tr := NewTrace(des.Microsecond)
-	tr.AddBusy(0, des.Microsecond, 1)
-	var sb strings.Builder
-	if err := tr.WriteCSV(&sb, 1); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.HasPrefix(out, "time_us,utilization\n") {
-		t.Fatalf("missing header: %q", out)
-	}
-	if !strings.Contains(out, "0.000,1.0000") {
-		t.Fatalf("missing row: %q", out)
+	if got := tr.Mean(1, 1, 1); got != 0 {
+		t.Fatalf("empty mean = %v, want 0", got)
 	}
 }
 
@@ -133,15 +170,14 @@ func TestTraceAddBusyProperty(t *testing.T) {
 	const bucket = des.Time(7) // deliberately not a divisor of anything
 	for trial := 0; trial < 200; trial++ {
 		tr := NewTrace(bucket)
-		ref := make(map[int]float64)
+		ref := make(map[int]int64)
 		n := rng.Intn(8) + 1
 		for i := 0; i < n; i++ {
 			start := des.Time(rng.Intn(200))
 			end := start + des.Time(rng.Intn(60)-5) // sometimes empty/negative
-			weight := float64(rng.Intn(4)) + rng.Float64()
-			tr.AddBusy(start, end, weight)
+			tr.AddBusy(start, end)
 			for p := start; p < end; p++ {
-				ref[int(p/bucket)] += weight
+				ref[int(p/bucket)]++
 			}
 		}
 		maxB := -1
@@ -154,14 +190,89 @@ func TestTraceAddBusyProperty(t *testing.T) {
 			t.Fatalf("trial %d: Len = %d, want %d", trial, got, maxB+1)
 		}
 		for b := 0; b <= maxB; b++ {
-			want := ref[b]
-			if got := tr.Busy(b); math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
-				t.Fatalf("trial %d: Busy(%d) = %g, want %g", trial, b, got, want)
+			if got := tr.At(b); got != ref[b] {
+				t.Fatalf("trial %d: At(%d) = %d, want %d", trial, b, got, ref[b])
 			}
 			cap := float64(rng.Intn(3) + 1)
-			if got, want := tr.Utilization(b, cap), ref[b]/(cap*float64(bucket)); math.Abs(got-want) > 1e-9 {
+			if got, want := tr.Utilization(b, cap), float64(ref[b])/(cap*float64(bucket)); got != want {
 				t.Fatalf("trial %d: Utilization(%d, %g) = %g, want %g", trial, b, cap, got, want)
 			}
+		}
+	}
+}
+
+// TestTraceOrderIndependence is the determinism core: each interval is
+// split (and, for energy, rounded) per window independently, so any
+// arrival order (the workers=N case) accumulates the identical integers.
+func TestTraceOrderIndependence(t *testing.T) {
+	const window = des.Time(700) // deliberately not a divisor of the spans
+	type ev struct {
+		start, end des.Time
+		w          float64
+	}
+	evs := []ev{
+		{0, 1300, 1.75},
+		{350, 4200, 0.333},
+		{1299, 1301, 12.5},
+		{2000, 2100, 7.0},
+		{100, 6999, 0.01},
+	}
+	for _, k := range kinds {
+		build := func(perm []int) *Trace {
+			tr := NewTrace(window)
+			for _, i := range perm {
+				k.add(tr, evs[i].start, evs[i].end, evs[i].w)
+			}
+			return tr
+		}
+		ref := build([]int{0, 1, 2, 3, 4})
+		rng := rand.New(rand.NewSource(9))
+		for trial := 0; trial < 10; trial++ {
+			perm := rng.Perm(len(evs))
+			got := build(perm)
+			if got.Len() != ref.Len() {
+				t.Fatalf("%s perm %v: Len %d != %d", k.name, perm, got.Len(), ref.Len())
+			}
+			for b := 0; b < ref.Len(); b++ {
+				if got.At(b) != ref.At(b) {
+					t.Fatalf("%s perm %v window %d: %d != %d", k.name, perm, b, got.At(b), ref.At(b))
+				}
+			}
+		}
+	}
+}
+
+// TestTraceAbsorbFrom checks the hybrid-fold primitive: absorbing a
+// shadow trace N times scales every window by exactly N on integers.
+func TestTraceAbsorbFrom(t *testing.T) {
+	const window = des.Time(1000)
+	for _, k := range kinds {
+		shadow := NewTrace(window)
+		k.add(shadow, 250, 3250, 1.234)
+		sum := NewTrace(window)
+		k.add(sum, 0, 500, 5.0)
+		base0 := sum.At(0)
+		sum.AbsorbFrom(shadow, 3)
+		if sum.Len() != shadow.Len() {
+			t.Fatalf("%s: Len = %d, want %d", k.name, sum.Len(), shadow.Len())
+		}
+		for b := 0; b < sum.Len(); b++ {
+			want := 3 * shadow.At(b)
+			if b == 0 {
+				want += base0
+			}
+			if got := sum.At(b); got != want {
+				t.Fatalf("%s window %d: %d, want %d", k.name, b, got, want)
+			}
+		}
+		// Nil / disabled / non-positive folds are no-ops.
+		before := total(sum)
+		sum.AbsorbFrom(nil, 2)
+		sum.AbsorbFrom(shadow, 0)
+		var disabled *Trace
+		disabled.AbsorbFrom(shadow, 2)
+		if total(sum) != before {
+			t.Fatalf("%s: no-op folds changed the accumulated windows", k.name)
 		}
 	}
 }

@@ -90,7 +90,9 @@ type Spec struct {
 	// default), the hybrid shadow fast path, or the closed-form analytic
 	// model. Hybrid and analytic are refused (with counted reasons) when
 	// the build carries anything that breaks their assumptions — extra
-	// streams, fault tracks, recovery policies, tracing.
+	// streams, fault tracks, recovery policies, tracing. Utilization
+	// traces and power windows do not refuse them: the shadow twin keeps
+	// both and folds them back.
 	Engine collectives.Engine
 	// Power, when non-nil, enables energy accounting: a windowed power
 	// sampler is attached to every component at build time and the
@@ -195,11 +197,12 @@ type System struct {
 	// set). Its group traces are charged by busy-interval observers.
 	Sampler *power.Sampler
 	// Utilization traces for Fig 10 and Fig 9b (nil unless
-	// Spec.TraceBucket > 0): link busy time summed over every link
-	// (weight 1 each), and per-node compute and ACE occupancy.
+	// Spec.TraceBucket > 0): link busy time summed over every link, and
+	// node 0's compute and ACE occupancy (ACEUtil stays nil without
+	// ACEs).
 	LinkUtil    *stats.Trace
-	ComputeUtil []*stats.Trace
-	ACEUtil     []*stats.Trace
+	ComputeUtil *stats.Trace
+	ACEUtil     *stats.Trace
 
 	// departFns run when a job_depart event fires on this system.
 	departFns []func()
@@ -335,7 +338,7 @@ func BuildOn(eng *des.Engine, spec Spec) (*System, error) {
 }
 
 // observe attaches the busy-interval observers the spec asks for to
-// every component: Fig 10/9b utilization buckets (TraceBucket), spans
+// every component: Fig 10/9b utilization windows (TraceBucket), spans
 // on the engine's tracer, and power windows (Power) — compute kernels
 // into the Compute group, comm-mem reads into HBM, and links, DMA buses
 // and ACE servers into Fabric. Tracks register links first, then per
@@ -352,7 +355,12 @@ func (s *System) observe() {
 		s.Sampler = sm
 	}
 	if bucket > 0 {
-		s.LinkUtil = stats.NewTrace(bucket)
+		s.LinkUtil, s.ComputeUtil = stats.NewTrace(bucket), stats.NewTrace(bucket)
+		s.Nodes[0].Compute().Observe(busy(s.ComputeUtil))
+		if len(s.ACEs) > 0 {
+			s.ACEUtil = stats.NewTrace(bucket)
+			s.ACEs[0].Observe(busy(s.ACEUtil))
+		}
 	}
 	for _, l := range s.Net.Links() {
 		srv := l.Server()
@@ -368,10 +376,6 @@ func (s *System) observe() {
 	}
 	for i, node := range s.Nodes {
 		cp := node.Compute()
-		if bucket > 0 {
-			s.ComputeUtil = append(s.ComputeUtil, stats.NewTrace(bucket))
-			cp.Observe(busy(s.ComputeUtil[i]))
-		}
 		if tr != nil {
 			node.CommMem.Observe(span(tr, fmt.Sprintf("npu%d/hbm", i), i, trace.KindHBM, trace.CatHBM, "hbm.read"))
 			node.BusTX.Observe(span(tr, fmt.Sprintf("npu%d/bus.tx", i), i, trace.KindDMA, trace.CatDMA, "bus.tx"))
@@ -391,10 +395,6 @@ func (s *System) observe() {
 			continue
 		}
 		ace := s.ACEs[i]
-		if bucket > 0 {
-			s.ACEUtil = append(s.ACEUtil, stats.NewTrace(bucket))
-			ace.Observe(busy(s.ACEUtil[i]))
-		}
 		if tr != nil {
 			ace.Observe(span(tr, fmt.Sprintf("npu%d/ace", i), i, trace.KindACE, trace.CatACE, "ace.active"))
 		}
@@ -408,10 +408,9 @@ func (s *System) observe() {
 	}
 }
 
-// busy returns an observer adding each interval, weight 1, to a
-// utilization trace.
+// busy returns an observer adding each interval to a utilization trace.
 func busy(t *stats.Trace) resource.Observer {
-	return func(start, end des.Time, _ int64) { t.AddBusy(start, end, 1) }
+	return func(start, end des.Time, _ int64) { t.AddBusy(start, end) }
 }
 
 // span registers a track and a label and returns an observer recording
@@ -425,16 +424,16 @@ func span(tr *trace.Tracer, track string, node int, kind trace.Kind, cat, name s
 }
 
 // draw returns an observer charging a fixed watts draw into tl.
-func draw(tl *stats.PowerTrace, watts float64) resource.Observer {
-	return func(start, end des.Time, _ int64) { tl.Add(start, end, watts) }
+func draw(tl *stats.Trace, watts float64) resource.Observer {
+	return func(start, end des.Time, _ int64) { tl.AddEnergy(start, end, watts) }
 }
 
 // perByte returns an observer charging pJPerByte per byte srv serves,
 // spread over the service interval at srv's current rate (GB/s x
 // pJ/byte = 1e-3 W): after a rate change (contention, a degraded
 // link) each byte still costs pJPerByte.
-func perByte(tl *stats.PowerTrace, pJPerByte float64, srv *resource.Server) resource.Observer {
-	return func(start, end des.Time, _ int64) { tl.Add(start, end, pJPerByte*srv.Rate()*1e-3) }
+func perByte(tl *stats.Trace, pJPerByte float64, srv *resource.Server) resource.Observer {
+	return func(start, end des.Time, _ int64) { tl.AddEnergy(start, end, pJPerByte*srv.Rate()*1e-3) }
 }
 
 // PowerUsage snapshots the lifetime meters the energy model prices.
@@ -479,9 +478,10 @@ func (s *System) PowerReport() (power.Breakdown, bool) {
 
 // wireHybrid arms (or refuses, with a counted reason) the runtime's
 // non-DES engine modes after the runtime exists. The shadow twin is a
-// stripped rebuild of the same spec — no tracer, no faults, no trace
-// buckets — on a private engine; Fold maps its meters back onto this
-// system (node-0-replicated when the shadow ran mirrored).
+// rebuild of the same spec without tracer or faults on a private
+// engine; it keeps the utilization traces and the power sampler. Fold
+// maps its meters and windows back onto this system (node-0-replicated
+// when the shadow ran mirrored).
 func (s *System) wireHybrid() {
 	spec := s.Spec
 	if spec.Engine == collectives.EngineDES {
@@ -498,8 +498,6 @@ func (s *System) wireHybrid() {
 		reason = "fault-track"
 	case spec.Tracer != nil || s.Eng.Tracer() != nil:
 		reason = "tracing"
-	case spec.TraceBucket > 0:
-		reason = "trace-buckets"
 	}
 	dims := spec.Topo.NumDims()
 	costs := &collectives.AnalyticCosts{
@@ -518,7 +516,6 @@ func (s *System) wireHybrid() {
 			shSpec.Engine = collectives.EngineDES
 			shSpec.Tracer = nil
 			shSpec.Faults = nil
-			shSpec.TraceBucket = 0
 			tw, err := BuildOn(des.NewEngine(), shSpec)
 			if err != nil {
 				return nil, err
@@ -530,13 +527,15 @@ func (s *System) wireHybrid() {
 	s.RT.EnableHybrid(spec.Engine, hooks, reason)
 }
 
-// absorb folds a hybrid shadow twin's lifetime meters and power windows
-// into s in one pass. Every server takes its twin's busy time and one
-// byte-meter entry for its total. A mirrored twin ran only node 0's
-// symmetric share: each node's servers and outgoing links take node
-// 0's, while the fabric-wide totals (injected bytes, power windows)
-// scale by N — the windows as already-rounded integer femtojoules, so
-// joules stay exact.
+// absorb folds a hybrid shadow twin's lifetime meters, utilization
+// traces and power windows into s in one pass. Every server takes its
+// twin's busy time and one byte-meter entry for its total. A mirrored
+// twin ran only node 0's symmetric share: each node's servers and
+// outgoing links take node 0's, while the fabric-wide totals (injected
+// bytes, link utilization, power windows) scale by N — the windows as
+// integer busy picoseconds and femtojoules, so the fold is exact. Node
+// 0's ACE occupancy comes from the twin's node 0 either way; its compute
+// occupancy needs no fold, since kernels run only on the primary.
 func (s *System) absorb(tw *System, mirror bool) {
 	times, src := int64(1), func(i int) int { return i }
 	if mirror {
@@ -561,6 +560,8 @@ func (s *System) absorb(tw *System, mirror bool) {
 		l.Server().Absorb(tw.Net.Link(noc.NodeID(src(int(l.From))), l.Dim, l.Dir).Server())
 	}
 	s.Net.AddTraffic(0, tw.Net.InjectedBytes()*times)
+	s.LinkUtil.AbsorbFrom(tw.LinkUtil, times)
+	s.ACEUtil.AbsorbFrom(tw.ACEUtil, 1)
 	s.Sampler.AbsorbFrom(tw.Sampler, times)
 }
 
