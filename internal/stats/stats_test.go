@@ -54,40 +54,62 @@ func TestTraceSingleBucket(t *testing.T) {
 	}
 }
 
-// TestTraceSpansBuckets pins the window split: an interval covering
-// half / full / half of three 100 ps windows lands 50 / 100 / 50 busy
-// picoseconds, or at 2 W exactly 1e5 / 2e5 / 1e5 fJ. Utilization and
-// PowerW average over the full window width.
+// TestTraceSpansBuckets pins the busy split: an interval covering half /
+// full / half of three 100 ps windows lands 50 / 100 / 50 busy
+// picoseconds, and Utilization reads them over the full window width.
 func TestTraceSpansBuckets(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		add  func(*Trace)
-		want []int64
-		read func(*Trace, int) float64
-		rate []float64
-	}{
-		{"busy", func(tr *Trace) { tr.AddBusy(50, 250) }, []int64{50, 100, 50},
-			func(tr *Trace, b int) float64 { return tr.Utilization(b, 1) }, []float64{0.5, 1, 0.5}},
-		{"energy", func(tr *Trace) { tr.AddEnergy(50, 250, 2) }, []int64{100_000, 200_000, 100_000},
-			(*Trace).PowerW, []float64{1, 2, 1}},
-	} {
-		tr := NewTrace(100)
-		c.add(tr)
-		if got := tr.Len(); got != len(c.want) {
-			t.Fatalf("%s: Len = %d, want %d", c.name, got, len(c.want))
+	tr := NewTrace(100)
+	tr.AddBusy(50, 250)
+	if got := tr.Len(); got != 3 {
+		t.Fatalf("Len = %d, want 3", got)
+	}
+	for b, want := range []int64{50, 100, 50} {
+		if got := tr.At(b); got != want {
+			t.Fatalf("window %d = %d, want %d", b, got, want)
 		}
-		for b, want := range c.want {
-			if got := tr.At(b); got != want {
-				t.Fatalf("%s: window %d = %d, want %d", c.name, b, got, want)
-			}
-			if got := c.read(tr, b); got != c.rate[b] {
-				t.Fatalf("%s: window %d reads %v, want %v", c.name, b, got, c.rate[b])
-			}
+	}
+	for b, want := range []float64{0.5, 1, 0.5} {
+		if got := tr.Utilization(b, 1); got != want {
+			t.Fatalf("Utilization(%d) = %v, want %v", b, got, want)
 		}
-		// Out-of-range windows read zero, not panic.
-		if tr.At(99) != 0 || c.read(tr, 99) != 0 {
-			t.Fatalf("%s: out-of-range window should read zero", c.name)
+	}
+	// Out-of-range windows read zero, not panic.
+	if tr.At(99) != 0 || tr.Utilization(99, 1) != 0 {
+		t.Fatal("out-of-range window should read zero")
+	}
+}
+
+// TestPowerTraceWindowing pins the femtojoule bookkeeping across window
+// boundaries: a 2 W interval spanning half / full / half of three
+// 1000 ps windows lands exactly 1e6 / 2e6 / 1e6 fJ.
+func TestPowerTraceWindowing(t *testing.T) {
+	tr := NewTrace(1000)
+	if !tr.Enabled() {
+		t.Fatal("fresh trace with positive window should be enabled")
+	}
+	tr.AddEnergy(500, 2500, 2.0)
+	if got := tr.Len(); got != 3 {
+		t.Fatalf("Len = %d, want 3", got)
+	}
+	for b, want := range []int64{1_000_000, 2_000_000, 1_000_000} {
+		if got := tr.At(b); got != want {
+			t.Fatalf("window %d = %d fJ, want %d", b, got, want)
 		}
+	}
+	if got := total(tr); got != 4_000_000 {
+		t.Fatalf("total = %d fJ, want 4000000", got)
+	}
+	// PowerW averages the window's energy over the full window width:
+	// 2e6 fJ over 1000 ps is exactly 2 W.
+	if got := tr.PowerW(1); got != 2.0 {
+		t.Fatalf("PowerW(1) = %v, want 2", got)
+	}
+	if got := tr.PowerW(0); got != 1.0 {
+		t.Fatalf("PowerW(0) = %v, want 1 (half-filled window)", got)
+	}
+	// Out-of-range windows read zero, not panic.
+	if tr.At(99) != 0 || tr.PowerW(99) != 0 {
+		t.Fatal("out-of-range window should read zero")
 	}
 }
 
@@ -102,35 +124,54 @@ func TestTraceBoundary(t *testing.T) {
 	}
 }
 
-// TestTraceDegenerate pins nil-safety: the zero-overhead-when-off
-// contract means every method on a nil or zero-window trace is a no-op,
-// and empty intervals (and zero watts) record nothing.
+// TestTraceDegenerate pins nil-safety for busy windows: the
+// zero-overhead-when-off contract means every method on a nil or
+// zero-window trace is a no-op, and empty intervals record nothing.
 func TestTraceDegenerate(t *testing.T) {
-	for _, k := range kinds {
-		var nilTrace *Trace
-		if nilTrace.Enabled() {
-			t.Fatal("nil trace reports enabled")
-		}
-		k.add(nilTrace, 0, 10, 1) // must not panic
-		if nilTrace.Len() != 0 || nilTrace.At(0) != 0 || nilTrace.Utilization(0, 1) != 0 || nilTrace.PowerW(0) != 0 {
-			t.Fatalf("%s: nil trace should read zero everywhere", k.name)
-		}
-		tr := NewTrace(0) // disabled
-		k.add(tr, 0, 10, 1)
-		if tr.Enabled() || tr.Len() != 0 {
-			t.Fatalf("%s: disabled trace should record nothing", k.name)
-		}
-		tr2 := NewTrace(10)
-		k.add(tr2, 5, 5, 1) // empty interval
-		k.add(tr2, 8, 4, 1) // inverted interval
-		if tr2.Len() != 0 {
-			t.Fatalf("%s: empty interval should record nothing", k.name)
-		}
+	var nilTrace *Trace
+	if nilTrace.Enabled() {
+		t.Fatal("nil trace reports enabled")
 	}
+	nilTrace.AddBusy(0, 10) // must not panic
+	if nilTrace.Len() != 0 || nilTrace.At(0) != 0 || nilTrace.Utilization(0, 1) != 0 || nilTrace.Mean(0, 1, 1) != 0 {
+		t.Fatal("nil trace should read zero everywhere")
+	}
+	tr := NewTrace(0) // disabled
+	tr.AddBusy(0, 10)
+	if tr.Enabled() || tr.Len() != 0 {
+		t.Fatal("disabled trace should record nothing")
+	}
+	tr2 := NewTrace(10)
+	tr2.AddBusy(5, 5) // empty interval
+	tr2.AddBusy(8, 4) // inverted interval
+	if tr2.Len() != 0 {
+		t.Fatal("empty interval should record nothing")
+	}
+}
+
+// TestPowerTraceDisabled is the same contract for energy windows, plus
+// zero watts: nothing is recorded and every read is zero.
+func TestPowerTraceDisabled(t *testing.T) {
+	var nilTrace *Trace
+	nilTrace.AddEnergy(0, 100, 1) // must not panic
+	if nilTrace.Len() != 0 || nilTrace.At(0) != 0 || nilTrace.PowerW(0) != 0 {
+		t.Fatal("nil trace should read zero everywhere")
+	}
+	zero := NewTrace(0)
+	if zero.Enabled() {
+		t.Fatal("zero-window trace reports enabled")
+	}
+	zero.AddEnergy(0, 100, 1)
+	if zero.Len() != 0 || zero.PowerW(0) != 0 {
+		t.Fatal("disabled trace accumulated a window")
+	}
+	// Degenerate adds on an enabled trace are dropped too.
 	tr := NewTrace(1000)
-	tr.AddEnergy(0, 1000, 0) // zero watts
-	if tr.Len() != 0 {
-		t.Fatalf("zero watts accumulated %d windows", tr.Len())
+	tr.AddEnergy(100, 100, 5) // empty interval
+	tr.AddEnergy(200, 100, 5) // inverted interval
+	tr.AddEnergy(0, 1000, 0)  // zero watts
+	if tr.Len() != 0 || total(tr) != 0 {
+		t.Fatalf("degenerate adds accumulated: len %d, %d fJ", tr.Len(), total(tr))
 	}
 }
 
