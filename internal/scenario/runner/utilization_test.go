@@ -56,6 +56,8 @@ const utilizationScenario = `{
 // ACE units only, nothing on collective units, and no change to any
 // other metric. Under the hybrid engine the shadow twin folds the
 // buckets back: no fallback, the same metrics and the same timeline CSV.
+// The analytic engine has no twin, so its training units fall back to
+// DES with a utilization refusal and match it just the same.
 func TestUtilizationBlock(t *testing.T) {
 	res, err := Run(parse(t, utilizationScenario), Options{Workers: 2})
 	if err != nil {
@@ -115,33 +117,53 @@ func TestUtilizationBlock(t *testing.T) {
 		t.Fatalf("WriteUtilCSV without the block = %v, want an error naming the block", err)
 	}
 
-	hyb := parse(t, utilizationScenario)
-	hyb.Platform.Engine = "hybrid"
-	hres, err := Run(hyb, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warns := hres.HybridWarnings(); len(warns) != 0 {
-		t.Errorf("hybrid warnings = %q, want none: the shadow twin carries the utilization traces", warns)
-	}
-	for i, ur := range hres.Units {
-		if !ur.Hybrid.Engaged {
-			t.Errorf("unit %d (%s): hybrid fast path did not engage", i, describe(ur.Unit))
-		}
-		if !maps.Equal(ur.Metrics, res.Units[i].Metrics) {
-			t.Errorf("unit %d: hybrid metrics %v differ from DES %v", i, ur.Metrics, res.Units[i].Metrics)
-		}
-	}
 	csv.Reset()
 	if err := res.WriteUtilCSV(&csv); err != nil {
 		t.Fatal(err)
 	}
-	var hcsv bytes.Buffer
-	if err := hres.WriteUtilCSV(&hcsv); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(hcsv.Bytes(), csv.Bytes()) {
-		t.Errorf("hybrid util CSV differs from DES:\nhybrid:\n%s\ndes:\n%s", hcsv.Bytes(), csv.Bytes())
+	for _, engine := range []string{"hybrid", "analytic"} {
+		fast := parse(t, utilizationScenario)
+		fast.Platform.Engine = engine
+		fres, err := Run(fast, Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fallbacks := 0
+		for i, ur := range fres.Units {
+			if engine == "analytic" && ur.Unit.Kind != scenario.KindTraining {
+				continue // no buckets: analytic engages with approximate timing
+			}
+			if engine == "analytic" {
+				fallbacks++
+			}
+			if engine == "analytic" && (ur.Hybrid.Engaged || ur.Hybrid.Blocked["utilization"] == 0) {
+				t.Errorf("analytic unit %d (%s): engaged %v, blocked %v; want a utilization refusal", i, describe(ur.Unit), ur.Hybrid.Engaged, ur.Hybrid.Blocked)
+			}
+			if engine == "hybrid" && !ur.Hybrid.Engaged {
+				t.Errorf("hybrid unit %d (%s): fast path did not engage", i, describe(ur.Unit))
+			}
+			if !maps.Equal(ur.Metrics, res.Units[i].Metrics) {
+				t.Errorf("%s unit %d: metrics %v differ from DES %v", engine, i, ur.Metrics, res.Units[i].Metrics)
+			}
+		}
+		// The hybrid twin carries the utilization traces; analytic falls
+		// back on each training unit, and the warnings say so.
+		warns := fres.HybridWarnings()
+		if len(warns) != fallbacks {
+			t.Errorf("%s warnings = %q, want %d", engine, warns, fallbacks)
+		}
+		for _, w := range warns {
+			if !strings.HasSuffix(w, "fell back to full DES: utilization") {
+				t.Errorf("%s warning %q does not name the utilization refusal", engine, w)
+			}
+		}
+		var fcsv bytes.Buffer
+		if err := fres.WriteUtilCSV(&fcsv); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(fcsv.Bytes(), csv.Bytes()) {
+			t.Errorf("%s util CSV differs from DES:\n%s:\n%s\ndes:\n%s", engine, engine, fcsv.Bytes(), csv.Bytes())
+		}
 	}
 }
 

@@ -91,8 +91,9 @@ type Spec struct {
 	// model. Hybrid and analytic are refused (with counted reasons) when
 	// the build carries anything that breaks their assumptions — extra
 	// streams, fault tracks, recovery policies, tracing. Utilization
-	// traces and power windows do not refuse them: the shadow twin keeps
-	// both and folds them back.
+	// traces and power windows do not refuse hybrid: its shadow twin
+	// keeps both and folds them back. Analytic has no twin and books no
+	// busy time on links or ACEs, so it refuses utilization traces.
 	Engine collectives.Engine
 	// Power, when non-nil, enables energy accounting: a windowed power
 	// sampler is attached to every component at build time and the
@@ -477,8 +478,8 @@ func (s *System) PowerReport() (power.Breakdown, bool) {
 }
 
 // wireHybrid arms (or refuses, with a counted reason) the runtime's
-// non-DES engine modes after the runtime exists. The shadow twin is a
-// rebuild of the same spec without tracer or faults on a private
+// non-DES engine modes after the runtime exists. The hybrid shadow twin
+// is a rebuild of the same spec without tracer or faults on a private
 // engine; it keeps the utilization traces and the power sampler. Fold
 // maps its meters and windows back onto this system (node-0-replicated
 // when the shadow ran mirrored).
@@ -498,6 +499,8 @@ func (s *System) wireHybrid() {
 		reason = "fault-track"
 	case spec.Tracer != nil || s.Eng.Tracer() != nil:
 		reason = "tracing"
+	case spec.Engine == collectives.EngineAnalytic && spec.TraceBucket > 0:
+		reason = "utilization"
 	}
 	dims := spec.Topo.NumDims()
 	costs := &collectives.AnalyticCosts{
